@@ -29,10 +29,12 @@ from .structures import Embedding, FinStructure, find_embeddings
 from .strongsets import alpha_one_profile, in_class, strong_verdict
 
 
-def _fast_engine(spec: PredimensionSpec, struct: FinStructure) -> Optional[Pseudoforest]:
+def _fast_engine(
+    spec: PredimensionSpec, struct: FinStructure, plans: Optional[dict] = None
+) -> Optional[Pseudoforest]:
     if not alpha_one_profile(spec, struct):
         return None
-    pf = Pseudoforest(struct)
+    pf = Pseudoforest(struct, plans)
     return pf if pf.valid else None
 
 
@@ -97,8 +99,9 @@ class GenericApprox:
         self.blocked: Optional[BlockedRecord] = None
         self._satisfied: set[tuple[tuple[int, ...], bytes]] = set()
         self._class_cache: dict[bytes, list[ExtensionClass]] = {}
+        self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
         self._strong: list[tuple[int, ...]] = []
-        self._pf = _fast_engine(spec, start)
+        self._pf = _fast_engine(spec, start, self._plans)
         self._seed_strong()
 
     def _is_strong(self, combo: tuple[int, ...]) -> bool:
@@ -140,7 +143,11 @@ def classes_over(
     cache: dict[bytes, list[ExtensionClass]],
     annotation_palette: Optional[Callable] = None,
 ) -> list[ExtensionClass]:
-    """Obligation classes over a concrete base, via a per-shape cache."""
+    """Obligation classes over a concrete base, via a per-shape cache.
+
+    The classes are the cached templates, over the first base of this shape
+    that was seen; `ExtensionClass.base_map` pins one onto `base_ids`.
+    """
     base_struct = struct.restrict(base_ids)
     key = code_over_base(base_struct, base_ids)
     if key not in cache:
@@ -149,8 +156,7 @@ def classes_over(
             spec, base_struct, max_new, annotation_palette=annotation_palette
         )
         cache[key] = [c for c in classes if c.base_strong and c.ext_in_class]
-        return cache[key]
-    return [c.transport(base_struct) for c in cache[key]]
+    return cache[key]
 
 
 def obligation_met(
@@ -160,10 +166,13 @@ def obligation_met(
     cls: ExtensionClass,
     pf: Optional[Pseudoforest] = None,
 ) -> bool:
-    """Does some strong embedding of the class exist over this base?"""
+    """Does some strong embedding of the class exist over this base?
+
+    The class may sit over any base of the same shape (see `classes_over`).
+    """
     if pf is not None:
         return met_fast(pf, struct, base_ids, cls)
-    fixed = {a: a for a in base_ids}
+    fixed = cls.base_map(base_ids)
 
     def ok(mapping: dict[int, int]) -> bool:
         if spec.components:
@@ -265,16 +274,24 @@ def free_extend(
     return struct.extended(new_ids, new_instances, annotations), mapping
 
 
+def _concrete(struct: FinStructure, base_ids: tuple[int, ...], cls: ExtensionClass) -> ExtensionClass:
+    """The class moved onto the base `base_ids` of `struct`, unless it is over it already."""
+    if cls.base.universe == tuple(sorted(base_ids)):
+        return cls
+    return cls.transport(struct.restrict(base_ids))
+
+
 def discharge(ga: GenericApprox, base_ids: tuple[int, ...], cls: ExtensionClass) -> tuple[int, ...]:
     """Freely extend the current structure by the class over the base."""
     M = ga.current
+    cls = _concrete(M, base_ids, cls)
     extended, mapping = free_extend(M, cls.ext, base_ids)
     new_ids = tuple(mapping[e] for e in cls.new_elements)
     ga.current = extended
     ga.history.append(DischargeRecord(len(ga.history), base_ids, cls.code, new_ids))
     ga._satisfied.add((base_ids, cls.code))
     if ga._pf is not None:
-        ga._pf = _fast_engine(ga.spec, ga.current)
+        ga._pf = _fast_engine(ga.spec, ga.current, ga._plans)
     ga._note_new_elements(new_ids)
     return new_ids
 

@@ -142,7 +142,11 @@ def certificate(struct: FinStructure, init_colors: Optional[Mapping[int, int]] =
     order = sorted(set(seed_keys))
     remap = {k: i for i, k in enumerate(order)}
     init = [remap[k] for k in seed_keys]
-    cert, _ = _canon(g, init, list(init))
+    if len(order) == g.n:
+        # a discrete colouring is already stable: no refinement, no search
+        cert, _ = _serialize(g, init, init)
+    else:
+        cert, _ = _canon(g, init, list(init))
     return cert
 
 

@@ -7,8 +7,10 @@ report prefixed as `#` comment lines, so the combined output still parses as
 a structure file.
 
 Exit status: 0 on success, 1 when a property check comes back negative, 2 on
-usage, parse, or precondition errors.  `--threads` caps internal fan-out and
-never changes any output; its default comes from PREDIM_THREADS.
+usage, parse, or precondition errors.  `--threads` (default from
+PREDIM_THREADS) is accepted and ignored: nothing runs in parallel.  The
+`--seed` of `build` and `collapse-build` is accepted but does not change the
+deterministic schedule.
 """
 
 from __future__ import annotations
@@ -522,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=_uint,
             default=_default_threads(),
-            help="cap on internal fan-out; never changes output",
+            help="accepted and ignored (nothing runs in parallel)",
         )
         return p
 
@@ -563,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("build", _cmd_build, "grow a generic approximation by free extensions")
     p.add_argument("--k", type=_uint, required=True)
     p.add_argument("--budget", type=_uint, required=True)
-    p.add_argument("--seed", type=_seed_value, default=0)
+    p.add_argument("--seed", type=_seed_value, default=0, help="accepted; the schedule is deterministic")
     p.add_argument("--start", metavar="FILE")
     p.add_argument("--out", metavar="FILE")
 
@@ -597,7 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("collapse-build", _cmd_collapse_build, "grow inside the capped class via free-or-embed steps")
     p.add_argument("--k", type=_uint, required=True)
     p.add_argument("--budget", type=_uint, required=True)
-    p.add_argument("--seed", type=_seed_value, default=0)
+    p.add_argument("--seed", type=_seed_value, default=0, help="accepted; the schedule is deterministic")
     p.add_argument("--mu", metavar="FILE")
     p.add_argument("--bound", type=_uint)
     p.add_argument("--start", metavar="FILE")

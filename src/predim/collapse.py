@@ -21,6 +21,7 @@ from .builder import (
     BlockedRecord,
     DischargeRecord,
     GenericApprox,
+    _concrete,
     _fast_engine,
     _first_unmet,
     free_extend,
@@ -204,16 +205,15 @@ def count_independent_copies(
     are pairwise disjoint and meet no common instance.
 
     A copy is an induced embedding fixing the base pointwise; over a strong
-    base a prealgebraic copy is automatically strong.  Exact clique search;
-    `cap` allows an early exit once the count provably exceeds it.
+    base a prealgebraic copy is automatically strong.  The class may sit
+    over any base of the same shape: its sorted base is pinned onto the
+    sorted `base_ids`.  Exact clique search; `cap` allows an early exit once
+    the count provably exceeds it.
     """
     base = tuple(sorted(base_ids))
-    base_struct = struct.restrict(base)
-    if code_over_base(base_struct, base) != code_over_base(cls.base, cls.base.universe):
+    fixed = dict(zip(cls.base.universe, base))
+    if len(base) != len(fixed) or cls.base.relabel(fixed) != struct.restrict(base):
         raise MuError("base does not match the class's base shape")
-    if cls.base.universe != base:
-        cls = cls.transport(base_struct)
-    fixed = {a: a for a in base}
 
     def compat(mapping: dict[int, int]) -> bool:
         if spec.components:
@@ -331,10 +331,7 @@ def mu_violations(
                     spec, base_struct, bound - size,
                     annotation_palette=annotation_palette,
                 )
-                classes = cache[key]
-            else:
-                classes = [c.transport(base_struct) for c in cache[key]]
-            for cls in classes:
+            for cls in cache[key]:
                 limit = mu.value(cls)
                 count = count_independent_copies(spec, struct, base, cls)
                 if count > limit:
@@ -527,6 +524,7 @@ def _discharge_collapsed(
     unconstrained mu reproduces the free build element for element.
     """
     spec = ga.spec
+    cls = _concrete(ga.current, base_ids, cls)
     ext = cls.ext
     everything = set(ext.universe)
     fresh = max(ga.current.universe, default=-1) + 1

@@ -39,6 +39,17 @@ class ExtensionClass:
     def size(self) -> int:
         return self.ext.n
 
+    def base_map(self, base_ids: Sequence[int]) -> dict[int, int]:
+        """Pins this class's base onto a concrete base of the same shape.
+
+        Elements are matched in sorted order, as in `transport`; the caller
+        vouches that the concrete base has the same pointed code.
+        """
+        new = sorted(base_ids)
+        if len(new) != len(self.base.universe):
+            raise StructureError("base of different size")
+        return dict(zip(self.base.universe, new))
+
     def transport(self, concrete_base: FinStructure) -> "ExtensionClass":
         """The same class over an isomorphic concrete base.
 

@@ -14,6 +14,7 @@ the test suite.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .canonical import canonical_code
@@ -27,11 +28,15 @@ class Pseudoforest:
     `valid` is False when some component has more edges than vertices, i.e.
     the structure is outside the nonnegative class; callers must fall back to
     the generic engines then.
+
+    Obligation plans are kept by class code in `plans`, which a builder
+    passes from one approximation's Pseudoforest to the next (plans depend on
+    the class only); targets and fits depend on the structure and stay here.
     """
 
-    def __init__(self, struct: FinStructure):
+    def __init__(self, struct: FinStructure, plans: Optional[dict[bytes, _Plan]] = None):
         self.struct = struct
-        self.adj: dict[int, set[int]] = {e: set() for e in struct.universe}
+        self.adj = struct.adjacency()
         edge_count: dict[int, int] = {}
         parent = {e: e for e in struct.universe}
 
@@ -45,8 +50,6 @@ class Pseudoforest:
         for name in struct.sig.names:
             for t in struct.instances[name]:
                 u, v = t
-                self.adj[u].add(v)
-                self.adj[v].add(u)
                 nedges.append((u, v))
                 ru, rv = find(u), find(v)
                 if ru != rv:
@@ -73,8 +76,9 @@ class Pseudoforest:
                 self.valid = False
             elif ne == nv:
                 self.cycle[root] = self._find_cycle(elems)
-        self._restrict_cache: dict[int, FinStructure] = {}
-        self._avail_cache: dict[tuple[int, bytes], bool] = {}
+        self.plans: dict[bytes, _Plan] = {} if plans is None else plans
+        self._targets: dict[tuple[int, ...], FinStructure] = {}
+        self._fits: dict[bytes, tuple[int, ...]] = {}
 
     def _find_cycle(self, elems: list[int]) -> frozenset[int]:
         # peel leaves until only the cycle remains (works with parallel edges,
@@ -120,27 +124,41 @@ class Pseudoforest:
                 return False
         return True
 
-    def component_structure(self, root: int) -> FinStructure:
-        if root not in self._restrict_cache:
-            self._restrict_cache[root] = self.struct.restrict(self.comp_elems[root])
-        return self._restrict_cache[root]
+    def plan(self, cls: ExtensionClass) -> _Plan:
+        """The class's obligation plan, computed once per class code."""
+        plan = self.plans.get(cls.code)
+        if plan is None:
+            plan = self.plans[cls.code] = _Plan.of(cls)
+        return plan
 
-    def part_fits(self, root: int, part: FinStructure, part_code: bytes) -> bool:
-        """Does the component contain an induced copy of the (connected) part
-        that is itself a valid chunk?"""
-        key = (root, part_code)
-        if key not in self._avail_cache:
-            target = self.component_structure(root)
-            cyc = self.cycle.get(root)
-            if cyc is None:
-                hits = find_embeddings(part, target, limit=1)
-            else:
-                def covers(mapping: dict[int, int]) -> bool:
-                    return cyc.issubset(mapping.values())
+    def target(self, roots: tuple[int, ...]) -> FinStructure:
+        """The induced structure on the union of the given components."""
+        if roots not in self._targets:
+            elems = [e for r in roots for e in self.comp_elems[r]]
+            self._targets[roots] = (
+                self.struct.restrict(elems) if len(elems) < self.struct.n else self.struct
+            )
+        return self._targets[roots]
 
-                hits = find_embeddings(part, target, compat=covers, limit=1)
-            self._avail_cache[key] = bool(hits)
-        return self._avail_cache[key]
+    def fitting_roots(self, part: FinStructure, part_code: bytes) -> tuple[int, ...]:
+        """Components, in order, holding an induced copy of the (connected)
+        part that is itself a valid chunk."""
+        if part_code not in self._fits:
+            fits = []
+            for root in sorted(self.comp_elems):
+                target = self.target((root,))
+                cyc = self.cycle.get(root)
+                if cyc is None:
+                    hits = find_embeddings(part, target, limit=1)
+                else:
+                    def covers(mapping: dict[int, int]) -> bool:
+                        return cyc.issubset(mapping.values())
+
+                    hits = find_embeddings(part, target, compat=covers, limit=1)
+                if hits:
+                    fits.append(root)
+            self._fits[part_code] = tuple(fits)
+        return self._fits[part_code]
 
 
 def _split_parts(cls: ExtensionClass, base: set[int]):
@@ -185,6 +203,28 @@ def _split_parts(cls: ExtensionClass, base: set[int]):
     return sorted(anchored), free
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What checking a class needs, in the class's own coordinates: its
+    sorted base, the base plus the anchored part (None when no new element
+    touches the base), and each free part with its canonical code."""
+
+    base: tuple[int, ...]
+    anchored: Optional[FinStructure]
+    free_parts: tuple[tuple[FinStructure, bytes], ...]
+
+    @staticmethod
+    def of(cls: ExtensionClass) -> _Plan:
+        base = set(cls.base.universe)
+        anchored, free = _split_parts(cls, base)
+        parts = tuple((part, canonical_code(part)) for part in map(cls.ext.restrict, free))
+        return _Plan(
+            cls.base.universe,
+            cls.ext.restrict(base | set(anchored)) if anchored else None,
+            parts,
+        )
+
+
 def met_fast(
     pf: Pseudoforest,
     struct: FinStructure,
@@ -193,39 +233,29 @@ def met_fast(
 ) -> bool:
     """Exact obligation satisfaction via the chunk decomposition.
 
-    The image of the anchored part lives in the base's components; each free
-    part needs its own base-free component (a disconnected trace is never
-    strong), so the two searches are independent.
+    `pf` describes `struct`.  The class may sit over any base of the same
+    shape: its sorted base is pinned onto the sorted `base_ids`.  The image of
+    the anchored part lives in the base's components; each free part needs
+    its own base-free component (a disconnected trace is never strong), so
+    the two searches are independent.
     """
-    base = set(base_ids)
-    anchored, free_parts = _split_parts(cls, base)
+    plan = pf.plan(cls)
+    base_roots = {pf.comp_of[a] for a in base_ids}
 
-    if anchored:
-        roots = sorted({pf.comp_of[a] for a in base})
-        elems: list[int] = []
-        for r in roots:
-            elems.extend(pf.comp_elems[r])
-        target = struct.restrict(elems) if len(elems) < struct.n else struct
-        sub_ext = cls.ext.restrict(base | set(anchored))
-        fixed = {a: a for a in base_ids}
+    if plan.anchored is not None:
+        target = pf.target(tuple(sorted(base_roots)))
+        fixed = dict(zip(plan.base, sorted(base_ids)))
 
         def chunk_ok(mapping: dict[int, int]) -> bool:
             return pf.set_strong(mapping.values())
 
-        if not find_embeddings(sub_ext, target, fixed=fixed, compat=chunk_ok, limit=1):
+        if not find_embeddings(plan.anchored, target, fixed=fixed, compat=chunk_ok, limit=1):
             return False
 
-    if free_parts:
-        base_roots = {pf.comp_of[a] for a in base}
+    if plan.free_parts:
         cand_lists: list[list[int]] = []
-        for part in free_parts:
-            pstruct = cls.ext.restrict(part)
-            pcode = canonical_code(pstruct)
-            cands = [
-                r
-                for r in sorted(pf.comp_elems)
-                if r not in base_roots and pf.part_fits(r, pstruct, pcode)
-            ]
+        for part, code in plan.free_parts:
+            cands = [r for r in pf.fitting_roots(part, code) if r not in base_roots]
             if not cands:
                 return False
             cand_lists.append(cands)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -25,6 +26,10 @@ class Signature:
     symbols: tuple[tuple[str, int], ...] = ()
     weights: tuple[tuple[str, Fraction], ...] = ()
     ordered: bool = False
+    # lookups derived from the fields above; not part of equality, hash or repr
+    names: tuple[str, ...] = field(init=False, compare=False, hash=False, repr=False)
+    _arity: dict = field(init=False, compare=False, hash=False, repr=False)
+    _weight: dict = field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.symbols]
@@ -50,23 +55,21 @@ class Signature:
             object.__setattr__(
                 self, "weights", tuple((n, w) for n, w in self.weights if w != 1)
             )
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "_arity", dict(self.symbols))
+        object.__setattr__(self, "_weight", dict(self.weights))
 
     def arity(self, name: str) -> int:
-        for sym, arity in self.symbols:
-            if sym == name:
-                return arity
-        raise StructureError(f"unknown relation symbol {name}")
+        try:
+            return self._arity[name]
+        except KeyError:
+            raise StructureError(f"unknown relation symbol {name}") from None
 
     def weight(self, name: str) -> Fraction:
-        for sym, weight in self.weights:
-            if sym == name:
-                return weight
+        if name in self._weight:
+            return self._weight[name]
         self.arity(name)  # raises on unknown symbol
         return Fraction(1)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.symbols)
 
 
 def _normalize_instance(sig: Signature, name: str, elems: Sequence[int]) -> tuple[int, ...]:
@@ -91,7 +94,7 @@ class FinStructure:
     part ignores them.
     """
 
-    __slots__ = ("sig", "universe", "instances", "annotations", "_uset", "_codes")
+    __slots__ = ("sig", "universe", "instances", "annotations", "_uset", "_codes", "_index")
 
     def __init__(
         self,
@@ -132,6 +135,31 @@ class FinStructure:
             ann[e] = toks
         self.annotations = ann
         self._codes: dict = {}
+        self._index = None
+
+    @classmethod
+    def _trusted(
+        cls,
+        sig: Signature,
+        universe: tuple[int, ...],
+        instances: dict[str, frozenset[tuple[int, ...]]],
+        annotations: dict[int, tuple[str, ...]],
+    ) -> "FinStructure":
+        """A structure from parts already in normal form, without any check.
+
+        Only for parts derived from a checked structure: a sorted universe,
+        normalised instances inside it keyed in signature order, and checked
+        annotations on its elements.
+        """
+        self = object.__new__(cls)
+        self.sig = sig
+        self.universe = universe
+        self._uset = frozenset(universe)
+        self.instances = instances
+        self.annotations = annotations
+        self._codes = {}
+        self._index = None
+        return self
 
     # -- basic views ------------------------------------------------------
 
@@ -188,11 +216,11 @@ class FinStructure:
         if stray:
             raise StructureError(f"restrict to non-elements {sorted(stray)}")
         inst = {
-            name: [t for t in tuples if sub.issuperset(t)]
+            name: frozenset(t for t in tuples if sub.issuperset(t))
             for name, tuples in self.instances.items()
         }
         ann = {e: toks for e, toks in self.annotations.items() if e in sub}
-        return FinStructure(self.sig, sub, inst, ann)
+        return FinStructure._trusted(self.sig, tuple(sorted(sub)), inst, ann)
 
     def relabel(self, mapping: Mapping[int, int]) -> "FinStructure":
         """Rename elements by an injective map defined on the whole universe."""
@@ -235,14 +263,30 @@ class FinStructure:
             if sub.intersection(t):
                 yield name, t
 
-    def adjacency(self) -> dict[int, set[int]]:
-        """Element co-occurrence graph over all instances."""
-        adj: dict[int, set[int]] = {e: set() for e in self.universe}
-        for _, t in self.all_instances():
-            uniq = set(t)
-            for a in uniq:
-                adj[a].update(uniq - {a})
-        return adj
+    def _indexed(self):
+        """(adjacency, incidence), computed on first use and kept."""
+        if self._index is None:
+            adj: dict[int, set[int]] = {e: set() for e in self.universe}
+            inc: dict[int, list[tuple[str, tuple[int, ...]]]] = {e: [] for e in self.universe}
+            for name, t in self.all_instances():
+                uniq = set(t)
+                for a in uniq:
+                    adj[a].update(uniq)
+                    inc[a].append((name, t))
+            self._index = (
+                MappingProxyType({e: frozenset(nbrs - {e}) for e, nbrs in adj.items()}),
+                MappingProxyType({e: tuple(ts) for e, ts in inc.items()}),
+            )
+        return self._index
+
+    def adjacency(self) -> Mapping[int, frozenset[int]]:
+        """Element co-occurrence graph over all instances (read-only, cached)."""
+        return self._indexed()[0]
+
+    def incidence(self) -> Mapping[int, tuple[tuple[str, tuple[int, ...]], ...]]:
+        """Per element, the instances containing it in `all_instances` order
+        (read-only, cached)."""
+        return self._indexed()[1]
 
 
 @dataclass(frozen=True)
@@ -367,40 +411,38 @@ def find_embeddings(
         if mapped not in tinst[name]:
             return []
 
-    results: list[dict[int, int]] = []
-    assignment = dict(fixed)
-    used = set(fixed.values())
+    inv = {b: a for a, b in fixed.items()}
+    used = set(inv)
+    target_adj, by_target_elem = target._indexed()
 
-    target_adj = target.adjacency()
-    by_target_elem: dict[int, list[tuple[str, tuple[int, ...]]]] = {e: [] for e in target.universe}
-    for name, t in target.all_instances():
-        for e in set(t):
-            by_target_elem[e].append((name, t))
-
-    def pulls_back(name: str, t: tuple[int, ...], inv: dict[int, int]) -> bool:
+    def pulls_back(name: str, t: tuple[int, ...]) -> bool:
         back = tuple(inv[e] for e in t)
         if not source.sig.ordered:
             back = tuple(sorted(back))
         return back in source.instances[name]
 
     # Target instances fully inside the fixed image must already pull back.
-    if fixed:
-        inv0 = {b: a for a, b in fixed.items()}
-        for b in sorted(set(fixed.values())):
-            for name, t in by_target_elem[b]:
-                if used.issuperset(t) and max(t) == b and not pulls_back(name, t, inv0):
-                    return []
+    for b in sorted(used):
+        for name, t in by_target_elem[b]:
+            if used.issuperset(t) and max(t) == b and not pulls_back(name, t):
+                return []
+
+    results: list[dict[int, int]] = []
+    assignment = dict(fixed)
+    if not free:
+        if compat is None or compat(assignment):
+            results.append(assignment)
+        return results
 
     def reflected_ok(new_target_elem: int) -> bool:
         # Every target instance lying inside the current image and touching
         # the new element must pull back to a source instance.
-        inv = {b: a for a, b in assignment.items()}
         for name, t in by_target_elem[new_target_elem]:
-            if used.issuperset(t) and not pulls_back(name, t, inv):
+            if used.issuperset(t) and not pulls_back(name, t):
                 return False
         return True
 
-    def candidates(step: int) -> list[int]:
+    def candidates(step: int) -> Iterator[int]:
         # If the source element touches an already-assigned one through an
         # instance, restrict to co-occurrence neighbours of its image.
         e = free[step]
@@ -410,9 +452,9 @@ def find_embeddings(
                 if x != e and x in assignment:
                     anchors.add(assignment[x])
         if anchors:
-            pool = set.intersection(*(target_adj[a] | {a} for a in anchors))
-            return sorted(pool)
-        return list(target.universe)
+            # anchors are used, so leaving them out of the pool changes nothing
+            return iter(sorted(frozenset.intersection(*(target_adj[a] for a in anchors))))
+        return iter(target.universe)
 
     def forward_ok(step: int) -> bool:
         for name, t in by_step[step]:
@@ -425,26 +467,40 @@ def find_embeddings(
                 return False
         return True
 
-    def rec(step: int) -> bool:
-        if step == len(free):
-            final = dict(assignment)
-            if compat is None or compat(final):
-                results.append(final)
-                if limit is not None and len(results) >= limit:
-                    return True
-            return False
+    def unassign(e: int) -> None:
+        cand = assignment.pop(e)
+        used.discard(cand)
+        del inv[cand]
+
+    # Depth-first over the free elements with an explicit stack of candidate
+    # iterators, one per assigned step, so long sources cannot exhaust the
+    # interpreter's recursion limit.
+    last = len(free) - 1
+    stack = [candidates(0)]
+    while stack:
+        step = len(stack) - 1
         e = free[step]
-        for cand in candidates(step):
+        for cand in stack[-1]:
             if cand in used or cand in avoid_set:
                 continue
             assignment[e] = cand
             used.add(cand)
+            inv[cand] = e
             if forward_ok(step) and reflected_ok(cand):
-                if rec(step + 1):
-                    return True
-            used.discard(cand)
-            del assignment[e]
-        return False
-
-    rec(0)
+                break
+            unassign(e)
+        else:
+            stack.pop()
+            if stack:
+                unassign(free[step - 1])
+            continue
+        if step < last:
+            stack.append(candidates(step + 1))
+            continue
+        final = dict(assignment)
+        if compat is None or compat(final):
+            results.append(final)
+            if limit is not None and len(results) >= limit:
+                return results
+        unassign(e)
     return results

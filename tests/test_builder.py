@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -121,6 +122,57 @@ def test_obligation_met_fast_matches_generic(alpha1):
             fast = obligation_met(alpha1, g, base, cls, pf=pf)
             slow = obligation_met(alpha1, g, base, cls)
             assert fast == slow
+
+
+def _random_pseudoforest(rng: random.Random, n: int):
+    """Trees and unicyclic components: a random tree per component, closed
+    into one cycle (of length three or more) with probability one half."""
+    edges = set()
+    start = 0
+    while start < n:
+        size = rng.randrange(1, min(6, n - start) + 1)
+        comp = list(range(start, start + size))
+        for i in range(1, size):
+            edges.add((comp[rng.randrange(i)], comp[i]))
+        chords = [
+            (a, b) for i, a in enumerate(comp) for b in comp[i + 1:] if (a, b) not in edges
+        ]
+        if chords and rng.random() < 0.5:
+            edges.add(rng.choice(chords))
+        start += size
+    return graph(n, sorted(edges))
+
+
+def _assert_fast_matches_generic(spec, g, max_base, level):
+    """Fast and generic verdicts on the untransported template classes over
+    every strong base, with one Pseudoforest and one class cache shared by
+    all bases."""
+    pf = Pseudoforest(g)
+    assert pf.valid
+    cache = {}
+    checked = 0
+    for size in range(0, max_base + 1):
+        for base in combinations(g.universe, size):
+            if base and not pf.set_strong(base):
+                continue
+            for cls in classes_over(spec, g, base, max(level, size + 1), cache):
+                fast = obligation_met(spec, g, base, cls, pf=pf)
+                assert fast == obligation_met(spec, g, base, cls), (base, cls.code)
+                checked += 1
+    return checked
+
+
+def test_fast_matches_generic_on_template_classes_at_n40(alpha1):
+    g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
+    # the level-4 audit's obligations
+    assert _assert_fast_matches_generic(alpha1, g, 3, 4) == 23451
+
+
+def test_fast_matches_generic_on_random_pseudoforests(alpha1):
+    rng = random.Random(52)
+    for _ in range(12):
+        g = _random_pseudoforest(rng, rng.randrange(3, 10))
+        assert _assert_fast_matches_generic(alpha1, g, 2, 3) > 0
 
 
 def test_free_extend_targets_and_fresh_ids():

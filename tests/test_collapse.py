@@ -89,6 +89,10 @@ def test_copy_count_rejects_foreign_base(alpha1, k3):
     # base shape is a single point; an edge base cannot host the class
     with pytest.raises(MuError):
         count_independent_copies(alpha1, k3, [0, 1], pend)
+    # same size, other shape: a class over an edge cannot sit over a non-edge
+    over_edge = classify_extension(alpha1, graph(3, [(0, 1), (1, 2)]), [0, 1])
+    with pytest.raises(MuError):
+        count_independent_copies(alpha1, graph(3, [(1, 2)]), [0, 1], over_edge)
 
 
 def _brute_copy_count(spec, struct, base, cls):
@@ -123,9 +127,10 @@ def test_copy_count_matches_brute_on_random_graphs(alpha1):
         g = random_sparse_graph(rng, rng.randrange(2, 8), extra_edges=rng.randrange(3))
         base = (rng.choice(g.universe),)
         cls = pend.transport(g.restrict(base))
-        assert count_independent_copies(alpha1, g, base, cls) == _brute_copy_count(
-            alpha1, g, base, cls
-        )
+        expected = _brute_copy_count(alpha1, g, base, cls)
+        assert count_independent_copies(alpha1, g, base, cls) == expected
+        # the untransported class, pinned onto the base, counts the same
+        assert count_independent_copies(alpha1, g, base, pend) == expected
 
 
 def test_biminimal_base_examples(alpha1):

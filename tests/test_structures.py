@@ -1,10 +1,22 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from predim import Embedding, FinStructure, Signature, StructureError, find_embeddings
+from predim import (
+    Embedding,
+    FinStructure,
+    Signature,
+    StructureError,
+    canonical_code,
+    code_over_base,
+    find_embeddings,
+    pair_code,
+)
+from predim.sampling import random_structure
 from predim.structures import identity_embedding
 
 from conftest import graph, vectors
@@ -17,6 +29,18 @@ def test_signature_lookup():
     assert sig.weight("E") == Fraction(1, 2)
     assert sig.weight("R") == Fraction(1)
     assert sig.names == ("E", "R")
+
+
+def test_signature_lookups_leave_equality_hash_and_repr_alone():
+    plain = Signature((("E", 2), ("R", 3)))
+    spelled = Signature((("E", 2), ("R", 3)), (("E", Fraction(1)),))
+    assert plain == spelled and hash(plain) == hash(spelled)
+    assert repr(plain) == "Signature(symbols=(('E', 2), ('R', 3)), weights=(), ordered=False)"
+    assert plain != Signature((("E", 2), ("R", 3)), ordered=True)
+    with pytest.raises(StructureError):
+        plain.arity("X")
+    with pytest.raises(StructureError):
+        plain.weight("X")
 
 
 def test_signature_rejects_duplicates_and_bad_arities():
@@ -182,3 +206,83 @@ def test_find_embeddings_deterministic_order():
     again = find_embeddings(edge, square)
     assert once == again
     assert len(once) == 8
+
+
+def test_find_embeddings_long_path_into_itself():
+    # a recursive search would need one stack frame per element; pinning an
+    # end keeps the search linear
+    n = 1500
+    path = graph(n, [(i, i + 1) for i in range(n - 1)])
+    assert find_embeddings(path, path, fixed={0: 0}) == [{i: i for i in range(n)}]
+    assert find_embeddings(path, path, fixed={0: n - 1}) == [{i: n - 1 - i for i in range(n)}]
+
+
+def _signatures():
+    return (
+        Signature((("E", 2),)),
+        Signature((("E", 2), ("T", 3))),
+        Signature((("R", 2),), ordered=True),
+    )
+
+
+def _random_structures(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        sig = rng.choice(_signatures())
+        s = random_structure(rng, sig, rng.randrange(0, 7), rng.choice((0.2, 0.4)))
+        ann = {e: (str(rng.randrange(2)),) for e in s.universe if rng.random() < 0.3}
+        yield FinStructure(s.sig, s.universe, s.instances, ann), rng
+
+
+def test_find_embeddings_matches_brute_force_in_order():
+    for source, rng in _random_structures(71, 60):
+        target = random_structure(rng, source.sig, rng.randrange(0, 6), 0.4)
+        pin = {}
+        if source.universe and target.universe and rng.random() < 0.5:
+            pin = {source.universe[0]: rng.choice(target.universe)}
+        free = [e for e in source.universe if e not in pin]
+        expected = []
+        for image in permutations(target.universe, len(free)):
+            mapping = dict(pin)
+            mapping.update(zip(free, image))
+            if len(set(mapping.values())) < len(mapping):
+                continue
+            try:
+                Embedding.make(source, target, mapping)
+            except StructureError:
+                continue
+            expected.append(mapping)
+        # candidates are tried in sorted order, so results come lexicographically
+        assert find_embeddings(source, target, fixed=pin) == expected
+
+
+def test_trusted_restrict_equals_validated_structure():
+    for s, rng in _random_structures(72, 80):
+        sub = [e for e in s.universe if rng.random() < 0.6]
+        subset = set(sub)
+        checked = FinStructure(
+            s.sig,
+            sub,
+            {name: [t for t in ts if subset.issuperset(t)] for name, ts in s.instances.items()},
+            {e: toks for e, toks in s.annotations.items() if e in subset},
+        )
+        base = [e for e in sub if rng.random() < 0.5]
+        for trusted in (s.restrict(sub), s.restrict(reversed(sub))):
+            assert trusted == checked and hash(trusted) == hash(checked)
+            assert list(trusted.all_instances()) == list(checked.all_instances())
+            assert canonical_code(trusted) == canonical_code(checked)
+            assert code_over_base(trusted, base) == code_over_base(checked, base)
+            assert pair_code(trusted, base) == pair_code(checked, base)
+
+
+def test_cached_index_equals_a_fresh_scan():
+    for s, _ in _random_structures(73, 60):
+        adj = {e: set() for e in s.universe}
+        inc = {e: [] for e in s.universe}
+        for name, t in s.all_instances():
+            for a in set(t):
+                adj[a].update(set(t) - {a})
+                inc[a].append((name, t))
+        assert s.adjacency() == adj
+        assert {e: list(ts) for e, ts in s.incidence().items()} == inc
+        assert s.adjacency() is s.adjacency()

@@ -4,10 +4,12 @@ Obligations at level k: for every strong subset A of the current structure
 (|A| < k) and every extension class (A, B) with |B| <= k, B in the
 nonnegative class, and A strong in B, some strong embedding of B over A must
 exist.  The builder walks obligations in lexicographic order of
-(|A|, |B|, class code, A), discharges the first unmet one by a free
-extension, and stops the moment the first unmet obligation does not fit the
-element budget.  That stopping rule makes resume(n) twice identical to
-resume(2n).
+(|A|, |B|, class code, A), passes the first unmet one to the
+approximation's discharge step, and stops the moment the first unmet
+obligation does not fit the element budget.  That stopping rule makes
+resume(n) twice identical to resume(2n).  The generic build discharges by a
+free extension; the collapsed build (`collapse.build_collapsed`) runs the
+same loop with a free-or-embed step.
 
 Satisfaction is monotone under free growth over strong bases (strong sets
 stay strong, embeddings survive), so previously satisfied obligations are
@@ -36,6 +38,37 @@ def _fast_engine(
         return None
     pf = Pseudoforest(struct, plans)
     return pf if pf.valid else None
+
+
+def _strong_base(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    pf: Optional[Pseudoforest],
+    combo: tuple[int, ...],
+) -> bool:
+    """Is the subset strong in `struct`?  `pf` is its fast engine, or None."""
+    if pf is not None:
+        return not combo or pf.set_strong(combo)
+    return strong_verdict(spec, struct, combo)
+
+
+def _strong_bases(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    pf: Optional[Pseudoforest],
+    below: int,
+    near: Optional[set[int]] = None,
+) -> list[tuple[int, ...]]:
+    """Strong subsets with fewer than `below` elements in (size, ids) order;
+    with `near`, only the empty set and the subsets meeting `near`."""
+    out = []
+    for size in range(below):
+        for combo in combinations(struct.universe, size):
+            if near is not None and combo and near.isdisjoint(combo):
+                continue
+            if _strong_base(spec, struct, pf, combo):
+                out.append(combo)
+    return out
 
 
 class BuilderError(ValueError):
@@ -72,7 +105,12 @@ class RichnessReport:
 
 
 class GenericApprox:
-    """Mutable build state: the structure so far plus scheduling caches."""
+    """Mutable build state: the structure so far plus scheduling caches.
+
+    `step(ga, base_ids, cls)` realizes one unmet obligation, with the class
+    already over `base_ids`, and returns the fresh element ids; the default
+    is the free `discharge`.
+    """
 
     def __init__(
         self,
@@ -80,7 +118,6 @@ class GenericApprox:
         start: FinStructure,
         k: int,
         allowance: int,
-        seed: int = 0,
         annotation_palette: Optional[Callable] = None,
     ):
         if k < 1:
@@ -92,45 +129,34 @@ class GenericApprox:
         self.spec = spec
         self.k = k
         self.allowance = allowance
-        self.seed = seed  # recorded for reports; the schedule is deterministic
         self.annotation_palette = annotation_palette
+        self.step: Callable[..., tuple[int, ...]] = discharge
         self.current = start
         self.history: list[DischargeRecord] = []
         self.blocked: Optional[BlockedRecord] = None
         self._satisfied: set[tuple[tuple[int, ...], bytes]] = set()
         self._class_cache: dict[bytes, list[ExtensionClass]] = {}
         self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
-        self._strong: list[tuple[int, ...]] = []
         self._pf = _fast_engine(spec, start, self._plans)
-        self._seed_strong()
+        self._strong = _strong_bases(spec, start, self._pf, k)
 
-    def _is_strong(self, combo: tuple[int, ...]) -> bool:
+    def grow(self, struct: FinStructure, new_ids: tuple[int, ...]) -> None:
+        """Move to `struct`, a free extension of the current structure by
+        the elements `new_ids`."""
+        self.current = struct
         if self._pf is not None:
-            return not combo or self._pf.set_strong(combo)
-        return strong_verdict(self.spec, self.current, combo)
-
-    def _seed_strong(self) -> None:
-        elems = self.current.universe
-        found = []
-        for size in range(0, self.k):
-            for combo in combinations(elems, size):
-                if self._is_strong(combo):
-                    found.append(tuple(combo))
-        self._strong = sorted(found, key=lambda t: (len(t), t))
-
-    def _note_new_elements(self, new_ids: tuple[int, ...]) -> None:
+            self._pf = _fast_engine(self.spec, struct, self._plans)
         # Only subsets meeting the fresh elements can change strength status;
         # everything else keeps its verdict under free growth.
-        M = self.current
         newset = set(new_ids)
-        old = [e for e in M.universe if e not in newset]
+        old = [e for e in struct.universe if e not in newset]
         added = []
         for size in range(1, self.k):
             for j in range(1, min(size, len(new_ids)) + 1):
                 for newpart in combinations(sorted(newset), j):
                     for oldpart in combinations(old, size - j):
                         combo = tuple(sorted(newpart + oldpart))
-                        if self._is_strong(combo):
+                        if _strong_base(self.spec, struct, self._pf, combo):
                             added.append(combo)
         self._strong = sorted(self._strong + added, key=lambda t: (len(t), t))
 
@@ -172,16 +198,28 @@ def obligation_met(
     """
     if pf is not None:
         return met_fast(pf, struct, base_ids, cls)
-    fixed = cls.base_map(base_ids)
+    return strong_embedding(spec, struct, cls.ext, cls.base_map(base_ids)) is not None
+
+
+def strong_embedding(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    ext: FinStructure,
+    fixed: dict[int, int],
+) -> Optional[dict[int, int]]:
+    """The first induced embedding of `ext` into `struct` extending `fixed`
+    whose image is strong (and rank-compatible, with matroid components),
+    or None."""
 
     def ok(mapping: dict[int, int]) -> bool:
         if spec.components:
-            emb = Embedding(cls.ext, struct, tuple(sorted(mapping.items())))
+            emb = Embedding(ext, struct, tuple(sorted(mapping.items())))
             if not is_embedding_compatible(spec, emb):
                 return False
         return strong_verdict(spec, struct, mapping.values())
 
-    return bool(find_embeddings(cls.ext, struct, fixed=fixed, compat=ok, limit=1))
+    hits = find_embeddings(ext, struct, fixed=fixed, compat=ok, limit=1)
+    return hits[0] if hits else None
 
 
 def _obligations(
@@ -274,29 +312,17 @@ def free_extend(
     return struct.extended(new_ids, new_instances, annotations), mapping
 
 
-def _concrete(struct: FinStructure, base_ids: tuple[int, ...], cls: ExtensionClass) -> ExtensionClass:
-    """The class moved onto the base `base_ids` of `struct`, unless it is over it already."""
-    if cls.base.universe == tuple(sorted(base_ids)):
-        return cls
-    return cls.transport(struct.restrict(base_ids))
-
-
 def discharge(ga: GenericApprox, base_ids: tuple[int, ...], cls: ExtensionClass) -> tuple[int, ...]:
     """Freely extend the current structure by the class over the base."""
-    M = ga.current
-    cls = _concrete(M, base_ids, cls)
-    extended, mapping = free_extend(M, cls.ext, base_ids)
+    extended, mapping = free_extend(ga.current, cls.ext, base_ids)
     new_ids = tuple(mapping[e] for e in cls.new_elements)
-    ga.current = extended
-    ga.history.append(DischargeRecord(len(ga.history), base_ids, cls.code, new_ids))
-    ga._satisfied.add((base_ids, cls.code))
-    if ga._pf is not None:
-        ga._pf = _fast_engine(ga.spec, ga.current, ga._plans)
-    ga._note_new_elements(new_ids)
+    ga.grow(extended, new_ids)
     return new_ids
 
 
 def _run(ga: GenericApprox) -> None:
+    """Discharge unmet obligations through `ga.step` until none is left or
+    the first one does not fit the allowance."""
     ga.blocked = None
     while True:
         nxt = _first_unmet(ga)
@@ -307,7 +333,11 @@ def _run(ga: GenericApprox) -> None:
         if ga.current.n + need > ga.allowance:
             ga.blocked = BlockedRecord(A, cls.code, need)
             return
-        discharge(ga, A, cls)
+        if cls.base.universe != A:
+            cls = cls.transport(ga.current.restrict(A))
+        new_ids = ga.step(ga, A, cls)
+        ga.history.append(DischargeRecord(len(ga.history), A, cls.code, new_ids))
+        ga._satisfied.add((A, cls.code))
 
 
 def build_generic(
@@ -315,18 +345,18 @@ def build_generic(
     start: FinStructure,
     k: int,
     budget: int,
-    seed: int = 0,
     annotation_palette: Optional[Callable] = None,
 ) -> GenericApprox:
     """Grow `start` by free extensions until every obligation at level k is
     met or the next discharge would push past `budget` elements."""
-    ga = GenericApprox(spec, start, k, budget, seed, annotation_palette)
+    ga = GenericApprox(spec, start, k, budget, annotation_palette)
     _run(ga)
     return ga
 
 
 def resume(ga: GenericApprox, extra_budget: int) -> GenericApprox:
-    """Raise the element allowance and continue the same schedule."""
+    """Raise the element allowance and continue the same schedule, with the
+    same discharge step."""
     if extra_budget < 0:
         raise BuilderError("extra budget must be nonnegative")
     ga.allowance += extra_budget
@@ -344,16 +374,7 @@ def audit_richness(
     if not spec.valid:
         raise BuilderError("audit requires a valid spec")
     pf = _fast_engine(spec, struct)
-    strong_sets = []
-    for size in range(0, k):
-        for combo in combinations(struct.universe, size):
-            if pf is not None:
-                hit = not combo or pf.set_strong(combo)
-            else:
-                hit = strong_verdict(spec, struct, combo)
-            if hit:
-                strong_sets.append(tuple(combo))
-    strong_sets.sort(key=lambda t: (len(t), t))
+    strong_sets = _strong_bases(spec, struct, pf, k)
     cache: dict[bytes, list[ExtensionClass]] = {}
     total = 0
     satisfied = 0

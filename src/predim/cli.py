@@ -266,7 +266,7 @@ def _cmd_build(args) -> int:
     _require_valid(spec)
     start = _load_structure(args.start) if args.start else _empty_start(spec)
     palette = _palette_for(spec)
-    ga = build_generic(spec, start, args.k, args.budget, args.seed, palette)
+    ga = build_generic(spec, start, args.k, args.budget, palette)
     rep = audit_richness(spec, ga.current, args.k, palette)
     facts = _richness_facts(rep)
     facts["n"] = len(ga.current.universe)
@@ -381,7 +381,6 @@ def _cmd_collapse_build(args) -> int:
         start,
         args.k,
         args.budget,
-        args.seed,
         bound=bound,
         annotation_palette=palette,
         cross_check=args.cross_check,
@@ -413,7 +412,7 @@ def _mu_build_audit(spec: PredimensionSpec, weight: Fraction, samples: int) -> A
     mu = MuFunction(table=table)
     try:
         ga = build_collapsed(
-            spec, mu, _empty_start(spec, weight), 2, 14, 0, bound=3, cross_check=True
+            spec, mu, _empty_start(spec, weight), 2, 14, bound=3, cross_check=True
         )
     except ThriftyError as e:
         return AuditResult("mu", 1, 1, f"thrifty failure: {e}")

@@ -14,20 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .builder import (
-    BlockedRecord,
-    DischargeRecord,
     GenericApprox,
-    _concrete,
     _fast_engine,
-    _first_unmet,
+    _run,
+    _strong_bases,
     free_extend,
+    strong_embedding,
 )
 from .canonical import code_over_base
-from .extensions import ExtensionClass, enumerate_extensions
+from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
 from .predimension import PredimensionSpec, delta, is_embedding_compatible
 from .structures import Embedding, FinStructure, find_embeddings
 from .strongsets import in_class, strong_verdict
@@ -119,25 +119,6 @@ class MuFunction:
 DEFAULT_MU = MuFunction()
 
 
-def _minimal_prealgebraic_over(
-    spec: PredimensionSpec, ext: FinStructure, base: tuple[int, ...], new: tuple[int, ...]
-) -> bool:
-    """Is the new part prealgebraic and minimal over this sub-base, inside the
-    induced structure on their union?"""
-    union = sorted(set(base) | set(new))
-    sub = ext.restrict(union)
-    d_all = delta(spec, sub)
-    if d_all - delta(spec, sub, base) != 0:
-        return False
-    if not strong_verdict(spec, sub, base):
-        return False
-    for r in range(1, len(new)):
-        for mid in combinations(sorted(new), r):
-            if d_all - delta(spec, sub, set(base) | set(mid)) >= 0:
-                return False
-    return True
-
-
 def biminimal_base(
     spec: PredimensionSpec,
     ext: FinStructure,
@@ -157,7 +138,12 @@ def biminimal_base(
         for sub in combinations(base, r):
             if not strong_verdict(spec, base_struct, sub):
                 continue
-            if _minimal_prealgebraic_over(spec, ext, sub, new):
+            # the new part must be prealgebraic and minimal over `sub` in
+            # the induced structure on their union
+            union = ext.restrict(sorted(set(sub) | set(new)))
+            if delta(spec, union) != delta(spec, union, sub):
+                continue
+            if is_minimal_extension(spec, union, sub):
                 qualifying.append(frozenset(sub))
     if not qualifying:
         raise BiminimalError(
@@ -315,27 +301,19 @@ def mu_violations(
         allowed = _ball(struct, around, bound)
     cache = class_cache if class_cache is not None else {}
     violations = []
-    for size in range(0, bound):
-        for base in combinations(struct.universe, size):
-            if allowed is not None and base and not allowed.intersection(base):
-                continue
-            if pf is not None:
-                if base and not pf.set_strong(base):
-                    continue
-            elif not strong_verdict(spec, struct, base):
-                continue
-            base_struct = struct.restrict(base)
-            key = (code_over_base(base_struct, base), bound - size)
-            if key not in cache:
-                cache[key] = enumerate_minimal_extensions(
-                    spec, base_struct, bound - size,
-                    annotation_palette=annotation_palette,
-                )
-            for cls in cache[key]:
-                limit = mu.value(cls)
-                count = count_independent_copies(spec, struct, base, cls)
-                if count > limit:
-                    violations.append((base, cls.code, count, limit))
+    for base in _strong_bases(spec, struct, pf, bound, near=allowed):
+        base_struct = struct.restrict(base)
+        key = (code_over_base(base_struct, base), bound - len(base))
+        if key not in cache:
+            cache[key] = enumerate_minimal_extensions(
+                spec, base_struct, bound - len(base),
+                annotation_palette=annotation_palette,
+            )
+        for cls in cache[key]:
+            limit = mu.value(cls)
+            count = count_independent_copies(spec, struct, base, cls)
+            if count > limit:
+                violations.append((base, cls.code, count, limit))
     return tuple(violations)
 
 
@@ -369,41 +347,6 @@ class ThriftyOutcome:
     violations: tuple[tuple[tuple[int, ...], bytes, int, int], ...]
 
 
-def _is_minimal_extension(
-    spec: PredimensionSpec, ext: FinStructure, base_ids: tuple[int, ...]
-) -> bool:
-    if not strong_verdict(spec, ext, base_ids):
-        return False
-    new = [e for e in ext.universe if e not in set(base_ids)]
-    if not new:
-        return False
-    d_all = delta(spec, ext)
-    for r in range(1, len(new)):
-        for mid in combinations(new, r):
-            if d_all - delta(spec, ext, set(base_ids) | set(mid)) >= 0:
-                return False
-    return True
-
-
-def _strong_embedding(
-    spec: PredimensionSpec,
-    struct: FinStructure,
-    base_ids: tuple[int, ...],
-    ext: FinStructure,
-) -> Optional[dict[int, int]]:
-    fixed = {a: a for a in base_ids}
-
-    def ok(mapping: dict[int, int]) -> bool:
-        if spec.components:
-            emb = Embedding(ext, struct, tuple(sorted(mapping.items())))
-            if not is_embedding_compatible(spec, emb):
-                return False
-        return strong_verdict(spec, struct, mapping.values())
-
-    hits = find_embeddings(ext, struct, fixed=fixed, compat=ok, limit=1)
-    return hits[0] if hits else None
-
-
 def thrifty_step(
     spec: PredimensionSpec,
     mu: MuFunction,
@@ -424,7 +367,7 @@ def thrifty_step(
     the full violation scan and insists it agree with the local one.
     """
     base = tuple(sorted(base_ids))
-    if not _is_minimal_extension(spec, ext, base):
+    if not is_minimal_extension(spec, ext, base) or ext.n == len(base):
         raise ThriftyError("step is not a minimal extension over its base")
     if not strong_verdict(spec, struct, base):
         raise ThriftyError("step base is not strong in the ambient structure")
@@ -444,7 +387,7 @@ def thrifty_step(
             free=True, struct=extended, mapping=tuple(sorted(mapping.items())),
             violations=(),
         )
-    emb = _strong_embedding(spec, struct, base, ext)
+    emb = strong_embedding(spec, struct, ext, {a: a for a in base})
     if emb is None:
         raise ThriftyError(
             f"cannot amalgamate freely (violations: {viol}) and no strong "
@@ -481,7 +424,6 @@ def build_collapsed(
     start: FinStructure,
     k: int,
     budget: int,
-    seed: int = 0,
     *,
     bound: Optional[int] = None,
     annotation_palette: Optional[Callable] = None,
@@ -489,42 +431,36 @@ def build_collapsed(
 ) -> GenericApprox:
     """Like the free builder, but every discharge runs through the
     free-or-embed dichotomy, one minimal tower step at a time, so the result
-    keeps every copy cap.  Same schedule, same stopping rule."""
+    keeps every copy cap.  Same schedule, same stopping rule; `resume`
+    continues with the same step."""
     bound = k if bound is None else bound
     report = in_class_mu(spec, mu, start, bound, annotation_palette=annotation_palette)
     if not report.ok:
         raise MuError(f"start structure violates copy caps: {report.violations}")
-    ga = GenericApprox(spec, start, k, budget, seed, annotation_palette)
-    mu_cache: dict = {}
-    ga.blocked = None
-    while True:
-        nxt = _first_unmet(ga)
-        if nxt is None:
-            return ga
-        A, cls = nxt
-        need = len(cls.new_elements)
-        if ga.current.n + need > ga.allowance:
-            ga.blocked = BlockedRecord(A, cls.code, need)
-            return ga
-        _discharge_collapsed(ga, mu, bound, A, cls, cross_check, mu_cache)
+    ga = GenericApprox(spec, start, k, budget, annotation_palette)
+    ga.step = partial(
+        _discharge_collapsed, mu=mu, bound=bound, cross_check=cross_check, mu_cache={}
+    )
+    _run(ga)
+    return ga
 
 
 def _discharge_collapsed(
     ga: GenericApprox,
-    mu: MuFunction,
-    bound: int,
     base_ids: tuple[int, ...],
     cls: ExtensionClass,
+    *,
+    mu: MuFunction,
+    bound: int,
     cross_check: bool,
     mu_cache: dict,
-) -> None:
+) -> tuple[int, ...]:
     """Realize one obligation through minimal tower steps.
 
     Fresh ids are fixed up front to mirror the free discharge exactly, so an
     unconstrained mu reproduces the free build element for element.
     """
     spec = ga.spec
-    cls = _concrete(ga.current, base_ids, cls)
     ext = cls.ext
     everything = set(ext.universe)
     fresh = max(ga.current.universe, default=-1) + 1
@@ -549,14 +485,8 @@ def _discharge_collapsed(
         for e in step_new:
             mapping[e] = got[relabel[e]]
         if out.free:
-            ga.current = out.struct
             new_concrete = tuple(mapping[e] for e in step_new)
             added.extend(new_concrete)
-            if ga._pf is not None:
-                ga._pf = _fast_engine(spec, ga.current)
-            ga._note_new_elements(new_concrete)
+            ga.grow(out.struct, new_concrete)
         placed = set(step)
-    ga.history.append(
-        DischargeRecord(len(ga.history), base_ids, cls.code, tuple(added))
-    )
-    ga._satisfied.add((base_ids, cls.code))
+    return tuple(added)

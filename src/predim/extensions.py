@@ -267,19 +267,10 @@ def _classify(
     code: bytes,
 ) -> ExtensionClass:
     d = delta(spec, ext) - delta(spec, ext, base.universe)
-    base_strong = strong_verdict(spec, ext, base.universe)
+    minimal = is_minimal_extension(spec, ext, base.universe)
+    # a minimal extension has a strong base
+    base_strong = minimal or strong_verdict(spec, ext, base.universe)
     cls_member = in_class(spec, ext)
-    minimal = base_strong
-    if minimal:
-        base_elems = frozenset(base.universe)
-        d_ext = delta(spec, ext)
-        for r in range(1, len(new)):
-            for mid in combinations(new, r):
-                if d_ext - delta(spec, ext, base_elems | set(mid)) >= 0:
-                    minimal = False
-                    break
-            if not minimal:
-                break
     return ExtensionClass(
         base=base,
         ext=ext,
@@ -292,3 +283,20 @@ def _classify(
         code=code,
         pair=pair_code(ext, base.universe),
     )
+
+
+def is_minimal_extension(
+    spec: PredimensionSpec, ext: FinStructure, base_ids: Sequence[int]
+) -> bool:
+    """Is the base strong in `ext` while every set strictly between them has
+    larger predimension than `ext`, so that none of them is strong in it?"""
+    if not strong_verdict(spec, ext, base_ids):
+        return False
+    base = frozenset(base_ids)
+    new = [e for e in ext.universe if e not in base]
+    d_ext = delta(spec, ext)
+    for r in range(1, len(new)):
+        for mid in combinations(new, r):
+            if d_ext - delta(spec, ext, base | set(mid)) >= 0:
+                return False
+    return True

@@ -6,12 +6,13 @@ deficiency of A is the minimum of delta(X/A) over nonempty X inside W minus A
 
 - exact min-cut reduction for purely relational specs (any size),
 - branch and bound over subsets for specs with matroid components,
-- a linear-time acyclicity verdict for weight-1 graph specs,
 - a singleton scan for provably monotone specs,
 - an independent brute-force oracle over the full subset lattice.
 
 All engines return exact rational values and agree with each other; the brute
-oracle exists so the others can be checked against it.
+oracle exists so the others can be checked against it.  The verdict-only
+`strong_verdict` decides weight-1 graph specs by a linear-time acyclicity
+test instead.
 """
 
 from __future__ import annotations
@@ -522,17 +523,6 @@ def is_strong(
     if method == "dfs":
         deficiency, witness = _dfs_min(spec, struct, b, free)
         if deficiency >= 0:
-            return StrongReport(True, deficiency)
-        return StrongReport(False, deficiency, witness)
-
-    if method == "acyclic":
-        if not alpha_one_profile(spec, struct):
-            raise SpecError("acyclicity engine needs a weight-1 binary relational spec")
-        quick = _acyclic_verdict(struct, b, w)
-        deficiency, witness = _flow_nonempty_min(spec, struct, b, free)
-        if (deficiency >= 0) != quick:
-            raise AssertionError("acyclicity verdict disagrees with the exact minimum")
-        if quick:
             return StrongReport(True, deficiency)
         return StrongReport(False, deficiency, witness)
 

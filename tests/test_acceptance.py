@@ -279,19 +279,13 @@ def test_criterion_8_collapse(capsys):
     # on any disagreement with the incremental scan
     capped = build_collapsed(rel, mu, edge, k=3, budget=30, cross_check=True)
     report = in_class_mu(rel, mu, capped.current, 3)
-    matches = []
-    for seed in range(5):
-        free = build_generic(rel, edge, k=3, budget=25, seed=seed)
-        collapsed = build_collapsed(
-            rel, DEFAULT_MU, edge, k=3, budget=25, seed=seed, cross_check=True
-        )
-        matches.append(
-            canonical_code(free.current) == canonical_code(collapsed.current)
-        )
-    ok = report.ok and all(matches)
+    free = build_generic(rel, edge, k=3, budget=25)
+    collapsed = build_collapsed(rel, DEFAULT_MU, edge, k=3, budget=25, cross_check=True)
+    match = canonical_code(free.current) == canonical_code(collapsed.current)
+    ok = report.ok and match
     _verdict(capsys, 8, "mu-collapsed build", ok)
     assert report.ok, report.violations
-    assert all(matches), matches
+    assert match
 
 
 # ---------------------------------------------------------------------------

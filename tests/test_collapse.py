@@ -23,6 +23,7 @@ from predim import (
     find_embeddings,
     in_class_mu,
     mu_violations,
+    resume,
     thrifty_step,
 )
 from predim.sampling import random_sparse_graph
@@ -241,10 +242,24 @@ def test_build_collapsed_respects_caps(alpha1):
 def test_build_collapsed_unconstrained_matches_generic(alpha1):
     # with caps far out of reach the dichotomy always takes the free horn
     start = graph(0, [])
-    for seed in (0, 1):
-        loose = build_collapsed(alpha1, DEFAULT_MU, start, k=2, budget=16, seed=seed)
-        free = build_generic(alpha1, start, k=2, budget=16, seed=seed)
-        assert canonical_code(loose.current) == canonical_code(free.current)
+    loose = build_collapsed(alpha1, DEFAULT_MU, start, k=2, budget=16)
+    free = build_generic(alpha1, start, k=2, budget=16)
+    assert canonical_code(loose.current) == canonical_code(free.current)
+
+
+def test_resume_after_collapsed_build_matches_single_run(alpha1):
+    # resume continues with the collapsed step, so the caps still hold and
+    # the staged build is the single build
+    edge = graph(2, [(0, 1)])
+    mu2 = MuFunction.from_dict({_pendant_class(alpha1).code: 2})
+    staged = build_collapsed(alpha1, mu2, edge, k=3, budget=12)
+    assert staged._pf.plans is staged._plans
+    resume(staged, 18)
+    one_shot = build_collapsed(alpha1, mu2, edge, k=3, budget=30)
+    assert staged.current == one_shot.current
+    assert [r.code for r in staged.history] == [r.code for r in one_shot.history]
+    assert in_class_mu(alpha1, mu2, staged.current, 3).ok
+    assert staged._pf.plans is staged._plans
 
 
 def test_build_collapsed_rejects_bad_start(alpha1):

@@ -14,7 +14,6 @@ from .structures import (
     find_embeddings,
 )
 from .predimension import (
-    CardinalityOracle,
     FreeOracle,
     LinearOracle,
     MatroidOracle,

@@ -7,10 +7,9 @@ report prefixed as `#` comment lines, so the combined output still parses as
 a structure file.
 
 Exit status: 0 on success, 1 when a property check comes back negative, 2 on
-usage, parse, or precondition errors.  `--threads` (default from
-PREDIM_THREADS) is accepted and ignored: nothing runs in parallel.  The
-`--seed` of `build` and `collapse-build` is accepted but does not change the
-deterministic schedule.
+usage, parse, or precondition errors.  `--threads` (default 1) is accepted
+and ignored: nothing runs in parallel.  The `--seed` of `build` and
+`collapse-build` is accepted but does not change the deterministic schedule.
 """
 
 from __future__ import annotations
@@ -499,14 +498,6 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("PREDIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="predim",
@@ -522,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=_uint,
-            default=_default_threads(),
+            default=1,
             help="accepted and ignored (nothing runs in parallel)",
         )
         return p

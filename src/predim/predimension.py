@@ -61,32 +61,21 @@ class MatroidOracle(ABC):
         return f"{type(self).__name__}()"
 
 
+@dataclass(frozen=True)
 class FreeOracle(MatroidOracle):
-    """Free matroid: every set is independent, rank(X) = |X|."""
+    """Free matroid: every set is independent, rank(X) = |X|.  Modular, so it
+    may carry a negative coefficient.  `name` is "free" or "cardinality"; the
+    latter is the usual spelling for putting -|X| into a predimension whose
+    relational part is switched off.  The two compare unequal."""
 
-    name = "free"
+    name: str = "free"
     modular = True
-    sizelike = True
 
     def rank(self, struct, subset):
         return Fraction(len(subset))
 
     def embedding_ok(self, emb):
         return True
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-class CardinalityOracle(FreeOracle):
-    """Counting component: rank(X) = |X|.  Modular, so it may carry a
-    negative coefficient (the usual way to put -|X| into a predimension
-    whose relational part is switched off)."""
-
-    name = "cardinality"
 
 
 class UniformOracle(MatroidOracle):
@@ -180,16 +169,10 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-_ORACLE_BUILDERS = {
-    "free": lambda: FreeOracle(),
-    "cardinality": lambda: CardinalityOracle(),
-}
-
-
 def oracle_by_name(name: str) -> MatroidOracle:
     """Oracle factory for spec files: free, cardinality, linear<p>, uniform<k>."""
-    if name in _ORACLE_BUILDERS:
-        return _ORACLE_BUILDERS[name]()
+    if name in ("free", "cardinality"):
+        return FreeOracle(name)
     if name.startswith("linear") and name[6:].isdigit():
         return LinearOracle(int(name[6:]))
     if name.startswith("uniform") and name[7:].isdigit():
@@ -248,16 +231,11 @@ class PredimensionSpec:
             return False
         size_coef = Fraction(0)
         for oracle, coef in self.components:
-            if getattr(oracle, "sizelike", False):
+            if isinstance(oracle, FreeOracle):
                 size_coef += coef
             elif coef < 0:
                 return False
         return size_coef >= 0
-
-    def describe(self) -> str:
-        parts = [f"relational={'on' if self.relational else 'off'}"]
-        parts += [f"{oracle.name}:{coef}" for oracle, coef in self.components]
-        return " ".join(parts)
 
 
 def delta(spec: PredimensionSpec, struct: FinStructure, subset: Optional[Iterable[int]] = None) -> Fraction:

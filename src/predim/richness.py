@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 
 from .canonical import canonical_code
 from .extensions import ExtensionClass
+from .strongsets import _components
 from .structures import FinStructure, find_embeddings
 
 
@@ -37,36 +38,16 @@ class Pseudoforest:
     def __init__(self, struct: FinStructure, plans: Optional[dict[bytes, _Plan]] = None):
         self.struct = struct
         self.adj = struct.adjacency()
-        edge_count: dict[int, int] = {}
-        parent = {e: e for e in struct.universe}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        nedges: list[tuple[int, int]] = []
-        for name in struct.sig.names:
-            for t in struct.instances[name]:
-                u, v = t
-                nedges.append((u, v))
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        self.comp_of: dict[int, int] = {}
+        edges = [t for name in struct.sig.names for t in struct.instances[name]]
+        root_of, _, nedges = _components(struct.universe, edges)
         comp_elems: dict[int, list[int]] = {}
         for e in struct.universe:
-            r = find(e)
-            self.comp_of[e] = r
-            comp_elems.setdefault(r, []).append(e)
-        for u, _ in nedges:
-            edge_count[find(u)] = edge_count.get(find(u), 0) + 1
-        # normalize component names to their minimum element
+            comp_elems.setdefault(root_of[e], []).append(e)
+        # name each component by its minimum element
         rename = {r: min(elems) for r, elems in comp_elems.items()}
-        self.comp_of = {e: rename[r] for e, r in self.comp_of.items()}
+        self.comp_of = {e: rename[r] for e, r in root_of.items()}
         self.comp_elems = {rename[r]: sorted(elems) for r, elems in comp_elems.items()}
-        self.edge_count = {rename[r]: c for r, c in edge_count.items()}
+        self.edge_count = {rename[r]: c for r, c in nedges.items()}
         self.valid = True
         self.cycle: dict[int, frozenset[int]] = {}
         for root, elems in self.comp_elems.items():

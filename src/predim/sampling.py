@@ -81,14 +81,3 @@ def random_vectors(
         for e in range(n)
     }
 
-
-def random_annotated(
-    rng: random.Random,
-    sig: Signature,
-    n: int,
-    density: float,
-    width: int,
-    prime: int,
-) -> FinStructure:
-    base = random_structure(rng, sig, n, density)
-    return FinStructure(sig, base.universe, base.instances, random_vectors(rng, n, width, prime))

@@ -2,17 +2,22 @@
 
 A is strong within W when delta(X/A) >= 0 for every X between A and W.  The
 deficiency of A is the minimum of delta(X/A) over nonempty X inside W minus A
-(0 when there is nothing to add).  Engines:
+(0 when there is nothing to add).  One router, `_minimum`, picks the engine
+from the spec's profile, first match wins:
 
-- exact min-cut reduction for purely relational specs (any size),
-- branch and bound over subsets for specs with matroid components,
-- a singleton scan for provably monotone specs,
-- an independent brute-force oracle over the full subset lattice.
+- monotone specs: a singleton scan (every set is strong);
+- valid, purely relational specs: an exact min-cut reduction, any size;
+- valid specs with matroid components: branch and bound over subsets, up to
+  DFS_LIMIT (26) free elements;
+- anything else: the brute-force oracle, up to BRUTE_LIMIT (20) free
+  elements, LATTICE_LIMIT (16) when the spec has matroid components.
 
-All engines return exact rational values and agree with each other; the brute
-oracle exists so the others can be checked against it.  The verdict-only
-`strong_verdict` decides weight-1 graph specs by a linear-time acyclicity
-test instead.
+Past those sizes the router refuses with `SpecError` rather than degrade.
+`is_strong`, `closure` and `strong_verdict` all go through it;
+`strong_verdict` first answers monotone specs outright and decides weight-1
+graph specs by a linear-time acyclicity test.  All engines return exact
+rational values and agree with each other; the brute oracle exists so the
+others can be checked against it.
 """
 
 from __future__ import annotations
@@ -27,13 +32,20 @@ import numpy as np
 from .predimension import PredimensionSpec, SpecError, delta
 from .structures import FinStructure, StructureError
 
+# Free-element counts past which the exponential engines refuse.
+LATTICE_LIMIT = 16  # full subset lattices with matroid ranks
+BRUTE_LIMIT = 20  # the brute-force oracle
+DFS_LIMIT = 26  # branch and bound on valid specs with matroid components
+
 
 @dataclass(frozen=True)
 class StrongReport:
     """Outcome of a strength check.
 
-    `witness` is a violating set (inclusion-least among the minimizers) when
-    the verdict is negative, None otherwise.
+    `witness` is a violating set attaining the deficiency when the verdict is
+    negative, None otherwise.  It is the inclusion-least minimizer on the
+    min-cut and brute-force routes; on the branch-and-bound route it is some
+    minimizer.  `closure` always absorbs the least one.
     """
 
     verdict: bool
@@ -129,7 +141,7 @@ def brute_force_is_strong(
     base: Iterable[int],
     within: Optional[Iterable[int]] = None,
     *,
-    bound: int = 20,
+    bound: int = BRUTE_LIMIT,
 ) -> StrongReport:
     """Exhaustive check over every subset between base and the ambient set.
 
@@ -141,8 +153,10 @@ def brute_force_is_strong(
     m = len(free)
     if m > bound:
         raise SpecError(f"brute-force strength check refused: {m} free elements > bound {bound}")
-    if spec.components and m > 16:
-        raise SpecError("brute-force strength check with matroid components refused beyond 16 free elements")
+    if spec.components and m > LATTICE_LIMIT:
+        raise SpecError(
+            f"brute-force strength check with matroid components refused beyond {LATTICE_LIMIT} free elements"
+        )
     if m == 0:
         return StrongReport(True, Fraction(0))
     table, q = _relative_delta_table(spec, struct, b, free)
@@ -162,7 +176,7 @@ def subset_tables(
     struct: FinStructure,
     within: Optional[Iterable[int]] = None,
     *,
-    bound: int = 16,
+    bound: int = LATTICE_LIMIT,
 ) -> tuple[list[int], np.ndarray, int, np.ndarray]:
     """Full subset lattice data for small ambient sets.
 
@@ -191,7 +205,7 @@ def brute_closure(
     base: Iterable[int],
     within: Optional[Iterable[int]] = None,
     *,
-    bound: int = 16,
+    bound: int = LATTICE_LIMIT,
     tables: Optional[tuple[list[int], np.ndarray, int, np.ndarray]] = None,
 ) -> tuple[int, ...]:
     """Closure by definition: intersect all strong supersets in the lattice.
@@ -420,14 +434,12 @@ def alpha_one_profile(spec: PredimensionSpec, struct: FinStructure) -> bool:
     )
 
 
-def _acyclic_verdict(struct: FinStructure, base: frozenset[int], within: frozenset[int]) -> bool:
-    """Contract the base, drop its internal edges: strong iff the contracted
-    vertex sits in an acyclic component and every other component has at most
-    as many edges as vertices (parallel edges count)."""
-    star = -1  # the contracted base, when nonempty
-    parent: dict[int, int] = {e: e for e in within - base}
-    if base:
-        parent[star] = star
+def _components(
+    vertices: Iterable[int], edges: list[tuple[int, int]]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """Union-find over `edges`: each vertex's root, then the vertex and edge
+    counts per root."""
+    parent = {v: v for v in vertices}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -435,6 +447,25 @@ def _acyclic_verdict(struct: FinStructure, base: frozenset[int], within: frozens
             x = parent[x]
         return x
 
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    root = {v: find(v) for v in parent}
+    nverts: dict[int, int] = {}
+    for r in root.values():
+        nverts[r] = nverts.get(r, 0) + 1
+    nedges: dict[int, int] = {}
+    for u, _ in edges:
+        nedges[root[u]] = nedges.get(root[u], 0) + 1
+    return root, nverts, nedges
+
+
+def _acyclic_verdict(struct: FinStructure, base: frozenset[int], within: frozenset[int]) -> bool:
+    """Contract the base, drop its internal edges: strong iff the contracted
+    vertex sits in an acyclic component and every other component has at most
+    as many edges as vertices (parallel edges count)."""
+    star = -1  # the contracted base, when nonempty
     edges = []
     for name in struct.sig.names:
         for t in struct.instances[name]:
@@ -446,30 +477,35 @@ def _acyclic_verdict(struct: FinStructure, base: frozenset[int], within: frozens
             if cu == star and cv == star:
                 continue
             edges.append((cu, cv))
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    verts: dict[int, int] = {}
-    for x in parent:
-        r = find(x)
-        verts[r] = verts.get(r, 0) + 1
-    ecnt: dict[int, int] = {}
-    for u, v in edges:
-        r = find(u)
-        ecnt[r] = ecnt.get(r, 0) + 1
-    for r, nv in verts.items():
-        ne = ecnt.get(r, 0)
-        if base and find(star) == r:
-            if ne > nv - 1:
-                return False
-        elif ne > nv:
-            return False
-    return True
+    vertices = within - base | ({star} if base else set())
+    root, nverts, nedges = _components(vertices, edges)
+    star_root = root.get(star) if base else None
+    return all(nedges.get(r, 0) <= nv - (r == star_root) for r, nv in nverts.items())
 
 
 # ---------------------------------------------------------------------------
 # public interface
+
+
+def _minimum(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    base: frozenset[int],
+    free: list[int],
+) -> tuple[Fraction, tuple[int, ...]]:
+    """Exact minimum of delta(X/base) over nonempty X inside `free`, with a
+    minimizer when it is negative.  The one place an engine is chosen."""
+    if spec.monotone:
+        d_base = delta(spec, struct, base)
+        return min(delta(spec, struct, base | {e}) - d_base for e in free), ()
+    if spec.valid and spec.relational and not spec.components:
+        return _flow_nonempty_min(spec, struct, base, free)
+    if spec.valid and len(free) <= DFS_LIMIT:
+        return _dfs_min(spec, struct, base, free)
+    if len(free) <= BRUTE_LIMIT:
+        rep = brute_force_is_strong(spec, struct, base, base | set(free))
+        return rep.deficiency, rep.witness or ()
+    raise SpecError("no exact engine can handle this spec at this size")
 
 
 def is_strong(
@@ -477,56 +513,19 @@ def is_strong(
     struct: FinStructure,
     base: Iterable[int],
     within: Optional[Iterable[int]] = None,
-    *,
-    method: str = "auto",
 ) -> StrongReport:
     """Is `base` self-sufficient within the ambient set (whole universe by default)?
 
-    The report always carries the exact deficiency.  Method "auto" routes to
-    the cheapest exact engine for the spec at hand; the other names force an
-    engine and raise if its preconditions fail.
+    The report always carries the exact deficiency.
     """
     b, w = _check_sets(struct, base, within)
     free = sorted(w - b)
-    if method == "brute":
-        return brute_force_is_strong(spec, struct, b, w)
     if not free:
         return StrongReport(True, Fraction(0))
-
-    if method == "auto":
-        if spec.monotone:
-            method = "monotone"
-        elif not spec.components and spec.relational and spec.valid:
-            method = "flow"
-        elif spec.valid and len(free) <= 26:
-            method = "dfs"
-        elif len(free) <= 20:
-            return brute_force_is_strong(spec, struct, b, w)
-        else:
-            raise SpecError("no exact engine can handle this spec at this size")
-
-    if method == "monotone":
-        if not spec.monotone:
-            raise SpecError("monotone engine on a non-monotone spec")
-        d_base = delta(spec, struct, b)
-        deficiency = min(delta(spec, struct, b | {e}) - d_base for e in free)
+    deficiency, witness = _minimum(spec, struct, b, free)
+    if deficiency >= 0:
         return StrongReport(True, deficiency)
-
-    if method == "flow":
-        if spec.components or not spec.relational:
-            raise SpecError("min-cut engine handles purely relational specs only")
-        deficiency, witness = _flow_nonempty_min(spec, struct, b, free)
-        if deficiency >= 0:
-            return StrongReport(True, deficiency)
-        return StrongReport(False, deficiency, witness)
-
-    if method == "dfs":
-        deficiency, witness = _dfs_min(spec, struct, b, free)
-        if deficiency >= 0:
-            return StrongReport(True, deficiency)
-        return StrongReport(False, deficiency, witness)
-
-    raise SpecError(f"unknown strength method {method!r}")
+    return StrongReport(False, deficiency, witness)
 
 
 def strong_verdict(
@@ -537,18 +536,16 @@ def strong_verdict(
 ) -> bool:
     """Verdict-only strength check; skips deficiency work where possible."""
     b, w = _check_sets(struct, base, within)
-    if not (w - b):
-        return True
-    if spec.monotone:
+    if not (w - b) or spec.monotone:
         return True
     if alpha_one_profile(spec, struct):
         return _acyclic_verdict(struct, b, w)
-    return is_strong(spec, struct, b, w).verdict
+    return _minimum(spec, struct, b, sorted(w - b))[0] >= 0
 
 
 def in_class(spec: PredimensionSpec, struct: FinStructure) -> bool:
     """Whether every subset has nonnegative predimension."""
-    return is_strong(spec, struct, ()).verdict
+    return strong_verdict(spec, struct, ())
 
 
 def closure(
@@ -569,16 +566,14 @@ def closure(
     cur = set(b)
     while True:
         free = sorted(w - cur)
-        if not free or spec.monotone:
+        if not free:
             return tuple(sorted(cur))
-        if not spec.components and spec.relational:
-            deficiency, witness = _flow_nonempty_min(spec, struct, frozenset(cur), free)
-        else:
-            deficiency, witness = _dfs_min(spec, struct, frozenset(cur), free)
-            if deficiency < 0:
-                witness = _least_minimizer(spec, struct, frozenset(cur), free, deficiency, witness)
+        deficiency, witness = _minimum(spec, struct, frozenset(cur), free)
         if deficiency >= 0:
             return tuple(sorted(cur))
+        if spec.components:
+            # branch and bound returns some minimizer, not the least one
+            witness = _least_minimizer(spec, struct, frozenset(cur), free, deficiency, witness)
         cur.update(witness)
 
 

@@ -112,6 +112,8 @@ def test_oracle_by_name_roundtrip():
     assert oracle_by_name("uniform3") == UniformOracle(3)
     assert oracle_by_name("free").name == "free"
     assert oracle_by_name("cardinality").name == "cardinality"
+    assert oracle_by_name("free") != oracle_by_name("cardinality")
+    assert oracle_by_name("free") == oracle_by_name("free")
     with pytest.raises(SpecError):
         oracle_by_name("linear4")  # not prime
     with pytest.raises(SpecError):

@@ -6,15 +6,23 @@ from fractions import Fraction
 import pytest
 
 from predim import (
+    FinStructure,
+    PredimensionSpec,
+    SpecError,
+    StrongReport,
     brute_closure,
     brute_force_is_strong,
     closure,
     in_class,
     is_strong,
+    oracle_by_name,
+    serialize_spec,
+    serialize_structure,
     strong_verdict,
 )
-from predim.sampling import random_sparse_graph, random_subset
-from predim.strongsets import subset_tables
+from predim.cli import main
+from predim.sampling import random_sparse_graph, random_subset, random_vectors
+from predim.strongsets import DFS_LIMIT, _dfs_min, _flow_nonempty_min, subset_tables
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
 
@@ -55,17 +63,31 @@ def test_strength_monotone_spec_shortcut(fusion):
     assert closure(fusion, v, [0]) == (0,)
 
 
+def _direct(engine, spec, struct, base):
+    """Report of one engine called directly, bypassing the router."""
+    b = frozenset(base)
+    free = sorted(set(struct.universe) - b)
+    if not free:
+        return StrongReport(True, F(0))
+    deficiency, witness = engine(spec, struct, b, free)
+    if deficiency >= 0:
+        return StrongReport(True, deficiency)
+    return StrongReport(False, deficiency, witness)
+
+
 def test_engines_agree_on_random_graphs(alpha1):
     rng = random.Random(21)
     for _ in range(300):
         g = random_sparse_graph(rng, rng.randrange(2, 11), extra_edges=rng.randrange(4))
         base = random_subset(rng, g.universe)
-        reports = [
-            is_strong(alpha1, g, base, method=m) for m in ("auto", "flow", "dfs", "brute")
-        ]
+        flow = _direct(_flow_nonempty_min, alpha1, g, base)
+        brute = brute_force_is_strong(alpha1, g, base)
+        reports = [is_strong(alpha1, g, base), flow, _direct(_dfs_min, alpha1, g, base), brute]
         assert len({r.verdict for r in reports}) == 1
         assert len({r.deficiency for r in reports}) == 1
         assert strong_verdict(alpha1, g, base) == reports[0].verdict
+        # both name the inclusion-least minimizer
+        assert flow.witness == brute.witness
         for r in reports:
             if not r.verdict:
                 # witness attains the deficiency
@@ -87,30 +109,70 @@ def test_engines_agree_on_weighted_graphs():
             g = random_sparse_graph(rng, rng.randrange(2, 9), extra_edges=rng.randrange(5))
             g = graph(g.n, g.sorted_instances("E"), weight=w)
             base = random_subset(rng, g.universe)
-            a = is_strong(spec, g, base, method="dfs")
-            b = is_strong(spec, g, base, method="brute")
-            c = is_strong(spec, g, base, method="flow")
+            a = _direct(_dfs_min, spec, g, base)
+            b = brute_force_is_strong(spec, g, base)
+            c = _direct(_flow_nonempty_min, spec, g, base)
             assert (a.verdict, a.deficiency) == (b.verdict, b.deficiency) == (c.verdict, c.deficiency)
 
 
 def test_engines_agree_on_fusion(fusion):
     rng = random.Random(23)
-    from predim.sampling import random_vectors
-    from predim import FinStructure, Signature
+    from predim import Signature
 
     for _ in range(150):
         n = rng.randrange(1, 9)
         v = FinStructure(Signature(()), range(n), {}, random_vectors(rng, n, 2, 5))
         base = random_subset(rng, v.universe)
         a = is_strong(fusion, v, base)
-        b = is_strong(fusion, v, base, method="brute")
+        b = brute_force_is_strong(fusion, v, base)
         assert (a.verdict, a.deficiency) == (b.verdict, b.deficiency)
 
 
-def test_forced_engine_rejects_wrong_spec(fusion):
-    v = vectors((1, 0))
-    with pytest.raises(Exception):
-        is_strong(fusion, v, [], method="flow")  # flow is relational-only
+def _matroid_spec(oracle: str, coef: F = F(1, 2)) -> PredimensionSpec:
+    return PredimensionSpec.make(components=((oracle_by_name(oracle), coef),))
+
+
+@pytest.mark.parametrize("oracle", ["linear5", "uniform2"])
+def test_subset_search_route_matches_brute(oracle):
+    # relational plus a matroid part routes to the branch-and-bound engine,
+    # and closure through the least-minimizer step
+    spec = _matroid_spec(oracle)
+    rng = random.Random(26)
+    negative = 0
+    for _ in range(100):
+        n = rng.randrange(2, 10)
+        g = random_sparse_graph(rng, n, extra_edges=rng.randrange(5))
+        s = FinStructure(g.sig, g.universe, g.instances, random_vectors(rng, n, 3, 5))
+        assert in_class(spec, s) == brute_force_is_strong(spec, s, ()).verdict
+        tables = subset_tables(spec, s)
+        for _ in range(3):
+            base = random_subset(rng, s.universe)
+            fast = is_strong(spec, s, base)
+            slow = brute_force_is_strong(spec, s, base)
+            assert (fast.verdict, fast.deficiency) == (slow.verdict, slow.deficiency)
+            assert strong_verdict(spec, s, base) == slow.verdict
+            if not fast.verdict:
+                negative += 1
+                assert _rel(spec, s, set(base) | set(fast.witness), base) == fast.deficiency
+            assert closure(spec, s, base) == brute_closure(spec, s, base, tables=tables)
+    assert negative >= 100
+
+
+def test_matroid_route_refuses_past_the_search_limit(tmp_path):
+    spec = _matroid_spec("linear5", F(1))
+    rng = random.Random(27)
+    n = DFS_LIMIT + 1
+    g = random_sparse_graph(rng, n)
+    s = FinStructure(g.sig, g.universe, g.instances, random_vectors(rng, n, 3, 5))
+    with pytest.raises(SpecError):
+        is_strong(spec, s, ())
+    with pytest.raises(SpecError):
+        closure(spec, s, ())
+    spec_file = tmp_path / "lin5.spec"
+    spec_file.write_text(serialize_spec(spec))
+    struct_file = tmp_path / "g.structure"
+    struct_file.write_text(serialize_structure(s))
+    assert main(["closure", "--spec", str(spec_file), str(struct_file), "--base", ""]) == 2
 
 
 def test_in_class_examples(alpha1, k3, k4):

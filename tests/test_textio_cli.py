@@ -96,6 +96,7 @@ def test_spec_roundtrip_and_errors():
     spec = parse_spec(FUSION_SPEC)
     assert spec == spec_fusion()
     assert parse_spec(serialize_spec(spec)) == spec
+    assert serialize_spec(spec) == FUSION_SPEC
     assert parse_spec(ALPHA_SPEC) == spec_alpha()
     with pytest.raises(ParseError):
         parse_spec("component matroid free 1/1\n")  # missing relational line

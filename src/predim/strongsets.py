@@ -2,50 +2,52 @@
 
 A is strong within W when delta(X/A) >= 0 for every X between A and W.  The
 deficiency of A is the minimum of delta(X/A) over nonempty X inside W minus A
-(0 when there is nothing to add).  One router, `_minimum`, picks the engine
-from the spec's profile, first match wins:
+(0 when there is nothing to add).
+
+Every valid spec goes to one polynomial kernel, `_flow_min`: the exact
+minimum of delta(X/A) over all X, with its least and greatest minimizers.
+`closure` adds the least minimizer to the base; `strong_verdict` reads the
+sign, after answering monotone specs outright and weight-1 graph specs by a
+linear-time acyclicity test.  For `is_strong`, one router, `_minimum`, picks
+the engine of the exact deficiency, first match wins:
 
 - monotone specs: a singleton scan (every set is strong);
-- valid, purely relational specs: an exact min-cut reduction, any size;
-- valid specs with matroid components: branch and bound over subsets, up to
-  DFS_LIMIT (26) free elements;
-- anything else: the brute-force oracle, up to BRUTE_LIMIT (20) free
-  elements, LATTICE_LIMIT (16) when the spec has matroid components.
+- valid specs: the kernel, any size (`_flow_nonempty_min`);
+- invalid specs: the brute-force oracle, up to BRUTE_LIMIT (20) free
+  elements, LATTICE_LIMIT (16) when the spec has matroid components, and a
+  `SpecError` past them.
 
-Past those sizes the router refuses with `SpecError` rather than degrade.
-`is_strong`, `closure` and `strong_verdict` all go through it;
-`strong_verdict` first answers monotone specs outright and decides weight-1
-graph specs by a linear-time acyclicity test.  All engines return exact
-rational values and agree with each other; the brute oracle exists so the
-others can be checked against it.
+All engines are exact; the brute oracle and the unrouted subset search
+`_dfs_min` exist so the kernel can be checked against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .predimension import PredimensionSpec, SpecError, delta
 from .structures import FinStructure, StructureError
 
-# Free-element counts past which the exponential engines refuse.
+if TYPE_CHECKING:
+    import numpy as np
+
+# Free-element counts past which the brute-force oracle refuses.
 LATTICE_LIMIT = 16  # full subset lattices with matroid ranks
-BRUTE_LIMIT = 20  # the brute-force oracle
-DFS_LIMIT = 26  # branch and bound on valid specs with matroid components
+BRUTE_LIMIT = 20
 
 
 @dataclass(frozen=True)
 class StrongReport:
     """Outcome of a strength check.
 
-    `witness` is a violating set attaining the deficiency when the verdict is
-    negative, None otherwise.  It is the inclusion-least minimizer on the
-    min-cut and brute-force routes; on the branch-and-bound route it is some
-    minimizer.  `closure` always absorbs the least one.
+    `witness` is None on a positive verdict.  On a negative one it is the
+    inclusion-least set attaining the deficiency, on every route; an invalid
+    spec may have no least one, and the brute oracle names the smallest, ties
+    broken lexicographically.
     """
 
     verdict: bool
@@ -89,6 +91,7 @@ def _scaled_instances(struct: FinStructure, base: frozenset[int], within: frozen
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
+    import numpy as np
     x = arr.astype(np.uint64)
     x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
     x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
@@ -103,6 +106,7 @@ def _relative_delta_table(
     free: list[int],
 ) -> tuple[np.ndarray, int]:
     """Scaled integer delta(X/base) for every X coded as a bitmask over `free`."""
+    import numpy as np
     m = len(free)
     pos = {e: i for i, e in enumerate(free)}
     within = base | set(free)
@@ -132,7 +136,7 @@ def _relative_delta_table(
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# reference oracles: brute force, and the subset search nothing routes to
 
 
 def brute_force_is_strong(
@@ -148,6 +152,7 @@ def brute_force_is_strong(
     Independent of the routed engines; refuses more than `bound` free
     elements rather than degrade into an approximation.
     """
+    import numpy as np
     b, w = _check_sets(struct, base, within)
     free = sorted(w - b)
     m = len(free)
@@ -184,6 +189,7 @@ def subset_tables(
     mask).  A set is strong within W exactly when no superset has smaller
     delta, so the strong mask falls out of a superset-minimum sweep.
     """
+    import numpy as np
     _, w = _check_sets(struct, (), within)
     elems = sorted(w)
     n = len(elems)
@@ -212,6 +218,7 @@ def brute_closure(
 
     `tables` lets a caller reuse `subset_tables` output across many bases.
     """
+    import numpy as np
     b, w = _check_sets(struct, base, within)
     if tables is None:
         tables = subset_tables(spec, struct, w, bound=bound)
@@ -230,8 +237,55 @@ def brute_closure(
     return tuple(sorted(e for e in elems if acc >> pos[e] & 1))
 
 
+def _dfs_min(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    base: frozenset[int],
+    free: list[int],
+) -> tuple[Fraction, tuple[int, ...]]:
+    """Exact min of delta(X/base) over nonempty X, with some minimizer, by
+    subset search; tests check the kernel against it past the brute range.
+
+    Prunes with per-element marginals taken at the full set; those
+    lower-bound every other marginal by submodularity, so this engine is only
+    sound for valid specs.
+    """
+    if not spec.valid:
+        raise SpecError("subset search requires a submodular spec; use the brute engine")
+    d_base = delta(spec, struct, base)
+    full = base | set(free)
+    d_full = delta(spec, struct, full)
+    marg = {e: min(Fraction(0), d_full - delta(spec, struct, full - {e})) for e in free}
+    order = sorted(free, key=lambda e: (marg[e], e))
+    suffix = [Fraction(0)] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + marg[order[i]]
+
+    best_val: list = [None]
+    best_wit: list = [()]
+
+    def rec(i: int, cur: set[int], d_cur: Fraction) -> None:
+        if len(cur) > len(base) and (best_val[0] is None or d_cur < best_val[0]):
+            best_val[0] = d_cur
+            best_wit[0] = tuple(sorted(cur - base))
+        if i == len(order):
+            return
+        if best_val[0] is not None and d_cur + suffix[i] >= best_val[0]:
+            return
+        e = order[i]
+        cur.add(e)
+        rec(i + 1, cur, delta(spec, struct, cur) - d_base)
+        cur.discard(e)
+        rec(i + 1, cur, d_cur)
+
+    rec(0, set(base), Fraction(0))
+    if best_val[0] is None:
+        return Fraction(0), ()
+    return best_val[0], best_wit[0]
+
+
 # ---------------------------------------------------------------------------
-# min-cut engine (purely relational specs)
+# independent-flow kernel (every valid spec)
 
 
 class _Dinic:
@@ -278,65 +332,124 @@ class _Dinic:
                     break
                 flow += f
 
-    def source_side_min(self, s: int) -> set[int]:
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for e in self.g[u]:
-                if e[1] > 0 and e[0] not in seen:
-                    seen.add(e[0])
-                    queue.append(e[0])
-        return seen
-
-    def source_side_max(self, t: int) -> set[int]:
-        # complement of the residual nodes that still reach the sink
-        reach = {t}
-        rev: list[list[int]] = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            for e in self.g[u]:
-                if e[1] > 0:
-                    rev[e[0]].append(u)
-        queue = [t]
-        for v in queue:
-            for u in rev[v]:
-                if u not in reach:
-                    reach.add(u)
-                    queue.append(u)
-        return set(range(self.n)) - reach
-
 
 def _flow_min(
+    spec: PredimensionSpec,
     struct: FinStructure,
     base: frozenset[int],
     free: list[int],
 ) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
-    """Exact minimum of delta(X/base) over ALL X (empty included) plus the
-    inclusion-least and inclusion-greatest minimizers.
+    """Exact minimum of delta(X/base) over ALL X inside `free` (empty
+    included) plus the inclusion-least and inclusion-greatest minimizers.
 
-    Project-selection cut: paying q per selected element against the scaled
-    weight of every instance whose new part is fully selected.
+    Scaled by q, delta(X/base) = f(X) - w(E[X]), E[X] being the instances
+    whose new part lies in X.  f gives each element a modular capacity (the
+    relational |X| plus the free and cardinality terms; a negative one
+    becomes a singleton instance) plus q*c copies of each other component's
+    matroid, contracted by the base.  The minimum is then a max flow from the
+    instances into the elements that keeps each copy's load independent
+    (Fujishige 1978): a blocking flow fills the modular capacities, shortest
+    augmenting paths through the copies' exchange arcs finish it.
     """
-    insts, q = _scaled_instances(struct, base, base | set(free))
-    n = 2 + len(free) + len(insts)
-    net = _Dinic(n)
+    q = lcm(*(coef.denominator for _, coef in spec.components))
+    insts: list[tuple[frozenset[int], int]] = []
+    cap = [0] * len(free)
+    if spec.relational:
+        rel, qr = _scaled_instances(struct, base, base | set(free))
+        q = lcm(q, qr)
+        insts, cap = [(new, w * (q // qr)) for new, w in rel], [q] * len(free)
+    copies: list[list] = []  # [independence test, frozenset of loaded element nodes]
+    for oracle, coef in spec.components:
+        r_base = oracle.rank(struct, base)
+        if oracle.modular:
+            for i, e in enumerate(free):
+                cap[i] += int(q * coef * (oracle.rank(struct, base | {e}) - r_base))
+            continue
+
+        @cache
+        def independent(nodes: frozenset[int], o=oracle, r=r_base) -> bool:
+            # in the matroid contracted by the base; node 2 + i is free[i]
+            return o.rank(struct, base.union(free[v - 2] for v in nodes)) - r == len(nodes)
+
+        copies += [[independent, frozenset()] for _ in range(int(q * coef))]
+    insts += [(frozenset({e}), -c) for e, c in zip(free, cap) if c < 0]
+
+    net = _Dinic(2 + len(free) + len(insts))
     src, snk = 0, 1
     pos = {e: i for i, e in enumerate(free)}
     for i in range(len(free)):
-        net.add(2 + i, snk, q)
-    total = 0
+        net.add(2 + i, snk, max(cap[i], 0))
     for j, (new, w) in enumerate(insts):
         node = 2 + len(free) + j
         net.add(src, node, w)
-        total += w
         for e in sorted(new):
             net.add(node, 2 + pos[e], 1 << 62)
-    cut = net.maxflow(src, snk)
-    value = Fraction(cut - total, q)
-    side_min = net.source_side_min(src)
-    side_max = net.source_side_max(snk)
-    lo = tuple(e for e in free if 2 + pos[e] in side_min)
-    hi = tuple(e for e in free if 2 + pos[e] in side_max)
-    return value, lo, hi
+    flow = net.maxflow(src, snk)
+    elements = range(2, 2 + len(free))
+    # one unit per path: the copies' loads bound what is left to push
+    while snk in (pred := _least_minimizer(net, copies, elements)):
+        v = snk
+        while pred[v]:
+            u, via = pred[v]
+            if isinstance(via, list):
+                via[1] -= 1
+                net.g[v][via[2]][1] += 1
+            else:  # u enters copy `via`, v leaves it (the sink is in no load)
+                copies[via][1] = copies[via][1] - {v} | {u}
+            v = u
+        flow += 1
+    lo = tuple(free[v - 2] for v in elements if v in pred)
+    reach = _sink_side(net, copies, elements)
+    hi = tuple(free[v - 2] for v in elements if v not in reach)
+    return Fraction(flow - sum(w for _, w in insts), q), lo, hi
+
+
+def _least_minimizer(net: _Dinic, copies: list[list], elements: range) -> dict:
+    """Breadth-first search from the source (node 0) over the residual and
+    exchange arcs; returns the predecessor of each node reached.  With the
+    sink (node 1) among them they trace a shortest augmenting path, and
+    shortest keeps each copy's load independent (the matroid-intersection
+    exchange lemma); otherwise the element nodes reached are the least
+    minimizer."""
+    pred: dict = {0: None}
+    queue = [0]
+    for u in queue:
+        for arc in net.g[u]:
+            if arc[1] > 0 and arc[0] not in pred:
+                pred[arc[0]] = (u, arc)
+                if arc[0] == 1:
+                    return pred
+                queue.append(arc[0])
+        for k, (independent, load) in enumerate(copies):
+            if u not in elements or u in load:
+                continue
+            if independent(load | {u}):
+                pred[1] = (u, k)
+                return pred
+            for f in load:
+                if f not in pred and independent(load - {f} | {u}):
+                    pred[f] = (u, k)
+                    queue.append(f)
+    return pred
+
+
+def _sink_side(net: _Dinic, copies: list[list], elements: range) -> set[int]:
+    """Nodes that still reach the sink (node 1) over residual and exchange
+    arcs; the element nodes outside are the inclusion-greatest minimizer."""
+    reach = {1}
+    queue = [1]
+    for v in queue:
+        # u -> v has capacity left on the arc paired with v's arc to u
+        found = [arc[0] for arc in net.g[v] if net.g[arc[0]][arc[2]][1] > 0]
+        for independent, load in copies:
+            if v == 1 or v in load:
+                rest, seen = load - {v}, reach | load
+                found += [u for u in elements if u not in seen and independent(rest | {u})]
+        for u in found:
+            if u not in reach:
+                reach.add(u)
+                queue.append(u)
+    return reach
 
 
 def _flow_nonempty_min(
@@ -347,77 +460,20 @@ def _flow_nonempty_min(
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Exact min over nonempty X; witness is the inclusion-least minimizer
     when the min is negative (it is unique then, by submodularity)."""
-    value, lo, hi = _flow_min(struct, base, free)
+    value, lo, hi = _flow_min(spec, struct, base, free)
     if lo:
         return value, lo
     if value < 0:
         raise AssertionError("negative minimum with empty minimal minimizer")
-    if hi:
-        # a nonempty set also reaches 0
+    if hi:  # a nonempty set also reaches 0
         return Fraction(0), ()
     # every nonempty set is strictly positive: force each element in turn
-    best_val: Optional[Fraction] = None
-    best_wit: tuple[int, ...] = ()
     d_base = delta(spec, struct, base)
-    for e in free:
-        rest = [x for x in free if x != e]
-        val, lo2, _ = _flow_min(struct, base | {e}, rest)
-        forced = delta(spec, struct, base | {e}) - d_base + val
-        wit = tuple(sorted((e,) + lo2))
-        if best_val is None or forced < best_val or (forced == best_val and (len(wit), wit) < (len(best_wit), best_wit)):
-            best_val, best_wit = forced, wit
-    assert best_val is not None
-    return best_val, best_wit
-
-
-# ---------------------------------------------------------------------------
-# branch and bound (specs with matroid components)
-
-
-def _dfs_min(
-    spec: PredimensionSpec,
-    struct: FinStructure,
-    base: frozenset[int],
-    free: list[int],
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact min of delta(X/base) over nonempty X, by subset search.
-
-    Prunes with per-element marginals taken at the full set; those
-    lower-bound every other marginal by submodularity, so this engine is only
-    sound for valid specs.
-    """
-    if not spec.valid:
-        raise SpecError("subset search requires a submodular spec; use the brute engine")
-    d_base = delta(spec, struct, base)
-    full = base | set(free)
-    d_full = delta(spec, struct, full)
-    marg = {e: min(Fraction(0), d_full - delta(spec, struct, full - {e})) for e in free}
-    order = sorted(free, key=lambda e: (marg[e], e))
-    suffix = [Fraction(0)] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + marg[order[i]]
-
-    best_val: list = [None]
-    best_wit: list = [()]
-
-    def rec(i: int, cur: set[int], d_cur: Fraction) -> None:
-        if len(cur) > len(base) and (best_val[0] is None or d_cur < best_val[0]):
-            best_val[0] = d_cur
-            best_wit[0] = tuple(sorted(cur - base))
-        if i == len(order):
-            return
-        if best_val[0] is not None and d_cur + suffix[i] >= best_val[0]:
-            return
-        e = order[i]
-        cur.add(e)
-        rec(i + 1, cur, delta(spec, struct, cur) - d_base)
-        cur.discard(e)
-        rec(i + 1, cur, d_cur)
-
-    rec(0, set(base), Fraction(0))
-    if best_val[0] is None:
-        return Fraction(0), ()
-    return best_val[0], best_wit[0]
+    return min(
+        delta(spec, struct, base | {e}) - d_base
+        + _flow_min(spec, struct, base | {e}, [x for x in free if x != e])[0]
+        for e in free
+    ), ()
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +549,13 @@ def _minimum(
     base: frozenset[int],
     free: list[int],
 ) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact minimum of delta(X/base) over nonempty X inside `free`, with a
-    minimizer when it is negative.  The one place an engine is chosen."""
+    """Exact minimum of delta(X/base) over nonempty X inside `free`, with the
+    least minimizer when it is negative; the one router for deficiencies."""
     if spec.monotone:
         d_base = delta(spec, struct, base)
         return min(delta(spec, struct, base | {e}) - d_base for e in free), ()
-    if spec.valid and spec.relational and not spec.components:
+    if spec.valid:
         return _flow_nonempty_min(spec, struct, base, free)
-    if spec.valid and len(free) <= DFS_LIMIT:
-        return _dfs_min(spec, struct, base, free)
     if len(free) <= BRUTE_LIMIT:
         rep = brute_force_is_strong(spec, struct, base, base | set(free))
         return rep.deficiency, rep.witness or ()
@@ -540,6 +594,8 @@ def strong_verdict(
         return True
     if alpha_one_profile(spec, struct):
         return _acyclic_verdict(struct, b, w)
+    if spec.valid:
+        return _flow_min(spec, struct, b, sorted(w - b))[0] >= 0
     return _minimum(spec, struct, b, sorted(w - b))[0] >= 0
 
 
@@ -554,47 +610,10 @@ def closure(
     base: Iterable[int],
     within: Optional[Iterable[int]] = None,
 ) -> tuple[int, ...]:
-    """Least strong superset of `base` within the ambient set.
-
-    Repeatedly absorbs the inclusion-least minimum-deficiency witness; by
-    submodularity that witness lies inside every strong superset, so the
-    result is the least one.
-    """
+    """Least strong superset of `base` within the ambient set: the base plus
+    the inclusion-least minimizer of delta(X/base), which by submodularity
+    lies inside every strong superset."""
     b, w = _check_sets(struct, base, within)
     if not spec.valid:
         raise SpecError("closure requires a submodular spec")
-    cur = set(b)
-    while True:
-        free = sorted(w - cur)
-        if not free:
-            return tuple(sorted(cur))
-        deficiency, witness = _minimum(spec, struct, frozenset(cur), free)
-        if deficiency >= 0:
-            return tuple(sorted(cur))
-        if spec.components:
-            # branch and bound returns some minimizer, not the least one
-            witness = _least_minimizer(spec, struct, frozenset(cur), free, deficiency, witness)
-        cur.update(witness)
-
-
-def _least_minimizer(
-    spec: PredimensionSpec,
-    struct: FinStructure,
-    base: frozenset[int],
-    free: list[int],
-    target: Fraction,
-    witness: tuple[int, ...],
-) -> tuple[int, ...]:
-    """Inclusion-least minimum-value set: drop every element some minimizer
-    avoids (minimizers form a lattice, so the least one is their meet)."""
-    pool = list(free)
-    keep = set(witness)
-    for e in sorted(keep):
-        rest = [x for x in pool if x != e]
-        if not rest:
-            continue
-        val, wit = _dfs_min(spec, struct, base, rest)
-        if val == target:
-            pool = rest
-            keep = set(wit)
-    return tuple(sorted(keep))
+    return tuple(sorted(b.union(_flow_min(spec, struct, b, sorted(w - b))[1])))

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from predim import (
     FinStructure,
     PredimensionSpec,
-    SpecError,
     StrongReport,
     brute_closure,
     brute_force_is_strong,
@@ -22,7 +25,7 @@ from predim import (
 )
 from predim.cli import main
 from predim.sampling import random_sparse_graph, random_subset, random_vectors
-from predim.strongsets import DFS_LIMIT, _dfs_min, _flow_nonempty_min, subset_tables
+from predim.strongsets import _dfs_min, _flow_nonempty_min, subset_tables
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
 
@@ -133,9 +136,9 @@ def _matroid_spec(oracle: str, coef: F = F(1, 2)) -> PredimensionSpec:
 
 
 @pytest.mark.parametrize("oracle", ["linear5", "uniform2"])
-def test_subset_search_route_matches_brute(oracle):
-    # relational plus a matroid part routes to the branch-and-bound engine,
-    # and closure through the least-minimizer step
+def test_matroid_route_matches_brute(oracle):
+    # relational plus a matroid part runs the kernel through the copies'
+    # exchange arcs
     spec = _matroid_spec(oracle)
     rng = random.Random(26)
     negative = 0
@@ -150,6 +153,7 @@ def test_subset_search_route_matches_brute(oracle):
             fast = is_strong(spec, s, base)
             slow = brute_force_is_strong(spec, s, base)
             assert (fast.verdict, fast.deficiency) == (slow.verdict, slow.deficiency)
+            assert fast.witness == slow.witness
             assert strong_verdict(spec, s, base) == slow.verdict
             if not fast.verdict:
                 negative += 1
@@ -158,21 +162,97 @@ def test_subset_search_route_matches_brute(oracle):
     assert negative >= 100
 
 
-def test_matroid_route_refuses_past_the_search_limit(tmp_path):
-    spec = _matroid_spec("linear5", F(1))
+def test_fusion_of_two_matroids_matches_brute():
+    # the paper's fusion: delta = rk_linear5 + rk_uniform2 - |X|, no relations
+    from predim import Signature
+
+    spec = PredimensionSpec.make(
+        relational=False,
+        components=(
+            (oracle_by_name("linear5"), F(1)),
+            (oracle_by_name("uniform2"), F(1)),
+            (oracle_by_name("cardinality"), F(-1)),
+        ),
+    )
+    rng = random.Random(29)
+    negative = 0
+    for _ in range(60):
+        n = rng.randrange(1, 11)
+        s = FinStructure(Signature(()), range(n), {}, random_vectors(rng, n, rng.choice((2, 3)), 5))
+        assert in_class(spec, s) == brute_force_is_strong(spec, s, ()).verdict
+        tables = subset_tables(spec, s)
+        for _ in range(3):
+            base = random_subset(rng, s.universe)
+            slow = brute_force_is_strong(spec, s, base)
+            assert is_strong(spec, s, base) == slow
+            assert strong_verdict(spec, s, base) == slow.verdict
+            assert closure(spec, s, base) == brute_closure(spec, s, base, tables=tables)
+            negative += not slow.verdict
+    assert negative >= 50
+
+
+def test_kernel_matches_subset_search_past_brute_range():
+    # 17-24 free elements, where the brute oracle refuses
+    rng = random.Random(28)
+    negative = 0
+    for i in range(40):
+        spec = _matroid_spec(("linear5", "uniform2")[i % 2])
+        n = rng.randrange(17, 25)
+        g = random_sparse_graph(rng, n, extra_edges=rng.randrange(6))
+        s = FinStructure(g.sig, g.universe, g.instances, random_vectors(rng, n, 3, 5))
+        base = random_subset(rng, s.universe, rng.randrange(4))
+        fast = is_strong(spec, s, base)
+        search = _direct(_dfs_min, spec, s, base)
+        assert fast.deficiency == search.deficiency
+        if not fast.verdict:
+            negative += 1
+            # the least minimizer lies inside every minimizer
+            assert set(fast.witness) <= set(search.witness)
+            assert _rel(spec, s, set(base) | set(fast.witness), base) == fast.deficiency
+    assert negative >= 20
+
+
+def test_matroid_route_answers_any_size(tmp_path):
+    spec = _matroid_spec("linear5")
     rng = random.Random(27)
-    n = DFS_LIMIT + 1
-    g = random_sparse_graph(rng, n)
+    n = 200
+    g = random_sparse_graph(rng, n, extra_edges=4)
     s = FinStructure(g.sig, g.universe, g.instances, random_vectors(rng, n, 3, 5))
-    with pytest.raises(SpecError):
-        is_strong(spec, s, ())
-    with pytest.raises(SpecError):
-        closure(spec, s, ())
+    cl = closure(spec, s, ())
+    assert cl  # the closure absorbs something
+    assert is_strong(spec, s, cl).verdict
+    rep = is_strong(spec, s, ())
+    assert not rep.verdict and rep.witness == cl
     spec_file = tmp_path / "lin5.spec"
     spec_file.write_text(serialize_spec(spec))
     struct_file = tmp_path / "g.structure"
     struct_file.write_text(serialize_structure(s))
-    assert main(["closure", "--spec", str(spec_file), str(struct_file), "--base", ""]) == 2
+    assert main(["closure", "--spec", str(spec_file), str(struct_file), "--base", ""]) == 0
+
+
+def test_strength_queries_leave_numpy_unimported(tmp_path):
+    # numpy serves only the brute oracles; the CLI's valid-spec verbs never
+    # reach them, so a cold start does not pay for the import
+    rng = random.Random(30)
+    g = random_sparse_graph(rng, 12, extra_edges=3)
+    s = FinStructure(g.sig, g.universe, g.instances, random_vectors(rng, 12, 3, 5))
+    spec_file = tmp_path / "lin5.spec"
+    spec_file.write_text(serialize_spec(_matroid_spec("linear5")))
+    struct_file = tmp_path / "g.structure"
+    struct_file.write_text(serialize_structure(s))
+    script = (
+        "import sys\n"
+        "import predim\n"
+        "assert 'numpy' not in sys.modules, 'import predim'\n"
+        "from predim.cli import main\n"
+        "for verb in ('closure', 'strong'):\n"
+        f"    main([verb, '--spec', {str(spec_file)!r}, {str(struct_file)!r}, '--base', '0 1'])\n"
+        "    assert 'numpy' not in sys.modules, verb\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_in_class_examples(alpha1, k3, k4):

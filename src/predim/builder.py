@@ -273,7 +273,7 @@ def _annotation_shift(
     if not ext.annotations:
         return {}
     base_width = max((len(ext.annotation(e)) for e in base_ids), default=0)
-    ambient_width = max((len(t) for t in struct.annotations.values()), default=0)
+    ambient_width = struct.annotation_width()
     out = {}
     for e in new_elems:
         toks = ext.annotation(e)

@@ -3,16 +3,18 @@
 Dimension of A over C is delta of the closure of A union C minus delta of the
 closure of C.  Geometric closure collects the elements of dimension zero.
 Both notions need an integer-valued predimension that gives single elements
-at most one unit, so validity is checked up front.
+at most one unit, so validity is checked up front, once per spec and
+structure.  Each delta of a closure is read from the strength kernel's flow
+value (`closure_delta`), not recounted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .predimension import PredimensionSpec, delta
-from .strongsets import closure
+from .strongsets import _session, closure_delta
 from .structures import FinStructure
 
 
@@ -21,19 +23,32 @@ class GeometryError(ValueError):
 
 
 def require_geometric(spec: PredimensionSpec, struct: FinStructure) -> None:
-    """Integer-valued delta with singletons worth at most 1, on a valid spec."""
+    """Integer-valued delta with singletons worth at most 1, on a valid spec.
+
+    Checked once per (spec, structure); the verdict is kept with the
+    structure's strength session."""
     if not spec.valid:
         raise GeometryError("pregeometry needs a valid (submodular) spec")
+    sess = _session(spec, struct)
+    if sess.geometric is None:
+        sess.geometric = _geometry_problem(spec, struct)
+    if sess.geometric:
+        raise GeometryError(sess.geometric)
+
+
+def _geometry_problem(spec: PredimensionSpec, struct: FinStructure) -> str:
+    """Why delta induces no pregeometry on `struct`, or "" when it does."""
     for name in struct.sig.names:
         if struct.sig.weight(name).denominator != 1:
-            raise GeometryError(f"weight of {name} is not an integer")
+            return f"weight of {name} is not an integer"
     for _, coef in spec.components:
         if coef.denominator != 1:
-            raise GeometryError(f"component coefficient {coef} is not an integer")
+            return f"component coefficient {coef} is not an integer"
     for e in struct.universe:
         v = delta(spec, struct, (e,))
         if v > 1:
-            raise GeometryError(f"element {e} has predimension {v} > 1")
+            return f"element {e} has predimension {v} > 1"
+    return ""
 
 
 def dim(
@@ -44,11 +59,9 @@ def dim(
 ) -> int:
     """Dimension of `subset` over `over` inside `struct`."""
     require_geometric(spec, struct)
-    a = frozenset(int(e) for e in subset)
-    c = frozenset(int(e) for e in over)
-    joint = closure(spec, struct, a | c)
-    ground = closure(spec, struct, c)
-    value = delta(spec, struct, joint) - delta(spec, struct, ground)
+    a = frozenset([int(e) for e in subset])
+    c = frozenset([int(e) for e in over])
+    value = closure_delta(spec, struct, a | c)[1] - closure_delta(spec, struct, c)[1]
     assert value.denominator == 1
     return int(value)
 
@@ -70,18 +83,13 @@ def gcl(
 ) -> tuple[int, ...]:
     """Geometric closure: every element of dimension zero over the base."""
     require_geometric(spec, struct)
-    b = frozenset(int(e) for e in base)
-    ground = closure(spec, struct, b)
-    d_ground = delta(spec, struct, ground)
-    out = []
-    for e in struct.universe:
-        if e in ground:
-            out.append(e)
-            continue
-        joint = closure(spec, struct, b | {e})
-        if delta(spec, struct, joint) - d_ground == 0:
-            out.append(e)
-    return tuple(out)
+    b = frozenset([int(e) for e in base])
+    ground, d_ground = closure_delta(spec, struct, b)
+    inside = set(ground)
+    return tuple([
+        e for e in struct.universe
+        if e in inside or closure_delta(spec, struct, b | {e})[1] == d_ground
+    ])
 
 
 def check_exchange(
@@ -93,9 +101,18 @@ def check_exchange(
 ) -> bool:
     """Exchange law: a depending on b over C (but not on C alone) forces b to
     depend on a over C.  True when the law holds on this triple."""
-    c = frozenset(int(e) for e in over)
-    if not gcl_member(spec, struct, a, c | {b}):
+    require_geometric(spec, struct)
+    c = frozenset([int(e) for e in over])
+    known: dict[frozenset[int], Fraction] = {}  # delta(cl B), shared by the three tests
+
+    def depends(e: int, on: frozenset[int]) -> bool:
+        for s in (on, on | {e}):
+            if s not in known:
+                known[s] = closure_delta(spec, struct, s)[1]
+        return known[on] == known[on | {e}]
+
+    if not depends(a, c | {b}):
         return True
-    if gcl_member(spec, struct, a, c):
+    if depends(a, c):
         return True
-    return gcl_member(spec, struct, b, c | {a})
+    return depends(b, c | {a})

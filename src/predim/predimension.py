@@ -127,11 +127,8 @@ class LinearOracle(MatroidOracle):
             raise SpecError(f"non-integer annotation token on element {elem}: {toks}")
         return vals + (0,) * (width - len(vals))
 
-    def _width(self, struct: FinStructure) -> int:
-        return max((len(t) for t in struct.annotations.values()), default=0)
-
     def rank(self, struct, subset):
-        width = self._width(struct)
+        width = struct.annotation_width()
         if width == 0 or not subset:
             return Fraction(0)
         rows = [list(self.vector(struct, e, width)) for e in sorted(subset)]

@@ -4,18 +4,32 @@ A is strong within W when delta(X/A) >= 0 for every X between A and W.  The
 deficiency of A is the minimum of delta(X/A) over nonempty X inside W minus A
 (0 when there is nothing to add).
 
-Every valid spec goes to one polynomial kernel, `_flow_min`: the exact
-minimum of delta(X/A) over all X, with its least and greatest minimizers.
-`closure` adds the least minimizer to the base; `strong_verdict` reads the
-sign, after answering monotone specs outright and weight-1 graph specs by a
-linear-time acyclicity test.  For `is_strong`, one router, `_minimum`, picks
-the engine of the exact deficiency, first match wins:
+Every valid spec goes to one polynomial kernel: a max flow whose solved
+network gives the exact minimum of delta(X/A) over all X, with its least
+minimizer (`_Net`, built by `_network`).  `closure` adds the least minimizer
+to the base; `strong_verdict` asks whether it is empty, after answering
+monotone specs outright and weight-1 graph specs by a linear-time
+acyclicity test.  For `is_strong`, one router, `_minimum`, picks the engine
+of the exact deficiency, first match wins:
 
 - monotone specs: a singleton scan (every set is strong);
 - valid specs: the kernel, any size (`_flow_nonempty_min`);
 - invalid specs: the brute-force oracle, up to BRUTE_LIMIT (20) free
   elements, LATTICE_LIMIT (16) when the spec has matroid components, and a
   `SpecError` past them.
+
+Sessions.  For a modular spec (no non-modular matroid component) a
+structure keeps the network over its whole universe, solved for the empty
+base at its second whole-universe query and cached like its canonical
+codes.  A query with base B copies the solved capacities, raises the source
+arc of each element of B to infinity and augments: raising capacities keeps
+the flow feasible (parametric flow, Gallo, Grigoriadis & Tarjan 1989), and
+the flow value is delta of the closure, which `geometry` reads.  Queries
+inside a smaller ambient set, and matroid specs, solve a network contracted
+by the base cold: forced elements would load the matroid copies, and those
+specs are asked about small fresh structures, where a root solve costs more
+than the query.  `_flow_nonempty_min` forces each free element on a copy of
+the base's solved state when every nonempty set is strictly positive.
 
 All engines are exact; the brute oracle and the unrouted subset search
 `_dfs_min` exist so the kernel can be checked against them.
@@ -56,8 +70,8 @@ class StrongReport:
 
 
 def _check_sets(struct: FinStructure, base, within):
-    b = frozenset(int(e) for e in base)
-    w = frozenset(struct.universe) if within is None else frozenset(int(e) for e in within)
+    b = frozenset([int(e) for e in base])
+    w = struct._uset if within is None else frozenset([int(e) for e in within])
     if not w.issubset(struct.universe):
         raise StructureError("within-set contains non-elements")
     if not b.issubset(w):
@@ -288,59 +302,134 @@ def _dfs_min(
 # independent-flow kernel (every valid spec)
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.g: list[list[list[int]]] = [[] for _ in range(n)]
+_INF = 1 << 62
 
-    def add(self, u: int, v: int, cap: int) -> None:
-        self.g[u].append([v, cap, len(self.g[v])])
-        self.g[v].append([u, 0, len(self.g[u]) - 1])
 
-    def maxflow(self, s: int, t: int) -> int:
-        flow = 0
+class _Net:
+    """The kernel's network for delta(X/base), X inside `elems`, with its flow.
+
+    Flat arc arrays: arc a runs into head[a] with residual capacity cap[a],
+    its reverse is a ^ 1, and adj[u] lists the arcs out of node u.  Node 0
+    is the source, node 1 the sink, node 2 + i the element elems[i], then
+    one node per instance.  Arc force + 2*i runs from the source into node
+    2 + i with capacity 0 until that element is forced into the set.
+    tests[k] is the independence test of matroid copy k and loads[k] its
+    loaded element nodes.  A warm copy shares everything but cap, loads and
+    flow, so copying a solved state is one list slice.
+
+    Once solved, value is the minimum of delta(X/base) over the X that hold
+    every forced element, and `least` is the inclusion-least such X.
+    """
+
+    __slots__ = ("elems", "pos", "base", "q", "weight", "head", "adj", "force", "tests",
+                 "cap", "loads", "flow", "least")
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.flow - self.weight, self.q)
+
+    def forced(self, elems: Iterable[int]) -> "_Net":
+        """A solved copy with each element's source arc raised to infinity.
+
+        Raising capacities keeps the flow feasible, so solving the copy only
+        augments (parametric flow: Gallo, Grigoriadis & Tarjan 1989)."""
+        net = _Net.__new__(_Net)
+        net.elems, net.pos, net.base, net.q, net.weight = self.elems, self.pos, self.base, self.q, self.weight
+        net.head, net.adj, net.force, net.tests = self.head, self.adj, self.force, self.tests
+        net.cap, net.loads, net.flow = self.cap[:], self.loads[:], self.flow
+        for e in elems:
+            net.cap[self.force + 2 * self.pos[e]] = _INF
+        return net.solve()
+
+    def solve(self) -> "_Net":
+        """Push to a maximum flow: blocking flows on the arcs, then unit
+        augmenting paths through the copies' exchange arcs.  The last
+        search from the source, which misses the sink, gives `least`."""
+        while (level := self._levels())[1] >= 0:
+            self.flow += self._blocking_flow(level)
+        if self.tests:
+            while 1 in (pred := _least_minimizer(self)):
+                self._push(pred)
+            self.least = tuple([e for v, e in enumerate(self.elems, 2) if v in pred])
+        else:
+            self.least = tuple([e for v, e in enumerate(self.elems, 2) if level[v] >= 0])
+        return self
+
+    def _levels(self) -> list[int]:
+        """Breadth-first distances from the source over residual arcs, -1 for
+        nodes not reached; stops once the sink has its distance."""
+        head, adj, cap = self.head, self.adj, self.cap
+        level = [-1] * len(adj)
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            nxt = level[u] + 1
+            for a in adj[u]:
+                if cap[a] and level[head[a]] < 0:
+                    v = head[a]
+                    level[v] = nxt
+                    if v == 1:
+                        return level
+                    queue.append(v)
+        return level
+
+    def _blocking_flow(self, level: list[int]) -> int:
+        """Dinic's blocking flow along `level`, on an explicit stack of arcs."""
+        head, adj, cap = self.head, self.adj, self.cap
+        it = [0] * len(adj)
+        path: list[int] = []
+        pushed = 0
+        u = 0
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.g[u]:
-                    if e[1] > 0 and level[e[0]] < 0:
-                        level[e[0]] = level[u] + 1
-                        queue.append(e[0])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, f: int) -> int:
-                if u == t:
-                    return f
-                while it[u] < len(self.g[u]):
-                    e = self.g[u][it[u]]
-                    if e[1] > 0 and level[e[0]] == level[u] + 1:
-                        d = dfs(e[0], min(f, e[1]))
-                        if d > 0:
-                            e[1] -= d
-                            self.g[e[0]][e[2]][1] += d
-                            return d
-                    it[u] += 1
-                return 0
-
-            while True:
-                f = dfs(s, 1 << 62)
-                if f == 0:
+            if u == 1:
+                f = min([cap[a] for a in path])
+                for a in path:
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                pushed += f
+                k = 0  # back to the tail of the first saturated arc
+                while cap[path[k]]:
+                    k += 1
+                u = head[path[k] ^ 1]
+                del path[k:]
+                continue
+            arcs, i, want = adj[u], it[u], level[u] + 1
+            for a in arcs[i:] if i else arcs:
+                if cap[a] and level[head[a]] == want:
                     break
-                flow += f
+                i += 1
+            else:
+                if u == 0:
+                    return pushed
+                level[u] = -1  # a dead end: drop it from the level graph
+                u = head[path.pop() ^ 1]
+                continue
+            it[u] = i
+            path.append(a)
+            u = head[a]
+
+    def _push(self, pred: dict) -> None:
+        """One unit along the path `_least_minimizer` traced to the sink."""
+        cap, loads = self.cap, self.loads
+        v = 1
+        while v:
+            u, via = pred[v]
+            if via >= 0:
+                cap[via] -= 1
+                cap[via ^ 1] += 1
+            else:  # u enters copy ~via, v leaves it (the sink is in no load)
+                loads[~via] = loads[~via] - {v} | {u}
+            v = u
+        self.flow += 1
 
 
-def _flow_min(
+def _network(
     spec: PredimensionSpec,
     struct: FinStructure,
     base: frozenset[int],
     free: list[int],
-) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
-    """Exact minimum of delta(X/base) over ALL X inside `free` (empty
-    included) plus the inclusion-least and inclusion-greatest minimizers.
+) -> _Net:
+    """The kernel's network for delta(X/base), X inside `free`, no flow yet.
 
     Scaled by q, delta(X/base) = f(X) - w(E[X]), E[X] being the instances
     whose new part lies in X.  f gives each element a modular capacity (the
@@ -348,8 +437,7 @@ def _flow_min(
     becomes a singleton instance) plus q*c copies of each other component's
     matroid, contracted by the base.  The minimum is then a max flow from the
     instances into the elements that keeps each copy's load independent
-    (Fujishige 1978): a blocking flow fills the modular capacities, shortest
-    augmenting paths through the copies' exchange arcs finish it.
+    (Fujishige 1978), less the total instance weight.
     """
     q = lcm(*(coef.denominator for _, coef in spec.components))
     insts: list[tuple[frozenset[int], int]] = []
@@ -358,7 +446,7 @@ def _flow_min(
         rel, qr = _scaled_instances(struct, base, base | set(free))
         q = lcm(q, qr)
         insts, cap = [(new, w * (q // qr)) for new, w in rel], [q] * len(free)
-    copies: list[list] = []  # [independence test, frozenset of loaded element nodes]
+    tests = []
     for oracle, coef in spec.components:
         r_base = oracle.rank(struct, base)
         if oracle.modular:
@@ -371,77 +459,81 @@ def _flow_min(
             # in the matroid contracted by the base; node 2 + i is free[i]
             return o.rank(struct, base.union(free[v - 2] for v in nodes)) - r == len(nodes)
 
-        copies += [[independent, frozenset()] for _ in range(int(q * coef))]
+        tests += [independent] * int(q * coef)
     insts += [(frozenset({e}), -c) for e, c in zip(free, cap) if c < 0]
 
-    net = _Dinic(2 + len(free) + len(insts))
-    src, snk = 0, 1
     pos = {e: i for i, e in enumerate(free)}
-    for i in range(len(free)):
-        net.add(2 + i, snk, max(cap[i], 0))
-    for j, (new, w) in enumerate(insts):
-        node = 2 + len(free) + j
-        net.add(src, node, w)
+    head: list[int] = []
+    caps: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(2 + len(free) + len(insts))]
+
+    def arc(u: int, v: int, c: int) -> None:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head.extend((v, u))
+        caps.extend((c, 0))
+
+    for i, c in enumerate(cap):
+        arc(2 + i, 1, max(c, 0))
+    for node, (new, w) in enumerate(insts, 2 + len(free)):
+        arc(0, node, w)
         for e in sorted(new):
-            net.add(node, 2 + pos[e], 1 << 62)
-    flow = net.maxflow(src, snk)
-    elements = range(2, 2 + len(free))
-    # one unit per path: the copies' loads bound what is left to push
-    while snk in (pred := _least_minimizer(net, copies, elements)):
-        v = snk
-        while pred[v]:
-            u, via = pred[v]
-            if isinstance(via, list):
-                via[1] -= 1
-                net.g[v][via[2]][1] += 1
-            else:  # u enters copy `via`, v leaves it (the sink is in no load)
-                copies[via][1] = copies[via][1] - {v} | {u}
-            v = u
-        flow += 1
-    lo = tuple(free[v - 2] for v in elements if v in pred)
-    reach = _sink_side(net, copies, elements)
-    hi = tuple(free[v - 2] for v in elements if v not in reach)
-    return Fraction(flow - sum(w for _, w in insts), q), lo, hi
+            arc(node, 2 + pos[e], _INF)
+    force = len(head)
+    for i in range(len(free)):
+        arc(0, 2 + i, 0)
+
+    net = _Net.__new__(_Net)
+    net.elems, net.pos, net.base, net.q, net.weight = free, pos, base, q, sum(w for _, w in insts)
+    net.head, net.adj, net.force, net.tests = head, adj, force, tests
+    net.cap, net.loads, net.flow = caps, [frozenset()] * len(tests), 0
+    return net
 
 
-def _least_minimizer(net: _Dinic, copies: list[list], elements: range) -> dict:
+def _least_minimizer(net: _Net) -> dict:
     """Breadth-first search from the source (node 0) over the residual and
-    exchange arcs; returns the predecessor of each node reached.  With the
-    sink (node 1) among them they trace a shortest augmenting path, and
-    shortest keeps each copy's load independent (the matroid-intersection
-    exchange lemma); otherwise the element nodes reached are the least
-    minimizer."""
+    exchange arcs; returns the predecessor of each node reached, as (node,
+    arc) or (node, ~copy).  With the sink (node 1) among them they trace a
+    shortest augmenting path, and shortest keeps each copy's load
+    independent (the matroid-intersection exchange lemma); otherwise the
+    element nodes reached are the least minimizer."""
+    head, adj, cap = net.head, net.adj, net.cap
+    end = 2 + len(net.elems)
     pred: dict = {0: None}
     queue = [0]
     for u in queue:
-        for arc in net.g[u]:
-            if arc[1] > 0 and arc[0] not in pred:
-                pred[arc[0]] = (u, arc)
-                if arc[0] == 1:
+        for a in adj[u]:
+            if cap[a] and head[a] not in pred:
+                pred[head[a]] = (u, a)
+                if head[a] == 1:
                     return pred
-                queue.append(arc[0])
-        for k, (independent, load) in enumerate(copies):
-            if u not in elements or u in load:
+                queue.append(head[a])
+        if not 2 <= u < end:
+            continue
+        for k, (independent, load) in enumerate(zip(net.tests, net.loads)):
+            if u in load:
                 continue
             if independent(load | {u}):
-                pred[1] = (u, k)
+                pred[1] = (u, ~k)
                 return pred
             for f in load:
                 if f not in pred and independent(load - {f} | {u}):
-                    pred[f] = (u, k)
+                    pred[f] = (u, ~k)
                     queue.append(f)
     return pred
 
 
-def _sink_side(net: _Dinic, copies: list[list], elements: range) -> set[int]:
+def _sink_side(net: _Net) -> set[int]:
     """Nodes that still reach the sink (node 1) over residual and exchange
     arcs; the element nodes outside are the inclusion-greatest minimizer."""
+    head, adj, cap = net.head, net.adj, net.cap
+    elements = range(2, 2 + len(net.elems))
     reach = {1}
     queue = [1]
     for v in queue:
-        # u -> v has capacity left on the arc paired with v's arc to u
-        found = [arc[0] for arc in net.g[v] if net.g[arc[0]][arc[2]][1] > 0]
-        for independent, load in copies:
+        # u -> v has capacity left on the reverse of v's arc to u
+        found = [head[a] for a in adj[v] if cap[a ^ 1]]
+        for independent, load in zip(net.tests, net.loads):
             if v == 1 or v in load:
                 rest, seen = load - {v}, reach | load
                 found += [u for u in elements if u not in seen and independent(rest | {u})]
@@ -452,6 +544,46 @@ def _sink_side(net: _Dinic, copies: list[list], elements: range) -> set[int]:
     return reach
 
 
+@dataclass
+class _Session:
+    """What a structure keeps per spec: for a modular spec, its network
+    solved for the empty base over the whole universe (built at the second
+    whole-universe query, so a one-shot query costs one cold solve), and
+    the pregeometry verdict, "" when the spec and structure pass."""
+
+    root: Optional[_Net] = None
+    queried: bool = False
+    geometric: Optional[str] = None
+
+
+def _session(spec: PredimensionSpec, struct: FinStructure) -> _Session:
+    if struct._sessions is None:
+        struct._sessions = {}
+    if spec not in struct._sessions:
+        struct._sessions[spec] = _Session()
+    return struct._sessions[spec]
+
+
+def _solved(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    base: frozenset[int],
+    free: list[int],
+) -> _Net:
+    """A solved network for delta(X/base), X inside `free`: a warm copy of
+    the structure's session with the base forced in when the spec is modular
+    and base plus free is the whole universe, else a cold network contracted
+    by the base."""
+    if len(base) + len(free) == struct.n and all(o.modular for o, _ in spec.components):
+        sess = _session(spec, struct)
+        if sess.root is None and sess.queried:
+            sess.root = _network(spec, struct, frozenset(), list(struct.universe)).solve()
+        sess.queried = True
+        if sess.root is not None:
+            return sess.root.forced(base)
+    return _network(spec, struct, base, free).solve()
+
+
 def _flow_nonempty_min(
     spec: PredimensionSpec,
     struct: FinStructure,
@@ -460,20 +592,22 @@ def _flow_nonempty_min(
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Exact min over nonempty X; witness is the inclusion-least minimizer
     when the min is negative (it is unique then, by submodularity)."""
-    value, lo, hi = _flow_min(spec, struct, base, free)
+    net = _solved(spec, struct, base, free)
+    value = net.value
+    if net.base != base:  # a session copy: the base is forced in, not contracted
+        value -= delta(spec, struct, base)
+    lo = tuple([e for e in net.least if e not in base])
     if lo:
         return value, lo
     if value < 0:
         raise AssertionError("negative minimum with empty minimal minimizer")
-    if hi:  # a nonempty set also reaches 0
-        return Fraction(0), ()
+    reach = _sink_side(net)
+    if any(2 + net.pos[e] not in reach for e in free):
+        return Fraction(0), ()  # the greatest minimizer is nonempty
     # every nonempty set is strictly positive: force each element in turn
-    d_base = delta(spec, struct, base)
-    return min(
-        delta(spec, struct, base | {e}) - d_base
-        + _flow_min(spec, struct, base | {e}, [x for x in free if x != e])[0]
-        for e in free
-    ), ()
+    # on a copy of the solved state; each flow is min over X holding it
+    best = min([net.forced((e,)).flow for e in free])
+    return value + Fraction(best - net.flow, net.q), ()
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +728,8 @@ def strong_verdict(
         return True
     if alpha_one_profile(spec, struct):
         return _acyclic_verdict(struct, b, w)
-    if spec.valid:
-        return _flow_min(spec, struct, b, sorted(w - b))[0] >= 0
+    if spec.valid:  # strong exactly when the least minimizer adds nothing
+        return b.issuperset(_solved(spec, struct, b, sorted(w - b)).least)
     return _minimum(spec, struct, b, sorted(w - b))[0] >= 0
 
 
@@ -616,4 +750,21 @@ def closure(
     b, w = _check_sets(struct, base, within)
     if not spec.valid:
         raise SpecError("closure requires a submodular spec")
-    return tuple(sorted(b.union(_flow_min(spec, struct, b, sorted(w - b))[1])))
+    return tuple(sorted(b.union(_solved(spec, struct, b, sorted(w - b)).least)))
+
+
+def closure_delta(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    base: Iterable[int],
+) -> tuple[tuple[int, ...], Fraction]:
+    """The closure of `base` in the whole universe and its predimension,
+    read from the kernel's flow value rather than recounted."""
+    b, w = _check_sets(struct, base, None)
+    if not spec.valid:
+        raise SpecError("closure requires a submodular spec")
+    net = _solved(spec, struct, b, sorted(w - b))
+    value = net.value
+    if net.base:  # contracted by the base, so the value is relative to it
+        value += delta(spec, struct, b)
+    return tuple(sorted(b.union(net.least))), value

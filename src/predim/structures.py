@@ -94,7 +94,9 @@ class FinStructure:
     part ignores them.
     """
 
-    __slots__ = ("sig", "universe", "instances", "annotations", "_uset", "_codes", "_index")
+    __slots__ = (
+        "sig", "universe", "instances", "annotations", "_uset", "_codes", "_index", "_width", "_sessions",
+    )
 
     def __init__(
         self,
@@ -136,6 +138,8 @@ class FinStructure:
         self.annotations = ann
         self._codes: dict = {}
         self._index = None
+        self._width: Optional[int] = None
+        self._sessions: Optional[dict] = None  # strength sessions per spec, see strongsets
 
     @classmethod
     def _trusted(
@@ -159,6 +163,8 @@ class FinStructure:
         self.annotations = annotations
         self._codes = {}
         self._index = None
+        self._width = None
+        self._sessions = None
         return self
 
     # -- basic views ------------------------------------------------------
@@ -278,6 +284,12 @@ class FinStructure:
                 MappingProxyType({e: tuple(ts) for e, ts in inc.items()}),
             )
         return self._index
+
+    def annotation_width(self) -> int:
+        """Tokens in the longest annotation, 0 without any (cached)."""
+        if self._width is None:
+            self._width = max((len(t) for t in self.annotations.values()), default=0)
+        return self._width
 
     def adjacency(self) -> Mapping[int, frozenset[int]]:
         """Element co-occurrence graph over all instances (read-only, cached)."""

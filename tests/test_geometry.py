@@ -9,7 +9,10 @@ from predim import (
     GeometryError,
     PredimensionSpec,
     UniformOracle,
+    build_generic,
     check_exchange,
+    closure,
+    delta,
     dim,
     gcl,
     gcl_member,
@@ -114,3 +117,35 @@ def test_dim_additive_over_closures(alpha1):
         lhs = dim(alpha1, g, xs | ys, over=cs)
         rhs = dim(alpha1, g, xs, over=ys | cs) + dim(alpha1, g, ys, over=cs)
         assert lhs == rhs
+
+
+def _delta_dim(spec, struct, subset, over=()):
+    joint = closure(spec, struct, set(subset) | set(over))
+    return delta(spec, struct, joint) - delta(spec, struct, closure(spec, struct, over))
+
+
+def test_dim_and_gcl_match_their_delta_definitions_at_n40(alpha1):
+    # dim and gcl read delta of a closure from the kernel's flow value
+    s = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
+    assert s.n == 40
+    rng = random.Random(44)
+    elems = list(s.universe)
+    for _ in range(60):
+        xs = rng.sample(elems, rng.randrange(4))
+        cs = rng.sample(elems, rng.randrange(4))
+        assert dim(alpha1, s, xs, cs) == _delta_dim(alpha1, s, xs, cs)
+    for e in rng.sample(elems, 4):
+        want = tuple(x for x in elems if _delta_dim(alpha1, s, (x,), (e,)) == 0)
+        assert gcl(alpha1, s, (e,)) == want
+    assert gcl(alpha1, s) == tuple(x for x in elems if _delta_dim(alpha1, s, (x,)) == 0)
+
+
+def test_geometry_verdict_is_checked_once_per_spec_and_structure():
+    half = graph(3, [(0, 1), (1, 2)], weight=F(1, 2))
+    for _ in range(2):  # the cached verdict still refuses
+        with pytest.raises(GeometryError):
+            dim(spec_alpha(), half, [0])
+    g = graph(3, [(0, 1)])
+    require_geometric(spec_alpha(), g)
+    assert g._sessions[spec_alpha()].geometric == ""
+    assert half._sessions[spec_alpha()].geometric == "weight of E is not an integer"

@@ -24,7 +24,7 @@ from predim import (
     strong_verdict,
 )
 from predim.cli import main
-from predim.sampling import random_sparse_graph, random_subset, random_vectors
+from predim.sampling import graph_signature, random_sparse_graph, random_subset, random_vectors
 from predim.strongsets import _dfs_min, _flow_nonempty_min, subset_tables
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
@@ -314,3 +314,134 @@ def test_brute_report_matches_definition(alpha1, k4):
     assert not rep.verdict
     assert rep.deficiency == F(-3)
     assert rep.witness == (1, 2, 3)
+
+
+def test_deep_augmenting_path_needs_no_recursion(tmp_path, capsys):
+    # a 701-element path plus one extra relation on its first edge: the max
+    # flow runs an augmenting path about 1,400 arcs deep
+    from predim import Signature
+
+    n = 701
+    s = FinStructure(
+        Signature((("E", 2), ("F", 2))), range(n), {"E": [(i, i + 1) for i in range(n - 1)], "F": [(0, 1)]}
+    )
+    spec = spec_alpha()
+    assert closure(spec, s, ()) == ()
+    assert is_strong(spec, s, ()) == StrongReport(True, F(0))
+    spec_file = tmp_path / "alpha.spec"
+    spec_file.write_text(serialize_spec(spec))
+    struct_file = tmp_path / "path.structure"
+    struct_file.write_text(serialize_structure(s))
+    capsys.readouterr()
+    assert main(["closure", "--spec", str(spec_file), str(struct_file), "--base", ""]) == 0
+    assert "closure" in capsys.readouterr().out
+
+
+def _modular_specs() -> list[PredimensionSpec]:
+    # relational plus free/cardinality terms of either sign; cardinality -3/2
+    # makes every element's modular capacity negative
+    card, free = oracle_by_name("cardinality"), oracle_by_name("free")
+    return [
+        PredimensionSpec.make(components=comps)
+        for comps in ((), ((card, F(-1, 2)),), ((free, F(1, 3)),), ((free, F(1)), (card, F(-3, 2))))
+    ]
+
+
+def _fresh(s: FinStructure) -> FinStructure:
+    return FinStructure(s.sig, s.universe, s.instances, s.annotations)
+
+
+def test_session_answers_match_fresh_structures_and_brute():
+    # queries in random order on one structure run on warm copies of its
+    # session; a fresh copy of the structure answers each one cold
+    rng = random.Random(31)
+    warm = 0
+    for w in (F(1), F(1, 2), F(2, 3)):
+        for spec in _modular_specs():
+            for _ in range(12):
+                g = random_sparse_graph(rng, rng.randrange(2, 10), extra_edges=rng.randrange(5))
+                s = graph(g.n, g.sorted_instances("E"), weight=w)
+                tables = subset_tables(spec, s)
+                for _ in range(8):
+                    base = random_subset(rng, s.universe)
+                    kind = rng.choice(("closure", "is_strong", "strong_verdict", "in_class"))
+                    if kind == "closure":
+                        got = closure(spec, s, base)
+                        assert got == closure(spec, _fresh(s), base)
+                        assert got == brute_closure(spec, s, base, tables=tables)
+                    elif kind == "is_strong":
+                        got = is_strong(spec, s, base)
+                        assert got == is_strong(spec, _fresh(s), base)
+                        assert got == brute_force_is_strong(spec, s, base)
+                    elif kind == "strong_verdict":
+                        got = strong_verdict(spec, s, base)
+                        assert got == strong_verdict(spec, _fresh(s), base)
+                        assert got == brute_force_is_strong(spec, s, base).verdict
+                    else:
+                        got = in_class(spec, s)
+                        assert got == in_class(spec, _fresh(s))
+                        assert got == brute_force_is_strong(spec, s, ()).verdict
+                warm += spec in (s._sessions or {}) and s._sessions[spec].root is not None
+    # some structures see fewer than two whole-universe kernel queries
+    assert warm >= 120
+
+
+def test_within_queries_leave_the_session_cache_alone():
+    spec = _modular_specs()[1]
+    rng = random.Random(32)
+    g = random_sparse_graph(rng, 9, extra_edges=3)
+    s = _fresh(g)
+    inner = list(s.universe)[:6]
+    for _ in range(2):
+        closure(spec, s, (0,), within=inner)
+        is_strong(spec, s, (0,), within=inner)
+        strong_verdict(spec, s, (), within=inner)
+    assert s._sessions is None
+    closure(spec, s, ())
+    closure(spec, s, (1,))  # the second whole-universe query solves the root
+    root = s._sessions[spec].root
+    state = (root.cap[:], root.flow, root.least)
+    for base in ((0,), (2, 3), ()):
+        closure(spec, s, base, within=inner)
+        is_strong(spec, s, base)
+        closure(spec, s, base)
+    assert list(s._sessions) == [spec]
+    assert s._sessions[spec].root is root
+    assert (root.cap, root.flow, root.least) == state  # forcing works on copies
+
+
+def test_a_session_answers_only_its_own_spec():
+    rng = random.Random(33)
+    specs = _modular_specs()
+    for _ in range(20):
+        g = random_sparse_graph(rng, rng.randrange(3, 9), extra_edges=rng.randrange(4))
+        s = _fresh(g)
+        for _ in range(12):
+            spec = rng.choice(specs)
+            base = random_subset(rng, s.universe)
+            assert closure(spec, s, base) == closure(spec, _fresh(s), base)
+            assert is_strong(spec, s, base) == is_strong(spec, _fresh(s), base)
+        roots = [sess.root for sess in (s._sessions or {}).values() if sess.root is not None]
+        assert len({id(r) for r in roots}) == len(roots)
+        assert set(s._sessions or ()) <= set(specs)
+
+
+@pytest.mark.parametrize("oracle,coef", [("linear5", F(1, 2)), ("uniform2", F(1, 2)), ("linear5", F(2))])
+def test_positive_deficiency_by_forcing_matches_brute(oracle, coef):
+    # every nonempty set strictly positive: each free element is forced in
+    # on a copy of the base's solved state
+    spec = _matroid_spec(oracle, coef)
+    rng = random.Random(34)
+    positive = 0
+    for w in (F(1), F(1, 2), F(2, 3)):
+        for _ in range(40):
+            n = rng.randrange(2, 9)
+            g = random_sparse_graph(rng, n, extra_edges=rng.randrange(3))
+            s = FinStructure(
+                graph_signature(w), g.universe, g.instances, random_vectors(rng, n, rng.choice((2, 3)), 5)
+            )
+            base = random_subset(rng, s.universe)
+            slow = brute_force_is_strong(spec, s, base)
+            assert is_strong(spec, s, base) == slow
+            positive += slow.deficiency > 0
+    assert positive >= 30

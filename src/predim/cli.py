@@ -632,6 +632,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as e:
+        # running out of stack or memory is a refusal, not a failed property
+        print(f"error: input too large ({type(e).__name__})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

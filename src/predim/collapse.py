@@ -30,7 +30,7 @@ from .canonical import code_over_base
 from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
 from .predimension import PredimensionSpec, delta, is_embedding_compatible
 from .structures import Embedding, FinStructure, find_embeddings
-from .strongsets import in_class, strong_verdict
+from .strongsets import closure, in_class, strong_verdict
 
 
 class MuError(ValueError):
@@ -163,19 +163,17 @@ def enumerate_minimal_extensions(
     max_new: int,
     *,
     annotation_palette: Optional[Callable] = None,
-    require_biminimal: bool = True,
 ) -> list[ExtensionClass]:
-    """Minimal prealgebraic extension classes of the base; by default only
-    those whose least sub-base is the whole base."""
+    """Minimal prealgebraic extension classes of the base whose least
+    sub-base is the whole base."""
     out = []
     for cls in enumerate_extensions(
         spec, base, max_new, annotation_palette=annotation_palette
     ):
         if not (cls.base_strong and cls.ext_in_class and cls.prealgebraic and cls.minimal):
             continue
-        if require_biminimal:
-            if biminimal_base(spec, cls.ext, base.universe, cls.new_elements) != base.universe:
-                continue
+        if biminimal_base(spec, cls.ext, base.universe, cls.new_elements) != base.universe:
+            continue
         out.append(cls)
     return out
 
@@ -202,35 +200,22 @@ def count_independent_copies(
         raise MuError("base does not match the class's base shape")
 
     def compat(mapping: dict[int, int]) -> bool:
-        if spec.components:
-            emb = Embedding(cls.ext, struct, tuple(sorted(mapping.items())))
-            return is_embedding_compatible(spec, emb)
-        return True
+        emb = Embedding(cls.ext, struct, tuple(sorted(mapping.items())))
+        return is_embedding_compatible(spec, emb)
 
-    hits = find_embeddings(cls.ext, struct, fixed=fixed, compat=compat)
+    hits = find_embeddings(cls.ext, struct, fixed=fixed, compat=compat if spec.components else None)
     images = sorted(
         {frozenset(m[e] for e in cls.new_elements) for m in hits},
         key=lambda s: tuple(sorted(s)),
     )
     if not images:
         return 0
-    # pairwise independence: disjoint new parts, no instance meets two of them
+    # pairwise independence: image j misses image i and i's neighbours, so
+    # the new parts are disjoint and no instance meets both
+    adj = struct.adjacency()
+    reach = [img.union(*(adj[x] for x in img)) for img in images]
     n = len(images)
-    ok = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if images[i] & images[j]:
-                continue
-            joined = True
-            for name in struct.sig.names:
-                for t in struct.instances[name]:
-                    ts = set(t)
-                    if ts & images[i] and ts & images[j]:
-                        joined = False
-                        break
-                if not joined:
-                    break
-            ok[i][j] = ok[j][i] = joined
+    ok = [[reach[i].isdisjoint(images[j]) for j in range(n)] for i in range(n)]
     best = 0
 
     def grow(chosen: int, cand: list[int]) -> None:
@@ -257,20 +242,14 @@ class MuReport:
 
 
 def _ball(struct: FinStructure, seeds: Iterable[int], radius: int) -> set[int]:
+    adj = struct.adjacency()
     out = set(seeds)
-    frontier = set(seeds)
+    frontier = out
     for _ in range(radius):
-        nxt = set()
-        for name in struct.sig.names:
-            for t in struct.instances[name]:
-                ts = set(t)
-                if ts & frontier:
-                    nxt |= ts
-        nxt -= out
-        if not nxt:
+        frontier = {y for x in frontier for y in adj[x]} - out
+        if not frontier:
             break
-        out |= nxt
-        frontier = nxt
+        out |= frontier
     return out
 
 
@@ -402,20 +381,14 @@ def thrifty_step(
 def _next_tower_step(
     spec: PredimensionSpec, ext: FinStructure, placed: set[int]
 ) -> tuple[int, ...]:
-    """Least inclusion-minimal strong strict superset of the placed part."""
-    rest = [e for e in ext.universe if e not in placed]
-    candidates = []
-    for r in range(1, len(rest) + 1):
-        for addition in combinations(rest, r):
-            s = tuple(sorted(placed | set(addition)))
-            if strong_verdict(spec, ext, s):
-                candidates.append(s)
-        if candidates:
-            # no smaller strong superset exists, so these are inclusion-minimal
-            break
-    if not candidates:
+    """Least inclusion-minimal strong strict superset of the placed part, by
+    (size, ids).  A smallest one equals the closure of the placed part plus
+    any one of its new elements, so the closures over one unplaced element
+    each hold every candidate."""
+    steps = [closure(spec, ext, placed | {e}) for e in ext.universe if e not in placed]
+    if not steps:
         raise ThriftyError("extension admits no strong tower step")
-    return min(candidates)
+    return min(steps, key=lambda s: (len(s), s))
 
 
 def build_collapsed(

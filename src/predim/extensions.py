@@ -19,6 +19,10 @@ from .predimension import PredimensionSpec, SpecError, delta, is_embedding_compa
 from .structures import Embedding, FinStructure, StructureError, find_embeddings
 from .strongsets import in_class, strong_verdict
 
+# Candidate instances past which enumeration refuses: it walks all 2^n
+# subsets of them.
+CANDIDATE_LIMIT = 22
+
 
 @dataclass(frozen=True)
 class ExtensionClass:
@@ -175,7 +179,6 @@ def enumerate_extensions(
     *,
     exact_new: Optional[int] = None,
     annotation_palette: Optional[Callable] = None,
-    max_candidates: int = 22,
 ) -> list[ExtensionClass]:
     """All extension classes of `base` by 1..max_new fresh elements.
 
@@ -195,9 +198,9 @@ def enumerate_extensions(
             raise SpecError("extensions need at least one new element")
         new = tuple(range(start, start + m))
         cands = _candidate_instances(base.sig, list(base.universe) + list(new), new)
-        if len(cands) > max_candidates:
+        if len(cands) > CANDIDATE_LIMIT:
             raise SpecError(
-                f"extension enumeration refused: {len(cands)} candidate instances > {max_candidates}"
+                f"extension enumeration refused: {len(cands)} candidate instances > {CANDIDATE_LIMIT}"
             )
         ann_options: list[dict] = [{}]
         if annotation_palette is not None:

@@ -23,6 +23,12 @@ class SpecError(ValueError):
     """Invalid predimension specification or component data."""
 
 
+# Elements past which a check over a full subset lattice with matroid ranks
+# refuses: embedding rank patterns here, the brute strength oracle in
+# strongsets.
+LATTICE_LIMIT = 16
+
+
 class MatroidOracle(ABC):
     """Rank function on subsets of a structure's universe.
 
@@ -46,8 +52,8 @@ class MatroidOracle(ABC):
         meant for small sources (the exact contract, not a heuristic).
         """
         src = emb.source
-        if src.n > 16:
-            raise SpecError("embedding rank check refused beyond 16 source elements")
+        if src.n > LATTICE_LIMIT:
+            raise SpecError(f"embedding rank check refused beyond {LATTICE_LIMIT} source elements")
         m = emb.mapping
         for r in range(src.n + 1):
             for combo in combinations(src.universe, r):
@@ -216,24 +222,6 @@ class PredimensionSpec:
     def valid(self) -> bool:
         return not self.violations
 
-    @property
-    def monotone(self) -> bool:
-        """True when delta is provably monotone, hence every set is strong.
-
-        Holds when the relational part is off and, after merging size-like
-        components (free/cardinality both have rank(X) = |X|), every net
-        coefficient is nonnegative.
-        """
-        if self.relational:
-            return False
-        size_coef = Fraction(0)
-        for oracle, coef in self.components:
-            if isinstance(oracle, FreeOracle):
-                size_coef += coef
-            elif coef < 0:
-                return False
-        return size_coef >= 0
-
 
 def delta(spec: PredimensionSpec, struct: FinStructure, subset: Optional[Iterable[int]] = None) -> Fraction:
     """Predimension of `subset` inside `struct` (whole universe by default)."""
@@ -273,6 +261,3 @@ def is_embedding_compatible(spec: PredimensionSpec, emb: Embedding) -> bool:
     """Embedding respects every matroid component's rank pattern."""
     return all(oracle.embedding_ok(emb) for oracle, _ in spec.components)
 
-
-ALPHA_ONE = PredimensionSpec()
-"""Default specification: relational part only (weights from the signature)."""

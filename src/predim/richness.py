@@ -19,12 +19,13 @@ from typing import Iterable, Optional
 
 from .canonical import canonical_code
 from .extensions import ExtensionClass
-from .strongsets import _components
 from .structures import FinStructure, find_embeddings
 
 
 class Pseudoforest:
-    """Component data for a weight-1 graph structure.
+    """Component data for a weight-1 graph structure, read from the
+    structure's index: components from `adjacency`, degrees (parallel edges
+    included) from `incidence`.
 
     `valid` is False when some component has more edges than vertices, i.e.
     the structure is outside the nonnegative class; callers must fall back to
@@ -37,42 +38,42 @@ class Pseudoforest:
 
     def __init__(self, struct: FinStructure, plans: Optional[dict[bytes, _Plan]] = None):
         self.struct = struct
-        self.adj = struct.adjacency()
-        edges = [t for name in struct.sig.names for t in struct.instances[name]]
-        root_of, _, nedges = _components(struct.universe, edges)
-        comp_elems: dict[int, list[int]] = {}
-        for e in struct.universe:
-            comp_elems.setdefault(root_of[e], []).append(e)
-        # name each component by its minimum element
-        rename = {r: min(elems) for r, elems in comp_elems.items()}
-        self.comp_of = {e: rename[r] for e, r in root_of.items()}
-        self.comp_elems = {rename[r]: sorted(elems) for r, elems in comp_elems.items()}
-        self.edge_count = {rename[r]: c for r, c in nedges.items()}
-        self.valid = True
+        self.adj = adj = struct.adjacency()
+        inc = struct.incidence()
+        self.comp_of: dict[int, int] = {}
+        self.comp_elems: dict[int, list[int]] = {}
         self.cycle: dict[int, frozenset[int]] = {}
-        for root, elems in self.comp_elems.items():
-            ne = self.edge_count.get(root, 0)
-            nv = len(elems)
-            if ne > nv:
+        self.valid = True
+        # breadth-first over the universe in order, so each component is
+        # named by its minimum element
+        for root in struct.universe:
+            if root in self.comp_of:
+                continue
+            self.comp_of[root] = root
+            elems = [root]
+            for x in elems:
+                for y in adj[x]:
+                    if y not in self.comp_of:
+                        self.comp_of[y] = root
+                        elems.append(y)
+            elems.sort()
+            self.comp_elems[root] = elems
+            deg = {e: len(inc[e]) for e in elems}  # parallel edges count
+            edges = sum(deg.values()) // 2
+            if edges > len(elems):
                 self.valid = False
-            elif ne == nv:
-                self.cycle[root] = self._find_cycle(elems)
+            elif edges == len(elems):
+                self.cycle[root] = self._find_cycle(deg)
         self.plans: dict[bytes, _Plan] = {} if plans is None else plans
         self._targets: dict[tuple[int, ...], FinStructure] = {}
         self._fits: dict[bytes, tuple[int, ...]] = {}
 
-    def _find_cycle(self, elems: list[int]) -> frozenset[int]:
-        # peel leaves until only the cycle remains (works with parallel edges,
-        # whose "cycle" is the two endpoints)
-        deg: dict[int, int] = {e: 0 for e in elems}
-        for name in self.struct.sig.names:
-            for t in self.struct.instances[name]:
-                u, v = t
-                if u in deg:
-                    deg[u] += 1
-                    deg[v] += 1
-        alive = set(elems)
-        queue = [e for e in elems if deg[e] <= 1]
+    def _find_cycle(self, deg: dict[int, int]) -> frozenset[int]:
+        """The cycle of a unicyclic component, given its elements' degrees
+        (consumed): peel leaves until only the cycle remains (works with
+        parallel edges, whose "cycle" is the two endpoints)."""
+        alive = set(deg)
+        queue = [e for e, d in deg.items() if d <= 1]
         while queue:
             e = queue.pop()
             alive.discard(e)
@@ -144,43 +145,24 @@ class Pseudoforest:
 
 def _split_parts(cls: ExtensionClass, base: set[int]):
     """Connected components of the new part; anchored means joined to the base."""
-    new = list(cls.new_elements)
-    eadj: dict[int, set[int]] = {e: set() for e in new}
-    anchored_seeds = set()
-    for name in cls.ext.sig.names:
-        for t in cls.ext.instances[name]:
-            u, v = t
-            un, vn = u in eadj, v in eadj
-            if un and vn:
-                eadj[u].add(v)
-                eadj[v].add(u)
-            elif un and v in base:
-                anchored_seeds.add(u)
-            elif vn and u in base:
-                anchored_seeds.add(v)
+    adj = cls.ext.adjacency()
     seen: set[int] = set()
-    parts: list[list[int]] = []
-    for e in new:
+    anchored: list[int] = []
+    free: list[list[int]] = []
+    for e in cls.new_elements:
         if e in seen:
             continue
         comp = [e]
         seen.add(e)
-        queue = [e]
-        while queue:
-            x = queue.pop()
-            for y in eadj[x]:
-                if y not in seen:
+        for x in comp:
+            for y in adj[x]:
+                if y not in seen and y not in base:
                     seen.add(y)
                     comp.append(y)
-                    queue.append(y)
-        parts.append(sorted(comp))
-    anchored: list[int] = []
-    free: list[list[int]] = []
-    for comp in parts:
-        if anchored_seeds.intersection(comp):
+        if any(not base.isdisjoint(adj[x]) for x in comp):
             anchored.extend(comp)
         else:
-            free.append(comp)
+            free.append(sorted(comp))
     return sorted(anchored), free
 
 

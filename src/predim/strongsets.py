@@ -8,15 +8,13 @@ Every valid spec goes to one polynomial kernel: a max flow whose solved
 network gives the exact minimum of delta(X/A) over all X, with its least
 minimizer (`_Net`, built by `_network`).  `closure` adds the least minimizer
 to the base; `strong_verdict` asks whether it is empty, after answering
-monotone specs outright and weight-1 graph specs by a linear-time
-acyclicity test.  For `is_strong`, one router, `_minimum`, picks the engine
-of the exact deficiency, first match wins:
+weight-1 graph specs by a linear-time acyclicity test.  For `is_strong`, one
+router, `_minimum`, picks the engine of the exact deficiency:
 
-- monotone specs: a singleton scan (every set is strong);
 - valid specs: the kernel, any size (`_flow_nonempty_min`);
-- invalid specs: the brute-force oracle, up to BRUTE_LIMIT (20) free
-  elements, LATTICE_LIMIT (16) when the spec has matroid components, and a
-  `SpecError` past them.
+- invalid specs: the brute-force oracle, which refuses with a `SpecError`
+  past BRUTE_LIMIT (20) free elements, or LATTICE_LIMIT (16) when the spec
+  has matroid components.
 
 Sessions.  For a modular spec (no non-modular matroid component) a
 structure keeps the network over its whole universe, solved for the empty
@@ -37,20 +35,21 @@ All engines are exact; the brute oracle and the unrouted subset search
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .predimension import PredimensionSpec, SpecError, delta
+from .predimension import LATTICE_LIMIT, PredimensionSpec, SpecError, delta
 from .structures import FinStructure, StructureError
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Free-element counts past which the brute-force oracle refuses.
-LATTICE_LIMIT = 16  # full subset lattices with matroid ranks
+# Free-element count past which the brute-force oracle refuses; with matroid
+# components it refuses past LATTICE_LIMIT.
 BRUTE_LIMIT = 20
 
 
@@ -624,12 +623,16 @@ def alpha_one_profile(spec: PredimensionSpec, struct: FinStructure) -> bool:
     )
 
 
-def _components(
-    vertices: Iterable[int], edges: list[tuple[int, int]]
-) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """Union-find over `edges`: each vertex's root, then the vertex and edge
-    counts per root."""
-    parent = {v: v for v in vertices}
+def _acyclic_verdict(struct: FinStructure, base: frozenset[int], within: frozenset[int]) -> bool:
+    """Contract the base, drop its internal edges: strong iff the contracted
+    vertex sits in an acyclic component and every other component has at most
+    as many edges as vertices (parallel edges count).  A union-find keeps the
+    components; each root's slack is its vertices less its edges, less one
+    for the contracted vertex."""
+    star = -1  # the contracted base, when nonempty
+    parent = {v: v for v in within - base}
+    if base:
+        parent[star] = star
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -637,26 +640,7 @@ def _components(
             x = parent[x]
         return x
 
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    root = {v: find(v) for v in parent}
-    nverts: dict[int, int] = {}
-    for r in root.values():
-        nverts[r] = nverts.get(r, 0) + 1
-    nedges: dict[int, int] = {}
-    for u, _ in edges:
-        nedges[root[u]] = nedges.get(root[u], 0) + 1
-    return root, nverts, nedges
-
-
-def _acyclic_verdict(struct: FinStructure, base: frozenset[int], within: frozenset[int]) -> bool:
-    """Contract the base, drop its internal edges: strong iff the contracted
-    vertex sits in an acyclic component and every other component has at most
-    as many edges as vertices (parallel edges count)."""
-    star = -1  # the contracted base, when nonempty
-    edges = []
+    ends = []
     for name in struct.sig.names:
         for t in struct.instances[name]:
             if not within.issuperset(t):
@@ -666,11 +650,15 @@ def _acyclic_verdict(struct: FinStructure, base: frozenset[int], within: frozens
             cv = star if v in base else v
             if cu == star and cv == star:
                 continue
-            edges.append((cu, cv))
-    vertices = within - base | ({star} if base else set())
-    root, nverts, nedges = _components(vertices, edges)
-    star_root = root.get(star) if base else None
-    return all(nedges.get(r, 0) <= nv - (r == star_root) for r, nv in nverts.items())
+            ends.append(cu)
+            ru, rv = find(cu), find(cv)
+            if ru != rv:
+                parent[ru] = rv
+    slack = Counter(map(find, parent))
+    slack.subtract(map(find, ends))
+    if base:
+        slack[find(star)] -= 1
+    return min(slack.values(), default=0) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +673,10 @@ def _minimum(
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Exact minimum of delta(X/base) over nonempty X inside `free`, with the
     least minimizer when it is negative; the one router for deficiencies."""
-    if spec.monotone:
-        d_base = delta(spec, struct, base)
-        return min(delta(spec, struct, base | {e}) - d_base for e in free), ()
     if spec.valid:
         return _flow_nonempty_min(spec, struct, base, free)
-    if len(free) <= BRUTE_LIMIT:
-        rep = brute_force_is_strong(spec, struct, base, base | set(free))
-        return rep.deficiency, rep.witness or ()
-    raise SpecError("no exact engine can handle this spec at this size")
+    rep = brute_force_is_strong(spec, struct, base, base | set(free))
+    return rep.deficiency, rep.witness or ()
 
 
 def is_strong(
@@ -724,7 +707,7 @@ def strong_verdict(
 ) -> bool:
     """Verdict-only strength check; skips deficiency work where possible."""
     b, w = _check_sets(struct, base, within)
-    if not (w - b) or spec.monotone:
+    if not (w - b):
         return True
     if alpha_one_profile(spec, struct):
         return _acyclic_verdict(struct, b, w)

@@ -314,6 +314,11 @@ class Embedding:
     source: FinStructure
     target: FinStructure
     pairs: tuple[tuple[int, int], ...]
+    # the pairs as a lookup; not part of equality, hash or repr
+    _map: dict = field(init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_map", dict(self.pairs))
 
     @staticmethod
     def make(source: FinStructure, target: FinStructure, mapping: Mapping[int, int]) -> "Embedding":
@@ -326,18 +331,14 @@ class Embedding:
         return dict(self.pairs)
 
     def __getitem__(self, elem: int) -> int:
-        for a, b in self.pairs:
-            if a == elem:
-                return b
-        raise KeyError(elem)
+        return self._map[elem]
 
     @property
     def image(self) -> frozenset[int]:
         return frozenset(b for _, b in self.pairs)
 
     def apply(self, t: Sequence[int]) -> tuple[int, ...]:
-        m = self.mapping
-        out = tuple(m[e] for e in t)
+        out = tuple(self._map[e] for e in t)
         return out if self.source.sig.ordered else tuple(sorted(out))
 
     def validate(self) -> None:

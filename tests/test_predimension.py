@@ -96,17 +96,6 @@ def test_spec_validation():
     assert ok.valid
 
 
-def test_monotone_flag():
-    assert not spec_alpha().monotone
-    # fusion delta is a matroid rank, which never drops when a set grows
-    assert spec_fusion().monotone
-    down = PredimensionSpec.make(
-        relational=False,
-        components=((oracle_by_name("free"), F(1)), (oracle_by_name("cardinality"), F(-2))),
-    )
-    assert not down.monotone
-
-
 def test_oracle_by_name_roundtrip():
     assert oracle_by_name("linear7") == LinearOracle(7)
     assert oracle_by_name("uniform3") == UniformOracle(3)

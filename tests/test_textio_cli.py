@@ -486,3 +486,16 @@ def test_cli_collapse_build_and_roundtrip(files, tmp_path, capsys):
     built = parse_structure(dest.read_text())
     # serialization canonicalizes ids but preserves the structure
     assert canonical_code(parse_structure(serialize_structure(built))) == canonical_code(built)
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_cli_exhausted_resources_exit_2(files, capsys, monkeypatch, exc):
+    # exit 1 means a checked property failed; running out of stack or memory
+    # is a refusal, reported in one line
+    def boom(args):
+        raise exc()
+
+    monkeypatch.setattr("predim.cli._cmd_delta", boom)
+    assert main(["delta", "--spec", str(files / "alpha.spec"), str(files / "k3.structure")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -27,6 +27,10 @@ from .structures import Embedding, FinStructure, Signature
 
 StructSource = Callable[[random.Random], FinStructure]
 
+# Pair density and vector width of the structures `structure_source` draws.
+SOURCE_DENSITY = 0.35
+SOURCE_WIDTH = 2
+
 
 @dataclass(frozen=True)
 class AuditResult:
@@ -67,8 +71,6 @@ def structure_source(
     *,
     weight: Fraction = Fraction(1),
     max_n: int = 10,
-    density: float = 0.35,
-    width: int = 2,
 ) -> StructSource:
     """Random structures matched to the spec: graphs when the relational part
     is on, bare annotated sets otherwise; vectors appear whenever a linear
@@ -78,9 +80,9 @@ def structure_source(
 
     def make(rng: random.Random) -> FinStructure:
         n = rng.randrange(1, max_n + 1)
-        s = random_structure(rng, sig, n, density)
+        s = random_structure(rng, sig, n, SOURCE_DENSITY)
         if primes:
-            return FinStructure(sig, s.universe, s.instances, random_vectors(rng, n, width, primes[0]))
+            return FinStructure(sig, s.universe, s.instances, random_vectors(rng, n, SOURCE_WIDTH, primes[0]))
         return s
 
     return make

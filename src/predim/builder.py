@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Iterator, Optional
+from functools import partial
+from itertools import chain, combinations
+from typing import Callable, Iterable, Iterator, Optional
 
 from .canonical import code_over_base
 from .extensions import ExtensionClass, enumerate_extensions
@@ -40,18 +41,6 @@ def _fast_engine(
     return pf if pf.valid else None
 
 
-def _strong_base(
-    spec: PredimensionSpec,
-    struct: FinStructure,
-    pf: Optional[Pseudoforest],
-    combo: tuple[int, ...],
-) -> bool:
-    """Is the subset strong in `struct`?  `pf` is its fast engine, or None."""
-    if pf is not None:
-        return not combo or pf.set_strong(combo)
-    return strong_verdict(spec, struct, combo)
-
-
 def _strong_bases(
     spec: PredimensionSpec,
     struct: FinStructure,
@@ -59,16 +48,27 @@ def _strong_bases(
     below: int,
     near: Optional[set[int]] = None,
 ) -> list[tuple[int, ...]]:
-    """Strong subsets with fewer than `below` elements in (size, ids) order;
-    with `near`, only the empty set and the subsets meeting `near`."""
-    out = []
-    for size in range(below):
-        for combo in combinations(struct.universe, size):
-            if near is not None and combo and near.isdisjoint(combo):
-                continue
-            if _strong_base(spec, struct, pf, combo):
-                out.append(combo)
-    return out
+    """Strong subsets with fewer than `below` elements in (size, ids) order,
+    decided by `pf` (the structure's fast engine) when given; with `near`,
+    only the empty set and the subsets meeting `near`, each built from a
+    nonempty part inside `near` and a part outside it."""
+    strong = pf.set_strong if pf is not None else partial(strong_verdict, spec, struct)
+    if near is None:
+        combos: Iterable[tuple[int, ...]] = (
+            c for size in range(below) for c in combinations(struct.universe, size)
+        )
+    else:
+        inside = [e for e in struct.universe if e in near]
+        outside = [e for e in struct.universe if e not in near]
+        combos = chain([()], (
+            tuple(sorted(part + rest))
+            for size in range(1, below)
+            for j in range(1, min(size, len(inside)) + 1)
+            for part in combinations(inside, j)
+            for rest in combinations(outside, size - j)
+        ))
+    out = [c for c in combos if strong(c)]
+    return out if near is None else sorted(out, key=lambda t: (len(t), t))
 
 
 class BuilderError(ValueError):
@@ -148,16 +148,7 @@ class GenericApprox:
             self._pf = _fast_engine(self.spec, struct, self._plans)
         # Only subsets meeting the fresh elements can change strength status;
         # everything else keeps its verdict under free growth.
-        newset = set(new_ids)
-        old = [e for e in struct.universe if e not in newset]
-        added = []
-        for size in range(1, self.k):
-            for j in range(1, min(size, len(new_ids)) + 1):
-                for newpart in combinations(sorted(newset), j):
-                    for oldpart in combinations(old, size - j):
-                        combo = tuple(sorted(newpart + oldpart))
-                        if _strong_base(self.spec, struct, self._pf, combo):
-                            added.append(combo)
+        added = [c for c in _strong_bases(self.spec, struct, self._pf, self.k, set(new_ids)) if c]
         self._strong = sorted(self._strong + added, key=lambda t: (len(t), t))
 
 

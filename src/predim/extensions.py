@@ -177,7 +177,6 @@ def enumerate_extensions(
     base: FinStructure,
     max_new: int,
     *,
-    exact_new: Optional[int] = None,
     annotation_palette: Optional[Callable] = None,
 ) -> list[ExtensionClass]:
     """All extension classes of `base` by 1..max_new fresh elements.
@@ -188,14 +187,11 @@ def enumerate_extensions(
     count too, so annotation variants with the same rank behaviour collapse
     into one class.
     """
-    sizes = [exact_new] if exact_new is not None else list(range(1, max_new + 1))
     out: list[ExtensionClass] = []
     start = max(base.universe, default=-1) + 1
     base_ids = frozenset(base.universe)
     want_verbatim = not spec.components
-    for m in sizes:
-        if m < 1:
-            raise SpecError("extensions need at least one new element")
+    for m in range(1, max_new + 1):
         new = tuple(range(start, start + m))
         cands = _candidate_instances(base.sig, list(base.universe) + list(new), new)
         if len(cands) > CANDIDATE_LIMIT:

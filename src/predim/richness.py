@@ -2,11 +2,12 @@
 
 For a purely relational spec with all weights 1 and all arities 2, a member
 of the nonnegative class is a pseudoforest: every component is a tree or
-carries exactly one cycle.  Strong subsets then decompose per component: the
-trace on a tree component must be connected, the trace on a unicyclic
-component must be connected and contain the whole cycle.  That turns both
-strength verdicts and obligation satisfaction into local checks, which is
-what makes level-4 audits on structures with dozens of elements tractable.
+carries exactly one cycle.  Strength comes from the test shared with
+`strongsets.strong_verdict` (`graph_strong`), read off the structure's cached
+component table, and obligations decompose per component: the anchored part
+maps into the base's components, each free part into a component of its own.
+That turns obligation satisfaction into local checks, which is what makes
+level-4 audits on structures with dozens of elements tractable.
 
 Everything here is exact and is cross-checked against the generic engines in
 the test suite.
@@ -20,12 +21,12 @@ from typing import Iterable, Optional
 from .canonical import canonical_code
 from .extensions import ExtensionClass
 from .structures import FinStructure, find_embeddings
+from .strongsets import graph_strong
 
 
 class Pseudoforest:
     """Component data for a weight-1 graph structure, read from the
-    structure's index: components from `adjacency`, degrees (parallel edges
-    included) from `incidence`.
+    structure's cached component table (`FinStructure.components`).
 
     `valid` is False when some component has more edges than vertices, i.e.
     the structure is outside the nonnegative class; callers must fall back to
@@ -38,73 +39,15 @@ class Pseudoforest:
 
     def __init__(self, struct: FinStructure, plans: Optional[dict[bytes, _Plan]] = None):
         self.struct = struct
-        self.adj = adj = struct.adjacency()
-        inc = struct.incidence()
-        self.comp_of: dict[int, int] = {}
-        self.comp_elems: dict[int, list[int]] = {}
-        self.cycle: dict[int, frozenset[int]] = {}
-        self.valid = True
-        # breadth-first over the universe in order, so each component is
-        # named by its minimum element
-        for root in struct.universe:
-            if root in self.comp_of:
-                continue
-            self.comp_of[root] = root
-            elems = [root]
-            for x in elems:
-                for y in adj[x]:
-                    if y not in self.comp_of:
-                        self.comp_of[y] = root
-                        elems.append(y)
-            elems.sort()
-            self.comp_elems[root] = elems
-            deg = {e: len(inc[e]) for e in elems}  # parallel edges count
-            edges = sum(deg.values()) // 2
-            if edges > len(elems):
-                self.valid = False
-            elif edges == len(elems):
-                self.cycle[root] = self._find_cycle(deg)
+        self.comp_of, self.comp_elems, _, crowded = struct.components()
+        self.valid = not crowded
         self.plans: dict[bytes, _Plan] = {} if plans is None else plans
         self._targets: dict[tuple[int, ...], FinStructure] = {}
         self._fits: dict[bytes, tuple[int, ...]] = {}
 
-    def _find_cycle(self, deg: dict[int, int]) -> frozenset[int]:
-        """The cycle of a unicyclic component, given its elements' degrees
-        (consumed): peel leaves until only the cycle remains (works with
-        parallel edges, whose "cycle" is the two endpoints)."""
-        alive = set(deg)
-        queue = [e for e, d in deg.items() if d <= 1]
-        while queue:
-            e = queue.pop()
-            alive.discard(e)
-            for u in self.adj[e]:
-                if u in alive:
-                    deg[u] -= 1
-                    if deg[u] <= 1:
-                        queue.append(u)
-        return frozenset(alive)
-
     def set_strong(self, elems: Iterable[int]) -> bool:
-        """Chunk conditions: per-component connectivity plus cycle coverage."""
-        by_comp: dict[int, set[int]] = {}
-        for e in elems:
-            by_comp.setdefault(self.comp_of[e], set()).add(e)
-        for root, members in by_comp.items():
-            cyc = self.cycle.get(root)
-            if cyc is not None and not cyc.issubset(members):
-                return False
-            seen = set()
-            queue = [min(members)]
-            seen.add(min(members))
-            while queue:
-                x = queue.pop()
-                for y in self.adj[x]:
-                    if y in members and y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            if len(seen) != len(members):
-                return False
-        return True
+        """Is the set strong in the structure (`strongsets.graph_strong`)?"""
+        return graph_strong(self.struct, elems)
 
     def plan(self, cls: ExtensionClass) -> _Plan:
         """The class's obligation plan, computed once per class code."""
@@ -128,15 +71,11 @@ class Pseudoforest:
         if part_code not in self._fits:
             fits = []
             for root in sorted(self.comp_elems):
-                target = self.target((root,))
-                cyc = self.cycle.get(root)
-                if cyc is None:
-                    hits = find_embeddings(part, target, limit=1)
-                else:
-                    def covers(mapping: dict[int, int]) -> bool:
-                        return cyc.issubset(mapping.values())
-
-                    hits = find_embeddings(part, target, compat=covers, limit=1)
+                # a connected image is strong in a tree component always,
+                # in a unicyclic one when it holds the cycle
+                hits = find_embeddings(
+                    part, self.target((root,)), compat=lambda m: self.set_strong(m.values()), limit=1
+                )
                 if hits:
                     fits.append(root)
             self._fits[part_code] = tuple(fits)
@@ -146,23 +85,13 @@ class Pseudoforest:
 def _split_parts(cls: ExtensionClass, base: set[int]):
     """Connected components of the new part; anchored means joined to the base."""
     adj = cls.ext.adjacency()
-    seen: set[int] = set()
     anchored: list[int] = []
     free: list[list[int]] = []
-    for e in cls.new_elements:
-        if e in seen:
-            continue
-        comp = [e]
-        seen.add(e)
-        for x in comp:
-            for y in adj[x]:
-                if y not in seen and y not in base:
-                    seen.add(y)
-                    comp.append(y)
+    for comp in cls.ext.restrict(cls.new_elements).components()[1].values():
         if any(not base.isdisjoint(adj[x]) for x in comp):
             anchored.extend(comp)
         else:
-            free.append(sorted(comp))
+            free.append(comp)
     return sorted(anchored), free
 
 

@@ -6,15 +6,17 @@ deficiency of A is the minimum of delta(X/A) over nonempty X inside W minus A
 
 Every valid spec goes to one polynomial kernel: a max flow whose solved
 network gives the exact minimum of delta(X/A) over all X, with its least
-minimizer (`_Net`, built by `_network`).  `closure` adds the least minimizer
-to the base; `strong_verdict` asks whether it is empty, after answering
-weight-1 graph specs by a linear-time acyclicity test.  For `is_strong`, one
-router, `_minimum`, picks the engine of the exact deficiency:
+minimizer (`_Net`, built by `_network`).  The routes:
 
-- valid specs: the kernel, any size (`_flow_nonempty_min`);
-- invalid specs: the brute-force oracle, which refuses with a `SpecError`
-  past BRUTE_LIMIT (20) free elements, or LATTICE_LIMIT (16) when the spec
-  has matroid components.
+- `closure` adds the least minimizer to the base;
+- `strong_verdict` asks whether it is empty, except on weight-1 graph specs
+  (`alpha_one_profile`), where `graph_strong` decides from the structure's
+  cached component table, on `struct.restrict(within)` given an ambient set;
+- `is_strong` reports the exact deficiency: from the kernel for a valid spec
+  (`_flow_nonempty_min`), from the brute-force oracle for an invalid one,
+  which refuses with a `SpecError` past BRUTE_LIMIT (20) free elements, or
+  LATTICE_LIMIT (16) when the spec has matroid components; an invalid
+  spec's `strong_verdict` is its verdict.
 
 Sessions.  For a modular spec (no non-modular matroid component) a
 structure keeps the network over its whole universe, solved for the empty
@@ -35,7 +37,6 @@ All engines are exact; the brute oracle and the unrouted subset search
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -610,7 +611,7 @@ def _flow_nonempty_min(
 
 
 # ---------------------------------------------------------------------------
-# weight-1 graph fast verdict
+# weight-1 graphs
 
 
 def alpha_one_profile(spec: PredimensionSpec, struct: FinStructure) -> bool:
@@ -623,60 +624,33 @@ def alpha_one_profile(spec: PredimensionSpec, struct: FinStructure) -> bool:
     )
 
 
-def _acyclic_verdict(struct: FinStructure, base: frozenset[int], within: frozenset[int]) -> bool:
-    """Contract the base, drop its internal edges: strong iff the contracted
-    vertex sits in an acyclic component and every other component has at most
-    as many edges as vertices (parallel edges count).  A union-find keeps the
-    components; each root's slack is its vertices less its edges, less one
-    for the contracted vertex."""
-    star = -1  # the contracted base, when nonempty
-    parent = {v: v for v in within - base}
-    if base:
-        parent[star] = star
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    ends = []
-    for name in struct.sig.names:
-        for t in struct.instances[name]:
-            if not within.issuperset(t):
-                continue
-            u, v = t
-            cu = star if u in base else u
-            cv = star if v in base else v
-            if cu == star and cv == star:
-                continue
-            ends.append(cu)
-            ru, rv = find(cu), find(cv)
-            if ru != rv:
-                parent[ru] = rv
-    slack = Counter(map(find, parent))
-    slack.subtract(map(find, ends))
-    if base:
-        slack[find(star)] -= 1
-    return min(slack.values(), default=0) >= 0
+def graph_strong(struct: FinStructure, elems: Iterable[int]) -> bool:
+    """Is A = `elems` strong in a structure whose instances are all weight-1
+    edges (parallel edges across symbols count)?  Exactly when every
+    component C meeting it has e(C) - |C| = e(A & C) - |A & C| and every
+    other component has e(C) <= |C|: contracting A & C inside C leaves a
+    connected graph with cyclomatic number the difference of the two sides,
+    and A is strong iff each contracted component is a tree.  Reads the
+    structure's component table; costs the degrees of the elements."""
+    comp_of, comp_elems, count, crowded = struct.components()
+    inc = struct.incidence()
+    a_set = set(elems)
+    cyclomatic: dict[int, int] = {}  # per component met, after contracting A
+    for a in a_set:
+        r = comp_of[a]
+        c = cyclomatic.get(r)
+        if c is None:
+            c = count[r] - len(comp_elems[r])
+        c += 1  # a itself, less the edges it closes inside A
+        for _, t in inc[a]:
+            if t[0] == a and a_set.issuperset(t):
+                c -= 1
+        cyclomatic[r] = c
+    return not any(cyclomatic.values()) and crowded.issubset(cyclomatic)
 
 
 # ---------------------------------------------------------------------------
 # public interface
-
-
-def _minimum(
-    spec: PredimensionSpec,
-    struct: FinStructure,
-    base: frozenset[int],
-    free: list[int],
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact minimum of delta(X/base) over nonempty X inside `free`, with the
-    least minimizer when it is negative; the one router for deficiencies."""
-    if spec.valid:
-        return _flow_nonempty_min(spec, struct, base, free)
-    rep = brute_force_is_strong(spec, struct, base, base | set(free))
-    return rep.deficiency, rep.witness or ()
 
 
 def is_strong(
@@ -687,13 +661,16 @@ def is_strong(
 ) -> StrongReport:
     """Is `base` self-sufficient within the ambient set (whole universe by default)?
 
-    The report always carries the exact deficiency.
+    The report always carries the exact deficiency: from the kernel for a
+    valid spec, from the brute oracle otherwise.
     """
     b, w = _check_sets(struct, base, within)
     free = sorted(w - b)
     if not free:
         return StrongReport(True, Fraction(0))
-    deficiency, witness = _minimum(spec, struct, b, free)
+    if not spec.valid:
+        return brute_force_is_strong(spec, struct, b, w)
+    deficiency, witness = _flow_nonempty_min(spec, struct, b, free)
     if deficiency >= 0:
         return StrongReport(True, deficiency)
     return StrongReport(False, deficiency, witness)
@@ -710,10 +687,10 @@ def strong_verdict(
     if not (w - b):
         return True
     if alpha_one_profile(spec, struct):
-        return _acyclic_verdict(struct, b, w)
+        return graph_strong(struct if len(w) == struct.n else struct.restrict(w), b)
     if spec.valid:  # strong exactly when the least minimizer adds nothing
         return b.issuperset(_solved(spec, struct, b, sorted(w - b)).least)
-    return _minimum(spec, struct, b, sorted(w - b))[0] >= 0
+    return is_strong(spec, struct, b, w).verdict
 
 
 def in_class(spec: PredimensionSpec, struct: FinStructure) -> bool:

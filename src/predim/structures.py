@@ -95,7 +95,8 @@ class FinStructure:
     """
 
     __slots__ = (
-        "sig", "universe", "instances", "annotations", "_uset", "_codes", "_index", "_width", "_sessions",
+        "sig", "universe", "instances", "annotations", "_uset", "_codes", "_index", "_comps", "_width",
+        "_sessions",
     )
 
     def __init__(
@@ -138,6 +139,7 @@ class FinStructure:
         self.annotations = ann
         self._codes: dict = {}
         self._index = None
+        self._comps = None
         self._width: Optional[int] = None
         self._sessions: Optional[dict] = None  # strength sessions per spec, see strongsets
 
@@ -163,6 +165,7 @@ class FinStructure:
         self.annotations = annotations
         self._codes = {}
         self._index = None
+        self._comps = None
         self._width = None
         self._sessions = None
         return self
@@ -285,6 +288,34 @@ class FinStructure:
             )
         return self._index
 
+    def components(self) -> tuple[dict[int, int], dict[int, list[int]], dict[int, int], frozenset[int]]:
+        """(component of each element, named by its least element; each
+        component's sorted elements; each component's instance count; the
+        components with more instances than elements), computed from the
+        index on first use and kept (read-only)."""
+        if self._comps is None:
+            adj, inc = self._indexed()
+            comp_of: dict[int, int] = {}
+            elems_of: dict[int, list[int]] = {}
+            count: dict[int, int] = {}
+            for root in self.universe:
+                if root in comp_of:
+                    continue
+                comp_of[root] = root
+                elems = [root]
+                for x in elems:
+                    for y in adj[x]:
+                        if y not in comp_of:
+                            comp_of[y] = root
+                            elems.append(y)
+                elems.sort()
+                elems_of[root] = elems
+                # each instance once, at its first element
+                count[root] = sum([1 for e in elems for _, t in inc[e] if t[0] == e])
+            crowded = frozenset([r for r, c in count.items() if c > len(elems_of[r])])
+            self._comps = (comp_of, elems_of, count, crowded)
+        return self._comps
+
     def annotation_width(self) -> int:
         """Tokens in the longest annotation, 0 without any (cached)."""
         if self._width is None:
@@ -378,7 +409,6 @@ def find_embeddings(
     target: FinStructure,
     *,
     fixed: Optional[Mapping[int, int]] = None,
-    avoid: Iterable[int] = (),
     compat: Optional[Callable[[dict[int, int]], bool]] = None,
     limit: Optional[int] = None,
 ) -> list[dict[int, int]]:
@@ -386,8 +416,7 @@ def find_embeddings(
 
     `fixed` pins part of the map (typically a common base, pointwise).  Free
     source elements are assigned in sorted order; target candidates are tried
-    in sorted order, so the result list order is deterministic.  `avoid`
-    excludes target elements from free assignments.  `compat` filters
+    in sorted order, so the result list order is deterministic.  `compat` filters
     completed maps (rank-oracle compatibility goes here).  `limit` stops the
     search once that many embeddings are found.
     """
@@ -401,7 +430,6 @@ def find_embeddings(
             raise StructureError(f"fixed image {b} is not a target element")
     if len(set(fixed.values())) != len(fixed):
         raise StructureError("fixed part of embedding is not injective")
-    avoid_set = set(avoid)
 
     free = [e for e in source.universe if e not in fixed]
     # Instances indexed by the latest free element they involve, so each
@@ -494,7 +522,7 @@ def find_embeddings(
         step = len(stack) - 1
         e = free[step]
         for cand in stack[-1]:
-            if cand in used or cand in avoid_set:
+            if cand in used:
                 continue
             assignment[e] = cand
             used.add(cand)

@@ -11,6 +11,7 @@ from predim import (
     FinStructure,
     Signature,
     audit_richness,
+    brute_force_is_strong,
     build_generic,
     canonical_code,
     free_extend,
@@ -178,34 +179,19 @@ def test_fast_matches_generic_on_random_pseudoforests(alpha1):
 
 
 def _brute_pseudoforest(g):
-    """Components (by their minimum), edge counts and the cycle of every
-    component with as many edges as vertices, straight from the instance
-    lists: a cycle vertex is an endpoint of an edge whose removal leaves its
-    component connected (a parallel pair is such an edge twice)."""
+    """Components (by their minimum) and class membership straight from the
+    instance lists: valid when no component has more edges than vertices."""
     edges = [t for name in g.sig.names for t in sorted(g.instances[name])]
-
-    def parts(edge_list):
-        comps = [{e} for e in g.universe]
-        for u, v in edge_list:
-            cu = next(c for c in comps if u in c)
-            cv = next(c for c in comps if v in c)
-            if cu is not cv:
-                comps.remove(cv)
-                cu |= cv
-        return {min(c): sorted(c) for c in comps}
-
-    comps = parts(edges)
-    nedges = {r: sum(1 for u, _ in edges if u in c) for r, c in comps.items()}
-    cycles = {}
-    for r, c in comps.items():
-        if nedges[r] == len(c):
-            cycles[r] = frozenset(
-                x for i, t in enumerate(edges)
-                if t[0] in c and len(parts(edges[:i] + edges[i + 1:])) == len(comps)
-                for x in t
-            )
-    valid = all(nedges[r] <= len(c) for r, c in comps.items())
-    return valid, comps, cycles
+    comps = [{e} for e in g.universe]
+    for u, v in edges:
+        cu = next(c for c in comps if u in c)
+        cv = next(c for c in comps if v in c)
+        if cu is not cv:
+            comps.remove(cv)
+            cu |= cv
+    comps = {min(c): sorted(c) for c in comps}
+    valid = all(sum(1 for u, _ in edges if u in c) <= len(c) for c in comps.values())
+    return valid, comps
 
 
 def test_pseudoforest_matches_brute_with_parallel_edges(alpha1):
@@ -223,18 +209,17 @@ def test_pseudoforest_matches_brute_with_parallel_edges(alpha1):
         f_pairs = [t for t in e_pairs if rng.random() < 0.2]
         g = FinStructure(sig, range(n), {"E": e_pairs, "F": f_pairs})
         pf = Pseudoforest(g)
-        valid, comps, cycles = _brute_pseudoforest(g)
+        valid, comps = _brute_pseudoforest(g)
         assert pf.valid == valid == in_class(alpha1, g)
         assert pf.comp_elems == comps
         assert all(pf.comp_of[e] == r for r, c in comps.items() for e in c)
-        assert pf.cycle == cycles
         if not valid:
             outside += 1
             continue
         members += 1
         for size in (1, 2, 3):
             for s in combinations(g.universe, size):
-                assert pf.set_strong(s) == strong_verdict(alpha1, g, s), s
+                assert pf.set_strong(s) == brute_force_is_strong(alpha1, g, s).verdict, s
     assert members >= 20 and outside >= 10
 
 

@@ -48,16 +48,6 @@ def test_enumeration_is_deterministic_and_sorted():
     assert sizes == sorted(sizes)
 
 
-def test_exact_new_selects_one_size():
-    spec = spec_alpha()
-    point = graph(1, [])
-    twos = enumerate_extensions(spec, point, 0, exact_new=2)
-    assert {len(c.new_elements) for c in twos} == {2}
-    assert len(twos) == 6
-    with pytest.raises(Exception):
-        enumerate_extensions(spec, point, 0, exact_new=0)
-
-
 def test_class_tags_on_triangle_base():
     spec = spec_alpha()
     k3 = graph(3, [(0, 1), (1, 2), (0, 2)])

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from predim import (
     FinStructure,
     PredimensionSpec,
+    Signature,
     StrongReport,
     brute_closure,
     brute_force_is_strong,
@@ -25,7 +27,7 @@ from predim import (
 )
 from predim.cli import main
 from predim.sampling import graph_signature, random_sparse_graph, random_subset, random_vectors
-from predim.strongsets import _dfs_min, _flow_nonempty_min, subset_tables
+from predim.strongsets import _dfs_min, _flow_nonempty_min, graph_strong, subset_tables
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
 
@@ -264,6 +266,33 @@ def test_strength_queries_leave_numpy_unimported(tmp_path):
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_graph_strength_matches_brute_with_parallel_edges(alpha1):
+    """The weight-1 graph test against brute force on every subset of random
+    two-symbol graphs, F repeating some E pairs, in and out of the class;
+    and, through `strong_verdict`, on every subset of a random ambient set."""
+    sig = Signature((("E", 2), ("F", 2)))
+    rng = random.Random(61)
+    members = outside = 0
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        pairs = list(combinations(range(n), 2))
+        e_pairs = rng.sample(pairs, rng.randrange(min(len(pairs), n + 2) + 1))
+        f_pairs = [t for t in e_pairs if rng.random() < 0.3]
+        g = FinStructure(sig, range(n), {"E": e_pairs, "F": f_pairs})
+        if brute_force_is_strong(alpha1, g, ()).verdict:
+            members += 1
+        else:
+            outside += 1
+        within = random_subset(rng, g.universe)
+        for size in range(n + 1):
+            for a in combinations(g.universe, size):
+                assert graph_strong(g, a) == brute_force_is_strong(alpha1, g, a).verdict, (g, a)
+                if set(a).issubset(within):
+                    brute = brute_force_is_strong(alpha1, g, a, within).verdict
+                    assert strong_verdict(alpha1, g, a, within) == brute, (g, a, within)
+    assert members >= 10 and outside >= 10
 
 
 def test_in_class_examples(alpha1, k3, k4):

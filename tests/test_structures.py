@@ -183,13 +183,11 @@ def test_find_embeddings_counts():
     assert len(find_embeddings(edge, tri, limit=2)) == 2
 
 
-def test_find_embeddings_compat_and_avoid():
+def test_find_embeddings_compat():
     edge = graph(2, [(0, 1)])
     tri = graph(3, [(0, 1), (1, 2), (0, 2)])
     out = find_embeddings(edge, tri, compat=lambda m: m[0] < m[1])
     assert len(out) == 3
-    out = find_embeddings(edge, tri, avoid=[2])
-    assert out == [{0: 0, 1: 1}, {0: 1, 1: 0}]
 
 
 def test_find_embeddings_needs_induced_image():

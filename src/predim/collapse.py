@@ -123,15 +123,12 @@ def biminimal_base(
     spec: PredimensionSpec,
     ext: FinStructure,
     base_ids: Iterable[int],
-    new_ids: Optional[Iterable[int]] = None,
 ) -> tuple[int, ...]:
-    """The least strong sub-base over which the new part is minimal
-    prealgebraic.  Unique for valid specs; ambiguity raises."""
+    """The least strong sub-base over which the new part (every element of
+    `ext` outside the base) is minimal prealgebraic.  Unique for valid
+    specs; ambiguity raises."""
     base = tuple(sorted(base_ids))
-    if new_ids is None:
-        new = tuple(e for e in ext.universe if e not in set(base))
-    else:
-        new = tuple(sorted(new_ids))
+    new = tuple(sorted(set(ext.universe).difference(base)))
     base_struct = ext.restrict(base)
     qualifying = []
     for r in range(0, len(base) + 1):
@@ -172,7 +169,7 @@ def enumerate_minimal_extensions(
     ):
         if not (cls.base_strong and cls.ext_in_class and cls.prealgebraic and cls.minimal):
             continue
-        if biminimal_base(spec, cls.ext, base.universe, cls.new_elements) != base.universe:
+        if biminimal_base(spec, cls.ext, base.universe) != base.universe:
             continue
         out.append(cls)
     return out

@@ -1,6 +1,14 @@
 """Extension classes: the ways a base can grow by a few elements, up to
 isomorphism fixing the base pointwise.
 
+A class is named by its pinned code (`code_over_base`): two candidates
+without matroid components are the same class exactly when their codes are
+equal, that is, when an isomorphism fixes the base pointwise and keeps
+annotations verbatim.  Only when the spec carries matroid components are
+rank patterns compared: candidates with the same relational shape are one
+class when some base-fixing isomorphism keeps every component's rank
+pattern, so annotation variants with the same rank behaviour collapse.
+
 A class records its representative structure, the relative predimension of
 the extension, and the tags every consumer filters on (base strong in the
 extension, extension in the nonnegative class, minimal, zero relative
@@ -14,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Optional, Sequence
 
-from .canonical import code_over_base, pair_code
+from .canonical import code_over_base
 from .predimension import PredimensionSpec, SpecError, delta, is_embedding_compatible
 from .structures import Embedding, FinStructure, StructureError, find_embeddings
 from .strongsets import in_class, strong_verdict
@@ -37,7 +45,6 @@ class ExtensionClass:
     minimal: bool
     prealgebraic: bool
     code: bytes
-    pair: bytes
 
     @property
     def size(self) -> int:
@@ -58,7 +65,7 @@ class ExtensionClass:
         """The same class over an isomorphic concrete base.
 
         The concrete base must have the same pointed code (elements matched
-        in sorted order), which keeps every tag and both codes valid; only
+        in sorted order), which keeps every tag and the code valid; only
         ids change.  New elements are renumbered above the base's ids.
         """
         old = self.base.universe
@@ -135,43 +142,6 @@ def linear_extension_palette(prime: int) -> Callable:
     return palette
 
 
-def _profile(
-    ext: FinStructure,
-    base_ids: frozenset[int],
-    new: Sequence[int],
-    with_annotations: bool,
-):
-    """Cheap invariant of the over-base isomorphism class (sound, not complete)."""
-    base_pos = {e: i for i, e in enumerate(sorted(base_ids))}
-    ordered = ext.sig.ordered
-    inst_keys = []
-    per_new: dict[int, list] = {e: [] for e in new}
-    for name in ext.sig.names:
-        for t in ext.instances[name]:
-            if base_ids.issuperset(t):
-                continue
-            if ordered:
-                shape = tuple(base_pos.get(x, -1) for x in t)
-            else:
-                shape = tuple(sorted(base_pos.get(x, -1) for x in t))
-            inst_keys.append((name, shape))
-            for x in set(t):
-                if x in per_new:
-                    if ordered:
-                        occ = tuple(i for i, y in enumerate(t) if y == x)
-                        per_new[x].append((name, shape, occ))
-                    else:
-                        per_new[x].append((name, shape))
-    profiles = []
-    for e in new:
-        prof = tuple(sorted(per_new[e]))
-        if with_annotations:
-            profiles.append((prof, ext.annotation(e)))
-        else:
-            profiles.append((prof, ()))
-    return (tuple(sorted(inst_keys)), tuple(sorted(profiles)))
-
-
 def enumerate_extensions(
     spec: PredimensionSpec,
     base: FinStructure,
@@ -181,16 +151,13 @@ def enumerate_extensions(
 ) -> list[ExtensionClass]:
     """All extension classes of `base` by 1..max_new fresh elements.
 
-    Deterministic: classes come out sorted by (number of new elements, code).
-    Deduplication is up to isomorphism fixing the base pointwise; when the
-    spec carries matroid components, rank-pattern-preserving isomorphisms
-    count too, so annotation variants with the same rank behaviour collapse
-    into one class.
+    Deterministic: classes come out sorted by (number of new elements, code),
+    each represented by its first candidate in (instance mask, annotation
+    option) order.
     """
     out: list[ExtensionClass] = []
     start = max(base.universe, default=-1) + 1
-    base_ids = frozenset(base.universe)
-    want_verbatim = not spec.components
+    fixed = {e: e for e in base.universe}
     for m in range(1, max_new + 1):
         new = tuple(range(start, start + m))
         cands = _candidate_instances(base.sig, list(base.universe) + list(new), new)
@@ -201,43 +168,40 @@ def enumerate_extensions(
         ann_options: list[dict] = [{}]
         if annotation_palette is not None:
             ann_options = annotation_palette(base, new)
-        buckets: dict[tuple, list[FinStructure]] = {}
-        reps: list[FinStructure] = []
+        reps: dict[bytes, FinStructure] = {}
+        shapes: dict[bytes, list[FinStructure]] = {}
         for mask in range(1 << len(cands)):
             chosen: dict[str, list] = {}
             for i, (name, t) in enumerate(cands):
                 if mask >> i & 1:
                     chosen.setdefault(name, []).append(t)
+            plain = base.extended(new, chosen)
+            if spec.components:
+                # a rank-compatible isomorphism is a relational one too
+                mates = shapes.setdefault(code_over_base(plain, base.universe), [])
             for ann in ann_options:
-                ext = base.extended(new, chosen, ann)
-                key = _profile(ext, base_ids, new, want_verbatim)
-                bucket = buckets.setdefault(key, [])
-                if any(_same_class(spec, ext, other, base_ids) for other in bucket):
-                    continue
-                bucket.append(ext)
-                reps.append(ext)
-        kept = [
-            _classify(spec, base, ext, new, code_over_base(ext, base.universe))
-            for ext in reps
-        ]
+                ext = base.extended(new, chosen, ann) if ann else plain
+                if spec.components:
+                    if any(_same_rank_pattern(spec, ext, other, fixed) for other in mates):
+                        continue
+                    mates.append(ext)
+                reps.setdefault(code_over_base(ext, base.universe), ext)
+        kept = [_classify(spec, base, ext, new, code) for code, ext in reps.items()]
         out.extend(sorted(kept, key=lambda c: c.code))
     return out
 
 
-def _same_class(
+def _same_rank_pattern(
     spec: PredimensionSpec,
     ext: FinStructure,
     other: FinStructure,
-    base_ids: frozenset[int],
+    fixed: dict[int, int],
 ) -> bool:
-    """Base-fixing induced isomorphism, with rank compatibility when matroid
-    components are present and verbatim annotations otherwise."""
-    fixed = {e: e for e in base_ids}
+    """Some base-fixing induced isomorphism keeps every component's rank
+    pattern (`find_embeddings` yields induced maps only)."""
 
     def compat(mapping: dict[int, int]) -> bool:
-        if spec.components:
-            return is_embedding_compatible(spec, Embedding.make(ext, other, mapping))
-        return all(ext.annotation(a) == other.annotation(b) for a, b in mapping.items())
+        return is_embedding_compatible(spec, Embedding(ext, other, tuple(sorted(mapping.items()))))
 
     return bool(find_embeddings(ext, other, fixed=fixed, compat=compat, limit=1))
 
@@ -280,7 +244,6 @@ def _classify(
         minimal=minimal,
         prealgebraic=(d == 0),
         code=code,
-        pair=pair_code(ext, base.universe),
     )
 
 

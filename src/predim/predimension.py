@@ -10,6 +10,7 @@ arithmetic is exact (`fractions.Fraction`).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,10 @@ class SpecError(ValueError):
 # refuses: embedding rank patterns here, the brute strength oracle in
 # strongsets.
 LATTICE_LIMIT = 16
+
+# Linear oracle moduli must lie below this; primality is checked by trial
+# division, so the check stays under sqrt(2**31) steps.
+MODULUS_LIMIT = 2**31
 
 
 class MatroidOracle(ABC):
@@ -120,7 +125,9 @@ class LinearOracle(MatroidOracle):
     modular = False
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= MODULUS_LIMIT:
+            raise SpecError(f"linear oracle modulus refused: it must be below {MODULUS_LIMIT}")
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise SpecError(f"linear oracle needs a prime modulus, got {p}")
         self.p = p
         self.name = f"linear{p}"
@@ -176,10 +183,14 @@ def oracle_by_name(name: str) -> MatroidOracle:
     """Oracle factory for spec files: free, cardinality, linear<p>, uniform<k>."""
     if name in ("free", "cardinality"):
         return FreeOracle(name)
-    if name.startswith("linear") and name[6:].isdigit():
-        return LinearOracle(int(name[6:]))
-    if name.startswith("uniform") and name[7:].isdigit():
-        return UniformOracle(int(name[7:]))
+    for prefix, make in (("linear", LinearOracle), ("uniform", UniformOracle)):
+        digits = name[len(prefix):]
+        if name.startswith(prefix) and digits.isascii() and digits.isdigit():
+            try:
+                value = int(digits)
+            except ValueError:  # past Python's limit on integer-string digits
+                raise SpecError(f"matroid oracle parameter of {len(digits)} digits refused") from None
+            return make(value)
     raise SpecError(f"unknown matroid oracle {name!r}")
 
 

@@ -194,8 +194,6 @@ def subset_tables(
     spec: PredimensionSpec,
     struct: FinStructure,
     within: Optional[Iterable[int]] = None,
-    *,
-    bound: int = LATTICE_LIMIT,
 ) -> tuple[list[int], np.ndarray, int, np.ndarray]:
     """Full subset lattice data for small ambient sets.
 
@@ -207,8 +205,8 @@ def subset_tables(
     _, w = _check_sets(struct, (), within)
     elems = sorted(w)
     n = len(elems)
-    if n > bound:
-        raise SpecError(f"subset tables refused: {n} elements > bound {bound}")
+    if n > LATTICE_LIMIT:
+        raise SpecError(f"subset tables refused: {n} elements > bound {LATTICE_LIMIT}")
     table, q = _relative_delta_table(spec, struct, frozenset(), elems)
     supmin = table.copy()
     idx = np.arange(1 << n)
@@ -225,7 +223,6 @@ def brute_closure(
     base: Iterable[int],
     within: Optional[Iterable[int]] = None,
     *,
-    bound: int = LATTICE_LIMIT,
     tables: Optional[tuple[list[int], np.ndarray, int, np.ndarray]] = None,
 ) -> tuple[int, ...]:
     """Closure by definition: intersect all strong supersets in the lattice.
@@ -235,7 +232,7 @@ def brute_closure(
     import numpy as np
     b, w = _check_sets(struct, base, within)
     if tables is None:
-        tables = subset_tables(spec, struct, w, bound=bound)
+        tables = subset_tables(spec, struct, w)
     elems, _, _, strong = tables
     pos = {e: i for i, e in enumerate(elems)}
     bmask = 0

@@ -1,7 +1,7 @@
 """Flat-file grammars and report formatting.
 
 Structure files:
-    universe <n>                      elements are 0..n-1
+    universe <n>                      elements are 0..n-1, n <= UNIVERSE_LIMIT
     rel <name> <arity> <p>/<q>        one per symbol, weight as a fraction
     tup <name> <e1> ... <ek>          one per instance
     ann <element> <token> [token...]  oracle annotations
@@ -26,6 +26,10 @@ from typing import Iterable, Mapping
 from .collapse import MuError, MuFunction, MU_FORMULAS
 from .predimension import PredimensionSpec, SpecError, oracle_by_name
 from .structures import FinStructure, Signature, StructureError
+
+
+# Largest universe a structure file may declare; elements are built eagerly.
+UNIVERSE_LIMIT = 1 << 16
 
 
 class ParseError(ValueError):
@@ -78,8 +82,8 @@ def parse_structure(text: str) -> FinStructure:
             if len(parts) != 2:
                 raise ParseError(lineno, "universe takes exactly one count")
             n = _parse_int(lineno, parts[1], "universe size")
-            if n < 0:
-                raise ParseError(lineno, "universe size must be non-negative")
+            if not 0 <= n <= UNIVERSE_LIMIT:
+                raise ParseError(lineno, f"universe size must be between 0 and {UNIVERSE_LIMIT}")
         elif head == "rel":
             if len(parts) != 4:
                 raise ParseError(lineno, "rel takes name, arity, and weight")

@@ -1,16 +1,26 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from predim import (
+    Embedding,
+    FinStructure,
+    LinearOracle,
+    PredimensionSpec,
+    Signature,
     StructureError,
     classify_extension,
     code_over_base,
     enumerate_extensions,
+    find_embeddings,
     linear_extension_palette,
 )
+from predim.predimension import is_embedding_compatible
+from predim.sampling import graph_signature, random_structure
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
 
@@ -122,3 +132,107 @@ def test_palette_fresh_axis_lands_beyond_base_width():
     options = pal(base, (1,))
     fresh = [d for d in options if d and d[1][-1] == "1" and set(d[1][:-1]) == {"0"}]
     assert fresh  # some option adds a genuinely new axis
+
+
+def _new_instances(base, m):
+    """The m new elements over `base`, and every instance touching them."""
+    sig = base.sig
+    start = max(base.universe, default=-1) + 1
+    new = tuple(range(start, start + m))
+    elems = base.universe + new
+    insts = [
+        (name, t)
+        for name, arity in sig.symbols
+        for t in (product(elems, repeat=arity) if sig.ordered else combinations(elems, arity))
+        if set(t) & set(new)
+    ]
+    return new, insts
+
+
+def _all_candidates(base, max_new, palette=None):
+    """Every extension of `base` by 1..max_new new elements, built here from
+    scratch: each set of instances over base and new that touches new, with
+    each palette annotation."""
+    sig = base.sig
+    out = {}
+    for m in range(1, max_new + 1):
+        new, insts = _new_instances(base, m)
+        elems = base.universe + new
+        anns = palette(base, new) if palette else [{}]
+        out[m] = []
+        for r in range(len(insts) + 1):
+            for chosen in combinations(insts, r):
+                rel = {name: list(base.instances[name]) for name in sig.names}
+                for name, t in chosen:
+                    rel[name].append(t)
+                for ann in anns:
+                    out[m].append(FinStructure(sig, elems, rel, {**base.annotations, **ann}))
+    return out
+
+
+def _types(structs, same):
+    """One representative per class of `same`, an equivalence relation."""
+    reps = []
+    for s in structs:
+        if not any(same(s, r) for r in reps):
+            reps.append(s)
+    return reps
+
+
+def _check_one_class_per_type(spec, base, max_new, same, palette=None):
+    classes = enumerate_extensions(spec, base, max_new, annotation_palette=palette)
+    for m, cands in _all_candidates(base, max_new, palette).items():
+        exts = [c.ext for c in classes if len(c.new_elements) == m]
+        types = _types(cands, same)
+        assert len(exts) == len(types)
+        for t in types:
+            assert sum(same(t, e) for e in exts) == 1
+
+
+def _fixing_base(base, compat):
+    fixed = {e: e for e in base.universe}
+
+    def same(a, b):
+        return bool(find_embeddings(a, b, fixed=fixed, compat=lambda mp: compat(a, b, mp), limit=1))
+
+    return same
+
+
+def _verbatim(a, b, mapping):
+    return all(a.annotation(x) == b.annotation(y) for x, y in mapping.items())
+
+
+def test_one_class_per_base_fixing_isomorphism_type():
+    rng = random.Random(7)
+    spec = spec_alpha()
+    sigs = [
+        graph_signature(),
+        graph_signature(F(1, 2)),
+        Signature((("E", 2), ("F", 2))),
+        Signature((("R", 3),)),
+        Signature((("R", 2),), ordered=True),
+    ]
+    for i in range(40):
+        sig = sigs[i % len(sigs)]
+        n = rng.randint(0, 2)
+        base = random_structure(rng, sig, n, density=0.5)
+        if i % 2:
+            base = FinStructure(sig, base.universe, base.instances, {e: (rng.choice("ab"),) for e in base.universe})
+        # at most 2^8 instance sets per size keeps the pairwise check quick
+        max_new = 2 if len(_new_instances(base, 2)[1]) <= 8 else 1
+        _check_one_class_per_type(spec, base, max_new, _fixing_base(base, _verbatim))
+    # annotations on new elements are part of the identity without matroid
+    # components: every palette variant is its own class
+    edge = FinStructure(graph_signature(), (0, 1), {"E": [(0, 1)]}, {0: ("1", "0"), 1: ("1", "0")})
+    _check_one_class_per_type(spec, edge, 1, _fixing_base(edge, _verbatim), linear_extension_palette(5))
+
+
+def test_palette_classes_are_rank_pattern_types():
+    spec = PredimensionSpec.make(relational=True, components=((LinearOracle(5), F(1, 2)),))
+    base = FinStructure(graph_signature(), (0, 1), {"E": [(0, 1)]}, {0: ("1", "0"), 1: ("0", "1")})
+
+    def rank_compatible(a, b, mapping):
+        return is_embedding_compatible(spec, Embedding.make(a, b, mapping))
+
+    for b, max_new in ((base, 1), (base.restrict([0]), 2)):
+        _check_one_class_per_type(spec, b, max_new, _fixing_base(b, rank_compatible), linear_extension_palette(5))

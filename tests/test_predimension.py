@@ -109,6 +109,17 @@ def test_oracle_by_name_roundtrip():
         oracle_by_name("nonsense")
 
 
+def test_linear_oracle_refuses_moduli_past_the_cap():
+    # 2**31 + 11 is prime: without the cap this would be accepted after a
+    # trial division up to its square root
+    with pytest.raises(SpecError):
+        LinearOracle(2**31 + 11)
+    assert LinearOracle(2**31 - 1).p == 2**31 - 1  # the largest prime below the cap
+    for name in ("linear" + "9" * 400, "uniform" + "9" * 5000, "linear\u0663", "uniform\u00b2"):
+        with pytest.raises(SpecError):
+            oracle_by_name(name)
+
+
 def test_linear_oracle_pads_short_rows():
     spec = spec_fusion()
     ragged = vectors((1, 0), (1,))

@@ -22,6 +22,7 @@ from predim import (
     serialize_structure,
 )
 from predim.cli import main
+from predim.textio import UNIVERSE_LIMIT
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
 
@@ -486,6 +487,29 @@ def test_cli_collapse_build_and_roundtrip(files, tmp_path, capsys):
     built = parse_structure(dest.read_text())
     # serialization canonicalizes ids but preserves the structure
     assert canonical_code(parse_structure(serialize_structure(built))) == canonical_code(built)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    ["linear" + "9" * 400, "uniform" + "9" * 5000, "linear1000000000000000003"],
+    ids=["linear-400-digits", "uniform-5000-digits", "linear-19-digits"],
+)
+def test_cli_refuses_oversized_oracle_names(files, tmp_path, capsys, oracle):
+    # an oversized modulus or parameter is a parse error, not a traceback or
+    # a trial division that never ends
+    one = tmp_path / "one.structure"
+    one.write_text("universe 1\n")
+    spec = tmp_path / "big.spec"
+    spec.write_text(f"component relational on\ncomponent matroid {oracle} 1/1\n")
+    assert main(["delta", "--spec", str(spec), str(one)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_universe_cap():
+    with pytest.raises(ParseError) as info:
+        parse_structure(f"universe {UNIVERSE_LIMIT + 1}\n")
+    assert "line 1" in str(info.value)
 
 
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])

@@ -1,10 +1,11 @@
 """Canonical certificates for finite structures.
 
 Colour refinement seeded by annotations and caller colours, then
-individualization with orbit pruning.  Certificates are deterministic bytes:
-two structures get equal certificates exactly when an isomorphism matches
-instances, annotation tokens, and initial colours.  No reliance on Python
-hashing anywhere.
+individualization with orbit pruning.  The search reads the structure's own
+index (`incidence`, `instances`, `annotation`) and keys colours by element.
+Certificates are deterministic bytes: two structures get equal certificates
+exactly when an isomorphism matches instances, annotation tokens, and initial
+colours.  No reliance on Python hashing anywhere.
 """
 
 from __future__ import annotations
@@ -13,86 +14,72 @@ from typing import Iterable, Mapping, Optional
 
 from .structures import FinStructure
 
-
-class _Indexed:
-    """Structure re-encoded over vertex indices 0..n-1 for the search."""
-
-    __slots__ = ("n", "verts", "ordered", "sym_insts", "vert_insts", "ann")
-
-    def __init__(self, struct: FinStructure):
-        self.verts = list(struct.universe)
-        self.n = len(self.verts)
-        idx = {e: i for i, e in enumerate(self.verts)}
-        self.ordered = struct.sig.ordered
-        self.sym_insts: list[list[tuple[int, ...]]] = []
-        for name in struct.sig.names:
-            self.sym_insts.append(sorted(tuple(idx[e] for e in t) for t in struct.instances[name]))
-        self.vert_insts: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for s, insts in enumerate(self.sym_insts):
-            for j, t in enumerate(insts):
-                for v in set(t):
-                    self.vert_insts[v].append((s, j))
-        self.ann = [struct.annotation(e) for e in self.verts]
+Colors = dict[int, int]  # element -> colour, or element -> position for a labelling
 
 
-def _refine(g: _Indexed, colors: list[int]) -> list[int]:
-    """Stable colour refinement; colours are re-indexed by sorted key."""
-    ncolors = len(set(colors))
+def _refine(struct: FinStructure, colors: Colors) -> Colors:
+    """Stable colour refinement over the structure's incidence index; colours
+    are re-indexed by sorted key, a symbol keyed by its place in the signature."""
+    sym = {name: s for s, name in enumerate(struct.sig.names)}
+    inc = struct.incidence()
+    ncolors = len(set(colors.values()))
     while True:
+        color = colors.__getitem__
         keys = []
-        for v in range(g.n):
-            sigs = []
-            for s, j in g.vert_insts[v]:
-                t = g.sym_insts[s][j]
-                if g.ordered:
-                    pos = tuple(i for i, e in enumerate(t) if e == v)
-                    sigs.append((s, pos, tuple(colors[e] for e in t)))
-                else:
-                    sigs.append((s, tuple(sorted(colors[e] for e in t))))
-            keys.append((colors[v], tuple(sorted(sigs))))
+        for v in struct.universe:
+            if struct.sig.ordered:
+                sigs = [
+                    (sym[name], tuple([i for i, e in enumerate(t) if e == v]), tuple(map(color, t)))
+                    for name, t in inc[v]
+                ]
+            else:
+                sigs = [(sym[name], tuple(sorted(map(color, t)))) for name, t in inc[v]]
+            sigs.sort()
+            keys.append((colors[v], tuple(sigs)))
         order = sorted(set(keys))
         remap = {k: i for i, k in enumerate(order)}
-        colors = [remap[k] for k in keys]
+        colors = {v: remap[k] for v, k in zip(struct.universe, keys)}
         if len(order) == ncolors:
             return colors
         ncolors = len(order)
 
 
-def _serialize(g: _Indexed, init_colors: list[int], colors: list[int]) -> tuple[bytes, list[int]]:
-    """Certificate bytes for a discrete colouring, plus vertex->position map."""
-    pos = [0] * g.n
-    for p, v in enumerate(sorted(range(g.n), key=lambda v: colors[v])):
-        pos[v] = p
+def _serialize(struct: FinStructure, init_colors: Colors, colors: Colors) -> tuple[bytes, Colors]:
+    """Certificate bytes for a discrete colouring, plus element->position map."""
+    order = sorted(struct.universe, key=colors.__getitem__)
+    pos = {v: p for p, v in enumerate(order)}
+    place = pos.__getitem__
+    norm = tuple if struct.sig.ordered else sorted
     body = (
-        g.n,
-        tuple(init_colors[v] for v in sorted(range(g.n), key=lambda v: pos[v])),
-        tuple(g.ann[v] for v in sorted(range(g.n), key=lambda v: pos[v])),
+        len(order),
+        tuple([init_colors[v] for v in order]),
+        tuple([struct.annotation(v) for v in order]),
         tuple(
-            tuple(sorted(tuple(pos[e] for e in t) if g.ordered else tuple(sorted(pos[e] for e in t)) for t in insts))
-            for insts in g.sym_insts
+            tuple(sorted([tuple(norm(map(place, t))) for t in struct.instances[name]]))
+            for name in struct.sig.names
         ),
     )
     return repr(body).encode(), pos
 
 
-def _canon(g: _Indexed, init_colors: list[int], colors: list[int]) -> tuple[bytes, list[int]]:
-    colors = _refine(g, colors)
+def _canon(struct: FinStructure, init_colors: Colors, colors: Colors) -> tuple[bytes, Colors]:
+    colors = _refine(struct, colors)
     cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
+    for v in struct.universe:
+        cells.setdefault(colors[v], []).append(v)
     branch = None
     for c in sorted(cells):
         if len(cells[c]) > 1 and (branch is None or len(cells[c]) < len(cells[branch])):
             branch = c
     if branch is None:
-        return _serialize(g, init_colors, colors)
+        return _serialize(struct, init_colors, colors)
 
     cell = cells[branch]
-    best: Optional[tuple[bytes, list[int]]] = None
+    best: Optional[tuple[bytes, Colors]] = None
     explored: list[int] = []
     certs: dict[int, bytes] = {}
-    labs: dict[int, list[int]] = {}
-    gens: list[list[int]] = []
+    labs: dict[int, Colors] = {}
+    gens: list[Colors] = []
 
     def orbit(seed: list[int]) -> set[int]:
         out = set(seed)
@@ -109,16 +96,14 @@ def _canon(g: _Indexed, init_colors: list[int], colors: list[int]) -> tuple[byte
     for v in cell:
         if explored and v in orbit(explored):
             continue
-        child = list(colors)
+        child = dict(colors)
         child[v] = -1  # fresh colour; refinement re-indexes
-        cert, lab = _canon(g, init_colors, child)
+        cert, lab = _canon(struct, init_colors, child)
         for u in explored:
             if certs[u] == cert:
                 # Equal leaf certificates expose an automorphism.
-                inv = [0] * g.n
-                for x in range(g.n):
-                    inv[labs[u][x]] = x
-                gens.append([inv[lab[x]] for x in range(g.n)])
+                inv = {p: x for x, p in labs[u].items()}
+                gens.append({x: inv[p] for x, p in lab.items()})
                 break
         if best is None or cert < best[0]:
             best = (cert, lab)
@@ -136,26 +121,29 @@ def certificate(struct: FinStructure, init_colors: Optional[Mapping[int, int]] =
     colours come on top (elements with different colours can never map to
     each other).
     """
-    g = _Indexed(struct)
-    given = [0 if init_colors is None else int(init_colors.get(e, 0)) for e in struct.universe]
-    seed_keys = [(given[i], g.ann[i]) for i in range(g.n)]
+    given = init_colors or {}
+    seed_keys = [(int(given.get(e, 0)), struct.annotation(e)) for e in struct.universe]
     order = sorted(set(seed_keys))
     remap = {k: i for i, k in enumerate(order)}
-    init = [remap[k] for k in seed_keys]
-    if len(order) == g.n:
+    init = {e: remap[k] for e, k in zip(struct.universe, seed_keys)}
+    if len(order) == struct.n:
         # a discrete colouring is already stable: no refinement, no search
-        cert, _ = _serialize(g, init, init)
+        cert, _ = _serialize(struct, init, init)
     else:
-        cert, _ = _canon(g, init, list(init))
+        cert, _ = _canon(struct, init, init)
     return cert
+
+
+def _cached(struct: FinStructure, key: tuple, colors: Optional[Mapping[int, int]] = None) -> bytes:
+    """`certificate(struct, colors)`, kept on the structure under `key`."""
+    if key not in struct._codes:
+        struct._codes[key] = certificate(struct, colors)
+    return struct._codes[key]
 
 
 def canonical_code(struct: FinStructure) -> bytes:
     """Plain canonical code; cached on the structure."""
-    key = ("plain",)
-    if key not in struct._codes:
-        struct._codes[key] = certificate(struct)
-    return struct._codes[key]
+    return _cached(struct, ("plain",))
 
 
 def code_over_base(struct: FinStructure, base: Iterable[int]) -> bytes:
@@ -166,18 +154,10 @@ def code_over_base(struct: FinStructure, base: Iterable[int]) -> bytes:
     fixes the base pointwise.
     """
     base_sorted = tuple(sorted(set(base)))
-    key = ("over", base_sorted)
-    if key not in struct._codes:
-        colors = {e: i + 1 for i, e in enumerate(base_sorted)}
-        struct._codes[key] = certificate(struct, colors)
-    return struct._codes[key]
+    return _cached(struct, ("over", base_sorted), {e: i + 1 for i, e in enumerate(base_sorted)})
 
 
 def pair_code(struct: FinStructure, base: Iterable[int]) -> bytes:
     """Code of the pair (base, struct) up to isomorphisms preserving the split."""
     base_sorted = tuple(sorted(set(base)))
-    key = ("pair", base_sorted)
-    if key not in struct._codes:
-        colors = {e: 1 for e in base_sorted}
-        struct._codes[key] = certificate(struct, colors)
-    return struct._codes[key]
+    return _cached(struct, ("pair", base_sorted), dict.fromkeys(base_sorted, 1))

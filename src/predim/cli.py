@@ -19,7 +19,8 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, TypeVar
 
 from .amalgams import AmalgamError, free_amalgam
 from .audits import (
@@ -53,6 +54,7 @@ from .strongsets import closure as strong_closure
 from .structures import Embedding, FinStructure, Signature, StructureError
 from .textio import (
     ParseError,
+    _ascii_int,
     format_ids,
     parse_map,
     parse_mu,
@@ -80,27 +82,19 @@ def _read(path: str) -> str:
         raise UsageError(f"{path}: {e.strerror or e}")
 
 
-def _load_structure(path: str) -> FinStructure:
-    try:
-        return parse_structure(_read(path))
-    except ParseError as e:
-        raise UsageError(f"{path}: {e}")
+T = TypeVar("T")
+
+# the spec of a verb run without --spec
+_RELATIONAL = PredimensionSpec.make(relational=True)
 
 
-def _load_spec(path: Optional[str], allow_invalid: bool = False) -> PredimensionSpec:
+def _load(parse: Callable[[str], T], path: Optional[str], default: Optional[T] = None) -> T:
+    """The file at `path` read by `parse`, or `default` without a path; a
+    parse error becomes a usage error naming the file."""
     if path is None:
-        return PredimensionSpec.make(relational=True)
+        return default
     try:
-        return parse_spec(_read(path), allow_invalid=allow_invalid)
-    except ParseError as e:
-        raise UsageError(f"{path}: {e}")
-
-
-def _load_mu(path: Optional[str]) -> MuFunction:
-    if path is None:
-        return DEFAULT_MU
-    try:
-        return parse_mu(_read(path))
+        return parse(_read(path))
     except ParseError as e:
         raise UsageError(f"{path}: {e}")
 
@@ -114,16 +108,21 @@ def _parse_ids(text: str) -> tuple[int, ...]:
     out = []
     for tok in text.replace(",", " ").split():
         try:
-            out.append(int(tok))
+            out.append(_ascii_int(tok))
         except ValueError:
             raise UsageError(f"expected an element id, got {tok!r}")
     return tuple(out)
 
 
-def _check_subset(struct: FinStructure, ids: tuple[int, ...], what: str) -> tuple[int, ...]:
-    missing = [e for e in ids if e not in set(struct.universe)]
+def _ids(struct: FinStructure, text: Optional[str], flag: str, absent=None):
+    """The ids an id flag names, checked to be elements; `absent` when the
+    flag is not given."""
+    if text is None:
+        return absent
+    ids = _parse_ids(text)
+    missing = [e for e in ids if e not in struct]
     if missing:
-        raise UsageError(f"{what} mentions non-elements {missing}")
+        raise UsageError(f"{flag} mentions non-elements {missing}")
     return ids
 
 
@@ -161,23 +160,18 @@ def _emit(facts: dict, struct: Optional[FinStructure] = None, out: Optional[str]
 
 
 def _cmd_delta(args) -> int:
-    spec = _load_spec(args.spec)
-    struct = _load_structure(args.structure)
-    subset = None
-    if args.subset is not None:
-        subset = _check_subset(struct, _parse_ids(args.subset), "--subset")
-    value = delta(spec, struct, subset)
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
+    struct = _load(parse_structure, args.structure)
+    value = delta(spec, struct, _ids(struct, args.subset, "--subset"))
     print(f"{value.numerator}/{value.denominator}")
     return 0
 
 
 def _cmd_strong(args) -> int:
-    spec = _load_spec(args.spec)
-    struct = _load_structure(args.structure)
-    base = _check_subset(struct, _parse_ids(args.base), "--base")
-    within = None
-    if args.within is not None:
-        within = _check_subset(struct, _parse_ids(args.within), "--within")
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
+    struct = _load(parse_structure, args.structure)
+    base = _ids(struct, args.base, "--base")
+    within = _ids(struct, args.within, "--within")
     rep = is_strong(spec, struct, base, within)
     facts = {"verdict": rep.verdict, "deficiency": rep.deficiency}
     if rep.witness is not None:
@@ -187,19 +181,17 @@ def _cmd_strong(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    spec = _load_spec(args.spec)
-    struct = _load_structure(args.structure)
-    base = _check_subset(struct, _parse_ids(args.base), "--base")
-    within = None
-    if args.within is not None:
-        within = _check_subset(struct, _parse_ids(args.within), "--within")
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
+    struct = _load(parse_structure, args.structure)
+    base = _ids(struct, args.base, "--base")
+    within = _ids(struct, args.within, "--within")
     _emit({"closure": format_ids(strong_closure(spec, struct, base, within))})
     return 0
 
 
 def _cmd_check_class(args) -> int:
-    spec = _load_spec(args.spec)
-    struct = _load_structure(args.structure)
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
+    struct = _load(parse_structure, args.structure)
     rep = is_strong(spec, struct, ())
     facts = {"in-class": rep.verdict}
     if not rep.verdict:
@@ -210,31 +202,28 @@ def _cmd_check_class(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    spec = _load_spec(args.spec)
-    struct = _load_structure(args.structure)
-    of = _check_subset(struct, _parse_ids(args.of), "--of")
-    over = _check_subset(struct, _parse_ids(args.over), "--over") if args.over else ()
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
+    struct = _load(parse_structure, args.structure)
+    of = _ids(struct, args.of, "--of")
+    over = _ids(struct, args.over, "--over", ())
     _emit({"dim": dim(spec, struct, of, over)})
     return 0
 
 
 def _cmd_gcl(args) -> int:
-    spec = _load_spec(args.spec)
-    struct = _load_structure(args.structure)
-    of = _check_subset(struct, _parse_ids(args.of), "--of") if args.of else ()
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
+    struct = _load(parse_structure, args.structure)
+    of = _ids(struct, args.of, "--of", ())
     _emit({"gcl": format_ids(gcl(spec, struct, of))})
     return 0
 
 
 def _cmd_amalgamate(args) -> int:
-    base = _load_structure(args.base)
-    left = _load_structure(args.left)
-    right = _load_structure(args.right)
-    try:
-        lmap = parse_map(_read(args.left_map))
-        rmap = parse_map(_read(args.right_map))
-    except ParseError as e:
-        raise UsageError(str(e))
+    base = _load(parse_structure, args.base)
+    left = _load(parse_structure, args.left)
+    right = _load(parse_structure, args.right)
+    lmap = _load(parse_map, args.left_map)
+    rmap = _load(parse_map, args.right_map)
     try:
         e1 = Embedding.make(base, left, lmap)
         e2 = Embedding.make(base, right, rmap)
@@ -261,9 +250,9 @@ def _richness_facts(rep) -> dict:
 
 
 def _cmd_build(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
-    start = _load_structure(args.start) if args.start else _empty_start(spec)
+    start = _load(parse_structure, args.start) if args.start else _empty_start(spec)
     palette = _palette_for(spec)
     ga = build_generic(spec, start, args.k, args.budget, palette)
     rep = audit_richness(spec, ga.current, args.k, palette)
@@ -276,9 +265,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
-    struct = _load_structure(args.structure)
+    struct = _load(parse_structure, args.structure)
     rep = audit_richness(spec, struct, args.k, _palette_for(spec))
     facts = _richness_facts(rep)
     facts["n"] = len(struct.universe)
@@ -287,9 +276,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_exchange_audit(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
-    struct = _load_structure(args.structure)
+    struct = _load(parse_structure, args.structure)
     rng = random.Random(args.seed)
     source = lambda _rng: struct
     ex = audit_exchange(spec, source, rng, args.samples, fresh_every=0)
@@ -305,9 +294,9 @@ def _cmd_exchange_audit(args) -> int:
 
 
 def _cmd_enumerate_min(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
-    base = _load_structure(args.structure)
+    base = _load(parse_structure, args.structure)
     palette = _palette_for(spec)
     if args.biminimal:
         classes = enumerate_minimal_extensions(spec, base, args.max_new, annotation_palette=palette)
@@ -342,10 +331,10 @@ def _cmd_enumerate_min(args) -> int:
 
 
 def _cmd_check_mu(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
-    struct = _load_structure(args.structure)
-    mu = _load_mu(args.mu)
+    struct = _load(parse_structure, args.structure)
+    mu = _load(parse_mu, args.mu, DEFAULT_MU)
     rep = in_class_mu(spec, mu, struct, args.bound, annotation_palette=_palette_for(spec))
     facts = {"ok": rep.ok, "violations": len(rep.violations)}
     for i, (ids, code, count, limit) in enumerate(rep.violations):
@@ -355,23 +344,22 @@ def _cmd_check_mu(args) -> int:
 
 
 def _cmd_count_copies(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
-    struct = _load_structure(args.structure)
-    ext = _load_structure(args.ext)
-    base = _parse_ids(args.base)
-    cls = classify_extension(spec, ext, base)
-    _check_subset(struct, base, "--base")
+    struct = _load(parse_structure, args.structure)
+    ext = _load(parse_structure, args.ext)
+    cls = classify_extension(spec, ext, _parse_ids(args.base))
+    base = _ids(struct, args.base, "--base")
     count = count_independent_copies(spec, struct, base, cls, cap=args.cap)
     _emit({"count": count})
     return 0
 
 
 def _cmd_collapse_build(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
-    mu = _load_mu(args.mu)
-    start = _load_structure(args.start) if args.start else _empty_start(spec)
+    mu = _load(parse_mu, args.mu, DEFAULT_MU)
+    start = _load(parse_structure, args.start) if args.start else _empty_start(spec)
     palette = _palette_for(spec)
     bound = args.bound if args.bound is not None else args.k
     ga = build_collapsed(
@@ -424,7 +412,7 @@ def _mu_build_audit(spec: PredimensionSpec, weight: Fraction, samples: int) -> A
 
 
 def _cmd_audit_all(args) -> int:
-    spec = _load_spec(args.spec, allow_invalid=True)
+    spec = _load(partial(parse_spec, allow_invalid=True), args.spec, _RELATIONAL)
     try:
         weight = Fraction(args.weight)
     except (ValueError, ZeroDivisionError):
@@ -483,7 +471,7 @@ def _cmd_audit_all(args) -> int:
 
 def _uint(text: str) -> int:
     try:
-        value = int(text)
+        value = _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     if value < 0:

@@ -191,9 +191,9 @@ def count_independent_copies(
     sorted `base_ids`.  Exact clique search; `cap` allows an early exit once
     the count provably exceeds it.
     """
-    base = tuple(sorted(base_ids))
-    fixed = dict(zip(cls.base.universe, base))
-    if len(base) != len(fixed) or cls.base.relabel(fixed) != struct.restrict(base):
+    base = sorted(base_ids)
+    fixed = cls.base_map(base) if len(base) == cls.base.n else None
+    if fixed is None or cls.base.relabel(fixed) != struct.restrict(base):
         raise MuError("base does not match the class's base shape")
 
     def compat(mapping: dict[int, int]) -> bool:

@@ -53,8 +53,10 @@ class ExtensionClass:
     def base_map(self, base_ids: Sequence[int]) -> dict[int, int]:
         """Pins this class's base onto a concrete base of the same shape.
 
-        Elements are matched in sorted order, as in `transport`; the caller
-        vouches that the concrete base has the same pointed code.
+        Elements are matched in sorted order; this is the one pinning
+        convention, shared by `transport`, the obligation checks and the copy
+        count.  The caller vouches that the concrete base has the same pointed
+        code.
         """
         new = sorted(base_ids)
         if len(new) != len(self.base.universe):
@@ -68,12 +70,8 @@ class ExtensionClass:
         in sorted order), which keeps every tag and the code valid; only
         ids change.  New elements are renumbered above the base's ids.
         """
-        old = self.base.universe
-        new = concrete_base.universe
-        if len(old) != len(new):
-            raise StructureError("transport to a base of different size")
-        mapping = dict(zip(old, new))
-        start = max(new, default=-1) + 1
+        mapping = self.base_map(concrete_base.universe)
+        start = max(concrete_base.universe, default=-1) + 1
         for i, e in enumerate(self.new_elements):
             mapping[e] = start + i
         ext = self.ext.relabel(mapping)

@@ -97,11 +97,13 @@ def _split_parts(cls: ExtensionClass, base: set[int]):
 
 @dataclass(frozen=True)
 class _Plan:
-    """What checking a class needs, in the class's own coordinates: its
-    sorted base, the base plus the anchored part (None when no new element
-    touches the base), and each free part with its canonical code."""
+    """What checking a class needs, in the coordinates of the class it was
+    made from (`cls`; plans are shared by code, and a transported class has
+    the same code over other ids): the base plus the anchored part (None when
+    no new element touches the base), and each free part with its canonical
+    code."""
 
-    base: tuple[int, ...]
+    cls: ExtensionClass
     anchored: Optional[FinStructure]
     free_parts: tuple[tuple[FinStructure, bytes], ...]
 
@@ -110,11 +112,7 @@ class _Plan:
         base = set(cls.base.universe)
         anchored, free = _split_parts(cls, base)
         parts = tuple((part, canonical_code(part)) for part in map(cls.ext.restrict, free))
-        return _Plan(
-            cls.base.universe,
-            cls.ext.restrict(base | set(anchored)) if anchored else None,
-            parts,
-        )
+        return _Plan(cls, cls.ext.restrict(base | set(anchored)) if anchored else None, parts)
 
 
 def met_fast(
@@ -136,7 +134,7 @@ def met_fast(
 
     if plan.anchored is not None:
         target = pf.target(tuple(sorted(base_roots)))
-        fixed = dict(zip(plan.base, sorted(base_ids)))
+        fixed = plan.cls.base_map(base_ids)
 
         def chunk_ok(mapping: dict[int, int]) -> bool:
             return pf.set_strong(mapping.values())

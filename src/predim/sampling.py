@@ -43,10 +43,6 @@ def random_structure(
     return FinStructure(sig, range(n), instances)
 
 
-def random_graph(rng: random.Random, n: int, p: float = 0.3) -> FinStructure:
-    return random_structure(rng, GRAPH_SIG, n, p)
-
-
 def random_sparse_graph(rng: random.Random, n: int, extra_edges: int = 2) -> FinStructure:
     """A forest plus a few extra edges; keeps predimensions near zero, which
     makes strength checks actually contentful."""

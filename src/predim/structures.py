@@ -185,9 +185,6 @@ class FinStructure:
     def count(self, name: str) -> int:
         return len(self.instances[name])
 
-    def sorted_instances(self, name: str) -> list[tuple[int, ...]]:
-        return sorted(self.instances[name])
-
     def all_instances(self) -> Iterator[tuple[str, tuple[int, ...]]]:
         for name in self.sig.names:
             for t in sorted(self.instances[name]):
@@ -264,13 +261,6 @@ class FinStructure:
                 raise StructureError(f"conflicting annotation for element {e}")
             ann[int(e)] = toks
         return FinStructure(self.sig, list(self.universe) + new_elems, inst, ann)
-
-    def instances_meeting(self, subset: Iterable[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
-        """Instances with at least one element in `subset`."""
-        sub = set(subset)
-        for name, t in self.all_instances():
-            if sub.intersection(t):
-                yield name, t
 
     def _indexed(self):
         """(adjacency, incidence), computed on first use and kept."""
@@ -391,17 +381,6 @@ class Embedding:
             if present - mapped:
                 raise StructureError(f"embedding image has an extra instance of {name}")
 
-    def compose(self, outer: "Embedding") -> "Embedding":
-        if outer.source is not self.target and outer.source != self.target:
-            raise StructureError("composition mismatch")
-        om = outer.mapping
-        return Embedding.make(self.source, outer.target, {a: om[b] for a, b in self.pairs})
-
-
-def identity_embedding(struct: FinStructure, sub: Iterable[int]) -> Embedding:
-    """Inclusion of an induced substructure into its parent."""
-    part = struct.restrict(sub)
-    return Embedding.make(part, struct, {e: e for e in part.universe})
 
 
 def find_embeddings(

@@ -12,7 +12,9 @@ Mu files:
     mu <hex-code> <int>
     mu-default <formula-id> <params...>
 `#` starts a comment everywhere; parsing is strict and unknown directives are
-errors with line numbers.
+errors with line numbers.  Every integer, in a count, an id, a value or either
+side of a fraction, is `-?[0-9]+` in ASCII digits: no `+` sign, no `_`
+separators, no other digits.
 
 Machine reports are sorted `key<TAB>value` lines; rationals always print as
 `p/q` with q > 0 in lowest terms, integers included (`n/1`).
@@ -47,12 +49,20 @@ def _content_lines(text: str):
             yield i, line.split()
 
 
+def _ascii_int(token: str) -> int:
+    """The integer spelled `-?[0-9]+` in ASCII digits, else ValueError."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
+
 def _parse_fraction(line: int, token: str) -> Fraction:
     parts = token.split("/")
     if len(parts) != 2:
         raise ParseError(line, f"expected a fraction p/q, got {token!r}")
     try:
-        num, den = int(parts[0]), int(parts[1])
+        num, den = _ascii_int(parts[0]), _ascii_int(parts[1])
     except ValueError:
         raise ParseError(line, f"expected a fraction p/q, got {token!r}")
     if den <= 0:
@@ -62,7 +72,7 @@ def _parse_fraction(line: int, token: str) -> Fraction:
 
 def _parse_int(line: int, token: str, what: str) -> int:
     try:
-        return int(token)
+        return _ascii_int(token)
     except ValueError:
         raise ParseError(line, f"expected an integer {what}, got {token!r}")
 

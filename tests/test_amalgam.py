@@ -20,7 +20,7 @@ def test_two_pendants_over_a_point_make_a_star():
         Embedding.make(base, pend_b, {0: 0}),
     )
     assert out.amalgam.universe == (0, 1, 2)
-    assert out.amalgam.sorted_instances("E") == [(0, 1), (0, 2)]
+    assert sorted(out.amalgam.instances["E"]) == [(0, 1), (0, 2)]
     assert out.left[1] == 1
     assert out.right[1] == 2
     assert out.base[0] == 0

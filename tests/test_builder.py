@@ -14,6 +14,7 @@ from predim import (
     brute_force_is_strong,
     build_generic,
     canonical_code,
+    classify_extension,
     free_extend,
     in_class,
     linear_extension_palette,
@@ -127,6 +128,18 @@ def test_obligation_met_fast_matches_generic(alpha1):
             assert fast == slow
 
 
+def test_met_fast_shares_plans_with_transported_classes(alpha1):
+    # a transported class has the plan's code but other base ids; the plan
+    # pins the base in its own coordinates
+    pend = classify_extension(alpha1, graph(2, [(0, 1)]), [0])
+    g = graph(4, [(0, 1), (2, 3)])
+    pf = Pseudoforest(g)
+    moved = pend.transport(g.restrict([2]))
+    assert obligation_met(alpha1, g, (0,), pend, pf=pf)
+    assert obligation_met(alpha1, g, (2,), moved)
+    assert obligation_met(alpha1, g, (2,), moved, pf=pf)
+
+
 def _random_pseudoforest(rng: random.Random, n: int):
     """Trees and unicyclic components: a random tree per component, closed
     into one cycle (of length three or more) with probability one half."""
@@ -205,7 +218,7 @@ def test_pseudoforest_matches_brute_with_parallel_edges(alpha1):
             base = _random_pseudoforest(rng, n)
         else:
             base = random_sparse_graph(rng, n, extra_edges=rng.randrange(4))
-        e_pairs = base.sorted_instances("E")
+        e_pairs = sorted(base.instances["E"])
         f_pairs = [t for t in e_pairs if rng.random() < 0.2]
         g = FinStructure(sig, range(n), {"E": e_pairs, "F": f_pairs})
         pf = Pseudoforest(g)

@@ -1,11 +1,31 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from fractions import Fraction
+from itertools import combinations, product
 
 from predim import Signature, FinStructure, canonical_code, code_over_base, pair_code
-from predim.sampling import random_graph, random_vectors
+from predim.canonical import certificate
+from predim.sampling import GRAPH_SIG, random_structure, random_vectors
 
 from conftest import graph, vectors
+
+# graph, two binary symbols, ternary, weighted binary + ternary, ordered,
+# ordered ternary + binary; two list their symbols out of name order, so a
+# code that sorts by symbol name instead of signature place shows
+SIGNATURES = (
+    GRAPH_SIG,
+    Signature((("F", 2), ("E", 2))),
+    Signature((("R", 3),)),
+    Signature((("E", 2), ("T", 3)), (("E", Fraction(1, 2)),)),
+    Signature((("R", 2),), ordered=True),
+    Signature((("T", 3), ("R", 2)), ordered=True),
+)
+
+# SHA-256 over the codes of `_suite`; canonical codes are persisted as hex in
+# mu files, so every byte of them is pinned.
+SUITE_SHA256 = "b7fa648cc79ae346581ac362d6b5ed1c28ec11ff9c9d079cc4fab522c51b5b6d"
 
 
 def _shuffled(struct, rng):
@@ -19,7 +39,7 @@ def test_code_invariant_under_relabeling_many_samples():
     rng = random.Random(9)
     pairs = 0
     while pairs < 1000:
-        g = random_graph(rng, rng.randrange(1, 10), 0.4)
+        g = random_structure(rng, GRAPH_SIG, rng.randrange(1, 10), 0.4)
         code = canonical_code(g)
         for _ in range(4):
             assert canonical_code(_shuffled(g, rng)) == code
@@ -72,3 +92,60 @@ def test_codes_stable_on_random_annotated_sets():
         n = rng.randrange(1, 8)
         s = FinStructure(Signature(()), range(n), {}, random_vectors(rng, n, 2, 5))
         assert canonical_code(_shuffled(s, rng)) == canonical_code(s)
+
+
+def _seeded(rng, sig, n):
+    """n elements with scattered ids, each possible instance drawn at a
+    density of its own, and annotations on about half the structures.
+    Densities stay off zero: the search is factorial on edgeless structures."""
+    elems = sorted(rng.sample(range(3 * n + 1), n))
+    insts = {}
+    for name, arity in sig.symbols:
+        tuples = product(elems, repeat=arity) if sig.ordered else combinations(elems, arity)
+        p = (0.1 + 0.5 * rng.random()) if arity == 2 else (0.05 + 0.2 * rng.random())
+        insts[name] = [t for t in tuples if rng.random() < p]
+    ann = {}
+    if rng.random() < 0.5:
+        ann = {
+            e: tuple(str(rng.randrange(3)) for _ in range(rng.randrange(1, 3)))
+            for e in elems
+            if rng.random() < 0.7
+        }
+    return FinStructure(sig, elems, insts, ann)
+
+
+def _suite():
+    """Plain, pinned, pair and randomly coloured codes of 2,000 seeded
+    structures of at most 8 elements over all six signatures."""
+    rng = random.Random(2014)
+    for i in range(2000):
+        s = _seeded(rng, SIGNATURES[i % len(SIGNATURES)], rng.randrange(9))
+        base = [e for e in s.universe if rng.random() < 0.4]
+        colors = {e: rng.randrange(3) for e in s.universe}
+        yield from (canonical_code(s), code_over_base(s, base), pair_code(s, base), certificate(s, colors))
+
+
+def test_codes_pinned_on_seeded_suite():
+    h = hashlib.sha256()
+    for code in _suite():
+        h.update(len(code).to_bytes(4, "big") + code)
+    assert h.hexdigest() == SUITE_SHA256
+
+
+def test_code_invariant_under_relabeling_ordered_and_ternary():
+    rng = random.Random(12)
+    sigs = [sig for sig in SIGNATURES if sig.ordered or any(a == 3 for _, a in sig.symbols)]
+    for i in range(200):
+        s = _seeded(rng, sigs[i % len(sigs)], rng.randrange(1, 8))
+        base = [e for e in s.universe if rng.random() < 0.4]
+        images = list(range(100, 100 + s.n))
+        rng.shuffle(images)
+        moved = dict(zip(s.universe, images))
+        # the pinned code colours the base by sorted position, so keep the
+        # base's order: hand its images back out in sorted order
+        moved.update(zip(base, sorted(moved[e] for e in base)))
+        t = s.relabel(moved)
+        image = [moved[e] for e in base]
+        assert canonical_code(t) == canonical_code(s)
+        assert code_over_base(t, image) == code_over_base(s, base)
+        assert pair_code(t, image) == pair_code(s, base)

@@ -94,6 +94,9 @@ def test_copy_count_rejects_foreign_base(alpha1, k3):
     over_edge = classify_extension(alpha1, graph(3, [(0, 1), (1, 2)]), [0, 1])
     with pytest.raises(MuError):
         count_independent_copies(alpha1, graph(3, [(1, 2)]), [0, 1], over_edge)
+    # too few base elements is a shape mismatch too
+    with pytest.raises(MuError):
+        count_independent_copies(alpha1, k3, [0], over_edge)
 
 
 def _brute_copy_count(spec, struct, base, cls):

@@ -3,11 +3,16 @@
 Every input either raises `ParseError` or parses to a value that survives a
 serialize/parse round trip.  Inputs are raw text, and directive-shaped
 documents in which up to three tokens are swapped for random, huge,
-negative, non-ASCII-digit, fraction, hex or keyword tokens.
+negative, non-ASCII-digit, fraction, hex or keyword tokens.  Integer tokens,
+in files and in the CLI's id and count flags, are `-?[0-9]+` in ASCII or an
+error.
 """
 
 from __future__ import annotations
 
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from predim import (
@@ -22,6 +27,7 @@ from predim import (
     serialize_spec,
     serialize_structure,
 )
+from predim.cli import main
 from predim.textio import UNIVERSE_LIMIT
 
 FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -147,3 +153,97 @@ def test_fuzz_parse_mu(text):
 @given(_maps)
 def test_fuzz_parse_map(text):
     _round_trips(parse_map, serialize_map, text)
+
+
+# integer-shaped tokens: an optional sign, then ASCII digits, other decimal
+# digits (Arabic-Indic, fullwidth, ...) and `_` separators
+_int_tokens = st.tuples(
+    st.sampled_from(["", "-", "+"]),
+    st.text(
+        alphabet=st.characters(whitelist_categories=("Nd",)) | st.sampled_from("0123456789_"),
+        min_size=1,
+        max_size=4,
+    ),
+).map("".join)
+
+
+@FUZZ
+@given(_int_tokens)
+def test_fuzz_integer_tokens_are_ascii(tok):
+    # a map entry and a spec coefficient, read back as the integer or refused
+    reads = (
+        (parse_map, f"{tok} 0\n", lambda m: next(iter(m))),
+        (
+            lambda t: parse_spec(t, allow_invalid=True),
+            f"component relational on\ncomponent matroid free {tok}/1\n",
+            lambda spec: spec.components[0][1],
+        ),
+    )
+    for parse, text, value in reads:
+        if re.fullmatch(r"-?[0-9]+", tok):
+            assert value(parse(text)) == int(tok)
+        else:
+            with pytest.raises(ParseError):
+                parse(text)
+
+
+@pytest.mark.parametrize("tok", ["\u0660", "\u0663", "\uff11", "+2", "1_0", "\u00b2", "1\u0660"])
+def test_structure_integer_fields_refuse_non_ascii(tok):
+    docs = [
+        f"universe {tok}\n",
+        f"universe 3\nrel E {tok} 1/1\n",
+        f"universe 3\nrel E 2 {tok}/1\n",
+        f"universe 3\nrel E 2 1/{tok}\n",
+        f"universe 3\nrel E 2 1/1\ntup E 0 {tok}\n",
+        f"universe 3\nann {tok} 1\n",
+    ]
+    for doc in docs:
+        with pytest.raises(ParseError):
+            parse_structure(doc)
+    for doc in (f"mu ab {tok}\n", f"mu-default linear 8 {tok}\n"):
+        with pytest.raises(ParseError):
+            parse_mu(doc)
+
+
+@pytest.fixture
+def twelve(tmp_path):
+    path = tmp_path / "twelve.structure"
+    # twelve elements, so that `1_0` read as 10 would name one
+    path.write_text("universe 12\nrel E 2 1/1\ntup E 0 1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "{f}", "--subset", "\u0660 1"],
+        ["delta", "{f}", "--subset", "+0,1_0"],
+        ["closure", "{f}", "--base", "\u0662", "--threads", "1"],
+        ["closure", "{f}", "--base", "0", "--threads", "\uff11"],
+        ["strong", "{f}", "--base", "0", "--within", "0 \uff12"],
+        ["dim", "{f}", "--of", "1", "--over", "\u0660"],
+        ["gcl", "{f}", "--of", "+1"],
+        ["audit", "{f}", "--k", "\u0663"],
+        ["exchange-audit", "{f}", "--seed", "1_0"],
+    ],
+    ids=[
+        "delta-subset-arabic",
+        "delta-subset-sign-underscore",
+        "closure-base-arabic",
+        "closure-threads-fullwidth",
+        "strong-within-fullwidth",
+        "dim-over-arabic",
+        "gcl-of-sign",
+        "audit-k-arabic",
+        "exchange-audit-seed-underscore",
+    ],
+)
+def test_cli_integer_flags_refuse_non_ascii(twelve, capsys, argv):
+    try:
+        rc = main([a.replace("{f}", twelve) for a in argv])
+    except SystemExit as exc:  # argparse rejects a bad count flag
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert "Traceback" not in err

@@ -112,7 +112,7 @@ def test_engines_agree_on_weighted_graphs():
         spec = spec_alpha()
         for _ in range(120):
             g = random_sparse_graph(rng, rng.randrange(2, 9), extra_edges=rng.randrange(5))
-            g = graph(g.n, g.sorted_instances("E"), weight=w)
+            g = graph(g.n, sorted(g.instances["E"]), weight=w)
             base = random_subset(rng, g.universe)
             a = _direct(_dfs_min, spec, g, base)
             b = brute_force_is_strong(spec, g, base)
@@ -400,7 +400,7 @@ def test_session_answers_match_fresh_structures_and_brute():
         for spec in _modular_specs():
             for _ in range(12):
                 g = random_sparse_graph(rng, rng.randrange(2, 10), extra_edges=rng.randrange(5))
-                s = graph(g.n, g.sorted_instances("E"), weight=w)
+                s = graph(g.n, sorted(g.instances["E"]), weight=w)
                 tables = subset_tables(spec, s)
                 for _ in range(8):
                     base = random_subset(rng, s.universe)

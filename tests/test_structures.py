@@ -17,7 +17,6 @@ from predim import (
     pair_code,
 )
 from predim.sampling import random_structure
-from predim.structures import identity_embedding
 
 from conftest import graph, vectors
 
@@ -57,14 +56,14 @@ def test_signature_rejects_duplicates_and_bad_arities():
 def test_structure_normalizes_instances():
     g = graph(3, [(1, 0), (0, 1), (1, 2)])
     # unordered relation: reversed and repeated tuples collapse to one instance
-    assert g.sorted_instances("E") == [(0, 1), (1, 2)]
+    assert sorted(g.instances["E"]) == [(0, 1), (1, 2)]
     assert g.count("E") == 2
 
 
 def test_ordered_signature_keeps_tuples_raw():
     sig = Signature((("R", 2),), ordered=True)
     s = FinStructure(sig, (0, 1), {"R": [(1, 0), (0, 0)]})
-    assert s.sorted_instances("R") == [(0, 0), (1, 0)]
+    assert sorted(s.instances["R"]) == [(0, 0), (1, 0)]
 
 
 def test_structure_rejects_foreign_elements():
@@ -93,7 +92,7 @@ def test_restrict_keeps_induced_instances():
     g = graph(4, [(0, 1), (1, 2), (2, 3)])
     sub = g.restrict([1, 2, 3])
     assert sub.universe == (1, 2, 3)
-    assert sub.sorted_instances("E") == [(1, 2), (2, 3)]
+    assert sorted(sub.instances["E"]) == [(1, 2), (2, 3)]
     with pytest.raises(StructureError):
         g.restrict([1, 9])
 
@@ -119,7 +118,7 @@ def test_extended_adds_elements_and_instances():
     g = graph(2, [(0, 1)])
     h = g.extended([2], {"E": [(1, 2)]}, {2: ("1",)})
     assert h.universe == (0, 1, 2)
-    assert h.sorted_instances("E") == [(0, 1), (1, 2)]
+    assert sorted(h.instances["E"]) == [(0, 1), (1, 2)]
     assert h.annotation(2) == ("1",)
     with pytest.raises(StructureError):
         g.extended([1], {})  # already present
@@ -130,8 +129,9 @@ def test_adjacency_and_instances_meeting():
     adj = g.adjacency()
     assert adj[1] == {0, 2}
     assert adj[3] == set()
-    assert list(g.instances_meeting({0})) == [("E", (0, 1))]
-    assert list(g.instances_meeting({3})) == []
+    inc = g.incidence()
+    assert inc[0] == (("E", (0, 1)),)
+    assert inc[3] == ()
 
 
 def test_embedding_make_checks_induced_both_ways():
@@ -158,19 +158,9 @@ def test_embedding_rejects_partial_or_noninjective_maps():
 
 def test_identity_embedding_of_substructure():
     g = graph(3, [(0, 1), (1, 2)])
-    emb = identity_embedding(g, [0, 1])
+    emb = Embedding.make(g.restrict([0, 1]), g, {0: 0, 1: 1})
     assert emb.image == frozenset({0, 1})
     assert emb[1] == 1
-
-
-def test_embedding_compose():
-    g = graph(2, [(0, 1)])
-    h = g.relabel({0: 3, 1: 4})
-    k = h.relabel({3: 7, 4: 9})
-    e1 = Embedding.make(g, h, {0: 3, 1: 4})
-    e2 = Embedding.make(h, k, {3: 7, 4: 9})
-    both = e1.compose(e2)
-    assert both[0] == 7 and both[1] == 9
 
 
 def test_find_embeddings_counts():

@@ -31,6 +31,9 @@ StructSource = Callable[[random.Random], FinStructure]
 SOURCE_DENSITY = 0.35
 SOURCE_WIDTH = 2
 
+# Free elements past the base that `audit_oracle_equivalence` draws at most.
+ORACLE_MAX_FREE = 12
+
 
 @dataclass(frozen=True)
 class AuditResult:
@@ -158,7 +161,6 @@ def audit_oracle_equivalence(
     source: StructSource,
     rng: random.Random,
     samples: int,
-    max_free: int = 12,
 ) -> AuditResult:
     """Routed strength engines against the exhaustive oracle.
 
@@ -171,7 +173,7 @@ def audit_oracle_equivalence(
         struct = source(rng)
         base = random_subset(rng, struct.universe)
         rest = [e for e in struct.universe if e not in set(base)]
-        cap = min(len(rest), max_free)
+        cap = min(len(rest), ORACLE_MAX_FREE)
         free = random_subset(rng, rest, k=rng.randrange(cap + 1)) if rest else ()
         within = tuple(sorted(set(base) | set(free)))
         fast = is_strong(spec, struct, base, within)

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .canonical import code_over_base
 from .extensions import ExtensionClass, enumerate_extensions
-from .predimension import PredimensionSpec, SpecError, is_embedding_compatible
+from .predimension import PredimensionSpec, is_embedding_compatible
 from .richness import Pseudoforest, met_fast
 from .structures import Embedding, FinStructure, find_embeddings
 from .strongsets import alpha_one_profile, in_class, strong_verdict
@@ -118,7 +118,6 @@ class GenericApprox:
         start: FinStructure,
         k: int,
         allowance: int,
-        annotation_palette: Optional[Callable] = None,
     ):
         if k < 1:
             raise BuilderError("level k must be at least 1")
@@ -129,7 +128,6 @@ class GenericApprox:
         self.spec = spec
         self.k = k
         self.allowance = allowance
-        self.annotation_palette = annotation_palette
         self.step: Callable[..., tuple[int, ...]] = discharge
         self.current = start
         self.history: list[DischargeRecord] = []
@@ -158,7 +156,6 @@ def classes_over(
     base_ids: tuple[int, ...],
     k: int,
     cache: dict[bytes, list[ExtensionClass]],
-    annotation_palette: Optional[Callable] = None,
 ) -> list[ExtensionClass]:
     """Obligation classes over a concrete base, via a per-shape cache.
 
@@ -169,9 +166,7 @@ def classes_over(
     key = code_over_base(base_struct, base_ids)
     if key not in cache:
         max_new = k - len(base_ids)
-        classes = enumerate_extensions(
-            spec, base_struct, max_new, annotation_palette=annotation_palette
-        )
+        classes = enumerate_extensions(spec, base_struct, max_new)
         cache[key] = [c for c in classes if c.base_strong and c.ext_in_class]
     return cache[key]
 
@@ -219,14 +214,13 @@ def _obligations(
     strong_sets: list[tuple[int, ...]],
     k: int,
     cache: dict[bytes, list[ExtensionClass]],
-    annotation_palette: Optional[Callable],
 ) -> Iterator[tuple[tuple[int, ...], ExtensionClass]]:
     """All obligations in (|A|, |B|, class code, A) order."""
     for asize in range(0, k):
         bases = [A for A in strong_sets if len(A) == asize]
         per_bsize: dict[int, list[tuple[bytes, tuple[int, ...], ExtensionClass]]] = {}
         for A in bases:
-            for cls in classes_over(spec, struct, A, k, cache, annotation_palette):
+            for cls in classes_over(spec, struct, A, k, cache):
                 per_bsize.setdefault(cls.size, []).append((cls.code, A, cls))
         for bsize in sorted(per_bsize):
             for code, A, cls in sorted(per_bsize[bsize], key=lambda t: (t[0], t[1])):
@@ -234,9 +228,7 @@ def _obligations(
 
 
 def _first_unmet(ga: GenericApprox) -> Optional[tuple[tuple[int, ...], ExtensionClass]]:
-    for A, cls in _obligations(
-        ga.spec, ga.current, ga._strong, ga.k, ga._class_cache, ga.annotation_palette
-    ):
+    for A, cls in _obligations(ga.spec, ga.current, ga._strong, ga.k, ga._class_cache):
         key = (A, cls.code)
         if key in ga._satisfied:
             continue
@@ -336,11 +328,10 @@ def build_generic(
     start: FinStructure,
     k: int,
     budget: int,
-    annotation_palette: Optional[Callable] = None,
 ) -> GenericApprox:
     """Grow `start` by free extensions until every obligation at level k is
     met or the next discharge would push past `budget` elements."""
-    ga = GenericApprox(spec, start, k, budget, annotation_palette)
+    ga = GenericApprox(spec, start, k, budget)
     _run(ga)
     return ga
 
@@ -359,7 +350,6 @@ def audit_richness(
     spec: PredimensionSpec,
     struct: FinStructure,
     k: int,
-    annotation_palette: Optional[Callable] = None,
 ) -> RichnessReport:
     """Count satisfied obligations at level k on a fixed structure."""
     if not spec.valid:
@@ -370,7 +360,7 @@ def audit_richness(
     total = 0
     satisfied = 0
     unmet = []
-    for A, cls in _obligations(spec, struct, strong_sets, k, cache, annotation_palette):
+    for A, cls in _obligations(spec, struct, strong_sets, k, cache):
         total += 1
         if obligation_met(spec, struct, A, cls, pf=pf):
             satisfied += 1

@@ -45,9 +45,9 @@ from .collapse import (
     enumerate_minimal_extensions,
     in_class_mu,
 )
-from .extensions import classify_extension, enumerate_extensions, linear_extension_palette
+from .extensions import classify_extension, enumerate_extensions
 from .geometry import GeometryError, dim, gcl
-from .predimension import LinearOracle, PredimensionSpec, SpecError, delta
+from .predimension import PredimensionSpec, SpecError, delta
 from .sampling import graph_signature
 from .strongsets import is_strong
 from .strongsets import closure as strong_closure
@@ -124,11 +124,6 @@ def _ids(struct: FinStructure, text: Optional[str], flag: str, absent=None):
     if missing:
         raise UsageError(f"{flag} mentions non-elements {missing}")
     return ids
-
-
-def _palette_for(spec: PredimensionSpec):
-    primes = [o.p for o, _ in spec.components if isinstance(o, LinearOracle)]
-    return linear_extension_palette(primes[0]) if primes else None
 
 
 def _empty_start(spec: PredimensionSpec, weight: Fraction = Fraction(1)) -> FinStructure:
@@ -253,9 +248,8 @@ def _cmd_build(args) -> int:
     spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
     start = _load(parse_structure, args.start) if args.start else _empty_start(spec)
-    palette = _palette_for(spec)
-    ga = build_generic(spec, start, args.k, args.budget, palette)
-    rep = audit_richness(spec, ga.current, args.k, palette)
+    ga = build_generic(spec, start, args.k, args.budget)
+    rep = audit_richness(spec, ga.current, args.k)
     facts = _richness_facts(rep)
     facts["n"] = len(ga.current.universe)
     facts["blocked"] = ga.blocked is not None
@@ -268,7 +262,7 @@ def _cmd_audit(args) -> int:
     spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
     struct = _load(parse_structure, args.structure)
-    rep = audit_richness(spec, struct, args.k, _palette_for(spec))
+    rep = audit_richness(spec, struct, args.k)
     facts = _richness_facts(rep)
     facts["n"] = len(struct.universe)
     _emit(facts, struct, args.out)
@@ -297,13 +291,12 @@ def _cmd_enumerate_min(args) -> int:
     spec = _load(parse_spec, args.spec, _RELATIONAL)
     _require_valid(spec)
     base = _load(parse_structure, args.structure)
-    palette = _palette_for(spec)
     if args.biminimal:
-        classes = enumerate_minimal_extensions(spec, base, args.max_new, annotation_palette=palette)
+        classes = enumerate_minimal_extensions(spec, base, args.max_new)
     else:
         classes = [
             c
-            for c in enumerate_extensions(spec, base, args.max_new, annotation_palette=palette)
+            for c in enumerate_extensions(spec, base, args.max_new)
             if c.minimal and c.ext_in_class
         ]
     facts = {"classes": len(classes)}
@@ -335,7 +328,7 @@ def _cmd_check_mu(args) -> int:
     _require_valid(spec)
     struct = _load(parse_structure, args.structure)
     mu = _load(parse_mu, args.mu, DEFAULT_MU)
-    rep = in_class_mu(spec, mu, struct, args.bound, annotation_palette=_palette_for(spec))
+    rep = in_class_mu(spec, mu, struct, args.bound)
     facts = {"ok": rep.ok, "violations": len(rep.violations)}
     for i, (ids, code, count, limit) in enumerate(rep.violations):
         facts[f"violation.{i:05d}"] = f"{format_ids(ids)} {code.hex()} {count} {limit}"
@@ -360,7 +353,6 @@ def _cmd_collapse_build(args) -> int:
     _require_valid(spec)
     mu = _load(parse_mu, args.mu, DEFAULT_MU)
     start = _load(parse_structure, args.start) if args.start else _empty_start(spec)
-    palette = _palette_for(spec)
     bound = args.bound if args.bound is not None else args.k
     ga = build_collapsed(
         spec,
@@ -369,11 +361,10 @@ def _cmd_collapse_build(args) -> int:
         args.k,
         args.budget,
         bound=bound,
-        annotation_palette=palette,
         cross_check=args.cross_check,
     )
-    rep = audit_richness(spec, ga.current, args.k, palette)
-    mu_rep = in_class_mu(spec, mu, ga.current, bound, annotation_palette=palette)
+    rep = audit_richness(spec, ga.current, args.k)
+    mu_rep = in_class_mu(spec, mu, ga.current, bound)
     facts = _richness_facts(rep)
     facts["n"] = len(ga.current.universe)
     facts["blocked"] = ga.blocked is not None

@@ -158,15 +158,11 @@ def enumerate_minimal_extensions(
     spec: PredimensionSpec,
     base: FinStructure,
     max_new: int,
-    *,
-    annotation_palette: Optional[Callable] = None,
 ) -> list[ExtensionClass]:
     """Minimal prealgebraic extension classes of the base whose least
     sub-base is the whole base."""
     out = []
-    for cls in enumerate_extensions(
-        spec, base, max_new, annotation_palette=annotation_palette
-    ):
+    for cls in enumerate_extensions(spec, base, max_new):
         if not (cls.base_strong and cls.ext_in_class and cls.prealgebraic and cls.minimal):
             continue
         if biminimal_base(spec, cls.ext, base.universe) != base.universe:
@@ -257,7 +253,6 @@ def mu_violations(
     bound: int,
     *,
     around: Optional[Iterable[int]] = None,
-    annotation_palette: Optional[Callable] = None,
     class_cache: Optional[dict] = None,
 ) -> tuple[tuple[tuple[int, ...], bytes, int, int], ...]:
     """Copy-cap violations over all strong bases and bi-minimal prealgebraic
@@ -281,10 +276,7 @@ def mu_violations(
         base_struct = struct.restrict(base)
         key = (code_over_base(base_struct, base), bound - len(base))
         if key not in cache:
-            cache[key] = enumerate_minimal_extensions(
-                spec, base_struct, bound - len(base),
-                annotation_palette=annotation_palette,
-            )
+            cache[key] = enumerate_minimal_extensions(spec, base_struct, bound - len(base))
         for cls in cache[key]:
             limit = mu.value(cls)
             count = count_independent_copies(spec, struct, base, cls)
@@ -298,13 +290,9 @@ def in_class_mu(
     mu: MuFunction,
     struct: FinStructure,
     bound: int,
-    *,
-    annotation_palette: Optional[Callable] = None,
 ) -> MuReport:
     """Does the structure respect every copy cap at this size bound?"""
-    v = mu_violations(
-        spec, mu, struct, bound, annotation_palette=annotation_palette
-    )
+    v = mu_violations(spec, mu, struct, bound)
     return MuReport(ok=not v, violations=v)
 
 
@@ -396,7 +384,6 @@ def build_collapsed(
     budget: int,
     *,
     bound: Optional[int] = None,
-    annotation_palette: Optional[Callable] = None,
     cross_check: bool = False,
 ) -> GenericApprox:
     """Like the free builder, but every discharge runs through the
@@ -404,10 +391,10 @@ def build_collapsed(
     keeps every copy cap.  Same schedule, same stopping rule; `resume`
     continues with the same step."""
     bound = k if bound is None else bound
-    report = in_class_mu(spec, mu, start, bound, annotation_palette=annotation_palette)
+    report = in_class_mu(spec, mu, start, bound)
     if not report.ok:
         raise MuError(f"start structure violates copy caps: {report.violations}")
-    ga = GenericApprox(spec, start, k, budget, annotation_palette)
+    ga = GenericApprox(spec, start, k, budget)
     ga.step = partial(
         _discharge_collapsed, mu=mu, bound=bound, cross_check=cross_check, mu_cache={}
     )

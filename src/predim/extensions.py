@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .canonical import code_over_base
-from .predimension import PredimensionSpec, SpecError, delta, is_embedding_compatible
+from .predimension import LinearOracle, PredimensionSpec, SpecError, delta, is_embedding_compatible
 from .structures import Embedding, FinStructure, StructureError, find_embeddings
 from .strongsets import in_class, strong_verdict
 
@@ -108,7 +108,7 @@ def linear_extension_palette(prime: int) -> Callable:
     """
 
     def palette(base: FinStructure, new_elems: Sequence[int]) -> list[dict[int, tuple[str, ...]]]:
-        width = max((len(t) for t in base.annotations.values()), default=0)
+        width = base.annotation_width()
         total = width + len(new_elems)
 
         def pad(vals: Sequence[int]) -> tuple[str, ...]:
@@ -144,15 +144,19 @@ def enumerate_extensions(
     spec: PredimensionSpec,
     base: FinStructure,
     max_new: int,
-    *,
-    annotation_palette: Optional[Callable] = None,
 ) -> list[ExtensionClass]:
     """All extension classes of `base` by 1..max_new fresh elements.
 
+    New elements' annotations come from the spec.  With a linear matroid
+    component, each new element takes every vector `linear_extension_palette`
+    offers over the first such component's field (a fresh axis, a base
+    vector, zero); without one, new elements carry no annotation.
     Deterministic: classes come out sorted by (number of new elements, code),
     each represented by its first candidate in (instance mask, annotation
     option) order.
     """
+    primes = [o.p for o, _ in spec.components if isinstance(o, LinearOracle)]
+    palette = linear_extension_palette(primes[0]) if primes else None
     out: list[ExtensionClass] = []
     start = max(base.universe, default=-1) + 1
     fixed = {e: e for e in base.universe}
@@ -163,9 +167,7 @@ def enumerate_extensions(
             raise SpecError(
                 f"extension enumeration refused: {len(cands)} candidate instances > {CANDIDATE_LIMIT}"
             )
-        ann_options: list[dict] = [{}]
-        if annotation_palette is not None:
-            ann_options = annotation_palette(base, new)
+        ann_options = palette(base, new) if palette else [{}]
         reps: dict[bytes, FinStructure] = {}
         shapes: dict[bytes, list[FinStructure]] = {}
         for mask in range(1 << len(cands)):

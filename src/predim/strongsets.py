@@ -158,20 +158,18 @@ def brute_force_is_strong(
     struct: FinStructure,
     base: Iterable[int],
     within: Optional[Iterable[int]] = None,
-    *,
-    bound: int = BRUTE_LIMIT,
 ) -> StrongReport:
     """Exhaustive check over every subset between base and the ambient set.
 
-    Independent of the routed engines; refuses more than `bound` free
+    Independent of the routed engines; refuses more than BRUTE_LIMIT free
     elements rather than degrade into an approximation.
     """
     import numpy as np
     b, w = _check_sets(struct, base, within)
     free = sorted(w - b)
     m = len(free)
-    if m > bound:
-        raise SpecError(f"brute-force strength check refused: {m} free elements > bound {bound}")
+    if m > BRUTE_LIMIT:
+        raise SpecError(f"brute-force strength check refused: {m} free elements > bound {BRUTE_LIMIT}")
     if spec.components and m > LATTICE_LIMIT:
         raise SpecError(
             f"brute-force strength check with matroid components refused beyond {LATTICE_LIMIT} free elements"

@@ -126,7 +126,7 @@ def test_criterion_3_oracle_equivalence(capsys):
     ]
     start = time.monotonic()
     results = [
-        audit_oracle_equivalence(spec, source, random.Random(3 + i), samples, max_free=12)
+        audit_oracle_equivalence(spec, source, random.Random(3 + i), samples)
         for i, (spec, source, samples) in enumerate(runs)
     ]
     elapsed = time.monotonic() - start

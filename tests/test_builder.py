@@ -17,7 +17,6 @@ from predim import (
     classify_extension,
     free_extend,
     in_class,
-    linear_extension_palette,
     obligation_met,
     resume,
     strong_verdict,
@@ -264,8 +263,8 @@ def test_fusion_build_saturates():
     from predim import FinStructure, Signature
 
     start = FinStructure(Signature(()), (), {})
-    ga = build_generic(spec, start, k=2, budget=20, annotation_palette=linear_extension_palette(5))
-    rep = audit_richness(spec, ga.current, 2, annotation_palette=linear_extension_palette(5))
+    ga = build_generic(spec, start, k=2, budget=20)
+    rep = audit_richness(spec, ga.current, 2)
     assert ga.blocked is None
     assert rep.fraction == F(1)
     assert ga.current.n == 9

@@ -9,8 +9,11 @@ import pytest
 from predim import (
     DEFAULT_MU,
     BiminimalError,
+    FinStructure,
+    LinearOracle,
     MuError,
     MuFunction,
+    PredimensionSpec,
     ThriftyError,
     audit_richness,
     biminimal_base,
@@ -26,7 +29,7 @@ from predim import (
     resume,
     thrifty_step,
 )
-from predim.sampling import random_sparse_graph
+from predim.sampling import graph_signature, random_sparse_graph
 
 from conftest import graph, spec_alpha
 
@@ -213,6 +216,22 @@ def test_thrifty_step_embeds_when_cap_hit(alpha1):
     assert out.struct == star  # nothing added
     assert dict(out.mapping)[9] in {1, 2, 3}
     assert out.violations
+
+
+def test_thrifty_step_counts_annotated_copies_under_a_linear_spec():
+    # the cap check enumerates classes with annotated new elements, so the
+    # second copy of the pendant vector trips the cap of 1 and the step
+    # embeds onto the existing copy instead of breaking the cap
+    spec = PredimensionSpec.make(relational=True, components=((LinearOracle(5), F(1)),))
+    sig = graph_signature()
+    mu1 = MuFunction(params=(1, 0))
+    edge = FinStructure(sig, (0, 1), {"E": [(0, 1)]}, {0: ("1",), 1: ("1",)})
+    pend = FinStructure(sig, (0, 5), {"E": [(0, 5)]}, {0: ("1",), 5: ("1",)})
+    assert in_class_mu(spec, mu1, edge, 2).ok
+    out = thrifty_step(spec, mu1, edge, (0,), pend, bound=2, cross_check=True)
+    assert not out.free
+    assert out.mapping == ((0, 0), (5, 1))
+    assert in_class_mu(spec, mu1, out.struct, 2).ok
 
 
 def test_thrifty_step_errors_with_no_room(alpha1):

@@ -113,9 +113,7 @@ def test_transport_moves_ids_only():
 def test_fusion_palette_classes_over_a_vector():
     spec = spec_fusion()
     base = vectors((1, 0))
-    classes = enumerate_extensions(
-        spec, base, 1, annotation_palette=linear_extension_palette(5)
-    )
+    classes = enumerate_extensions(spec, base, 1)
     # a new element is either independent of the base, a dependent copy, or
     # rank zero; annotation variants with equal rank patterns collapse
     assert len(classes) == 3
@@ -180,7 +178,7 @@ def _types(structs, same):
 
 
 def _check_one_class_per_type(spec, base, max_new, same, palette=None):
-    classes = enumerate_extensions(spec, base, max_new, annotation_palette=palette)
+    classes = enumerate_extensions(spec, base, max_new)
     for m, cands in _all_candidates(base, max_new, palette).items():
         exts = [c.ext for c in classes if len(c.new_elements) == m]
         types = _types(cands, same)
@@ -221,10 +219,6 @@ def test_one_class_per_base_fixing_isomorphism_type():
         # at most 2^8 instance sets per size keeps the pairwise check quick
         max_new = 2 if len(_new_instances(base, 2)[1]) <= 8 else 1
         _check_one_class_per_type(spec, base, max_new, _fixing_base(base, _verbatim))
-    # annotations on new elements are part of the identity without matroid
-    # components: every palette variant is its own class
-    edge = FinStructure(graph_signature(), (0, 1), {"E": [(0, 1)]}, {0: ("1", "0"), 1: ("1", "0")})
-    _check_one_class_per_type(spec, edge, 1, _fixing_base(edge, _verbatim), linear_extension_palette(5))
 
 
 def test_palette_classes_are_rank_pattern_types():

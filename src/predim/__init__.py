@@ -21,7 +21,6 @@ from .predimension import (
     SpecError,
     UniformOracle,
     delta,
-    delta_rel,
     oracle_by_name,
 )
 from .canonical import canonical_code, code_over_base, pair_code
@@ -41,7 +40,7 @@ from .extensions import (
     enumerate_extensions,
     linear_extension_palette,
 )
-from .geometry import GeometryError, check_exchange, dim, gcl, gcl_member, require_geometric
+from .geometry import GeometryError, check_exchange, dim, gcl, require_geometric
 from .builder import (
     BlockedRecord,
     BuilderError,

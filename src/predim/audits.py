@@ -24,6 +24,7 @@ from .sampling import (
 )
 from .strongsets import brute_force_is_strong, closure, in_class, is_strong
 from .structures import Embedding, FinStructure, Signature
+from .textio import format_ids
 
 StructSource = Callable[[random.Random], FinStructure]
 
@@ -51,8 +52,24 @@ class AuditResult:
         return self.checked == 0
 
 
-def _ids(elems) -> str:
-    return "[" + " ".join(str(e) for e in sorted(elems)) + "]"
+@dataclass
+class _Tally:
+    """Checks and failures of one audit, and the first failure's witness."""
+
+    name: str
+    checked: int = 0
+    violations: int = 0
+    witness: Optional[str] = None
+
+    def check(self, ok: bool, struct: FinStructure, witness: Callable[[], str]) -> None:
+        self.checked += 1
+        if not ok:
+            self.violations += 1
+            if self.witness is None:
+                self.witness = f"{witness()} on {_sketch(struct)}"
+
+    def result(self) -> AuditResult:
+        return AuditResult(self.name, self.checked, self.violations, self.witness)
 
 
 def _sketch(struct: FinStructure) -> str:
@@ -102,19 +119,15 @@ def audit_submodularity(
     samples: int,
 ) -> AuditResult:
     """delta(X) + delta(Y) >= delta(X|Y) + delta(X&Y) on sampled pairs."""
-    violations = 0
-    witness = None
+    tally = _Tally("submodularity")
     for _ in range(samples):
         struct = source(rng)
         x = frozenset(random_subset(rng, struct.universe))
         y = frozenset(random_subset(rng, struct.universe))
         lhs = delta(spec, struct, x) + delta(spec, struct, y)
         rhs = delta(spec, struct, x | y) + delta(spec, struct, x & y)
-        if lhs < rhs:
-            violations += 1
-            if witness is None:
-                witness = f"X={_ids(x)} Y={_ids(y)} slack={lhs - rhs} on {_sketch(struct)}"
-    return AuditResult("submodularity", samples, violations, witness)
+        tally.check(lhs >= rhs, struct, lambda: f"X={format_ids(x)} Y={format_ids(y)} slack={lhs - rhs}")
+    return tally.result()
 
 
 def audit_strong_laws(
@@ -128,9 +141,7 @@ def audit_strong_laws(
     Chains come from closures, so both premises hold by construction and
     every sample is a live instance of the law being tested.
     """
-    checked = 0
-    violations = 0
-    witness = None
+    tally = _Tally("strong-laws")
     for _ in range(samples):
         struct = source(rng)
         univ = struct.universe
@@ -138,22 +149,16 @@ def audit_strong_laws(
         # transitivity: strong inside a strong set is strong outright
         b = closure(spec, struct, random_subset(rng, univ))
         a = closure(spec, struct, random_subset(rng, b), within=b)
-        checked += 1
-        if not is_strong(spec, struct, a).verdict:
-            violations += 1
-            if witness is None:
-                witness = f"transitivity A={_ids(a)} B={_ids(b)} on {_sketch(struct)}"
+        ok = is_strong(spec, struct, a).verdict
+        tally.check(ok, struct, lambda: f"transitivity A={format_ids(a)} B={format_ids(b)}")
 
         # intersection of two strong sets is strong
         c = closure(spec, struct, random_subset(rng, univ))
         d = closure(spec, struct, random_subset(rng, univ))
         meet = frozenset(c) & frozenset(d)
-        checked += 1
-        if not is_strong(spec, struct, meet).verdict:
-            violations += 1
-            if witness is None:
-                witness = f"intersection C={_ids(c)} D={_ids(d)} on {_sketch(struct)}"
-    return AuditResult("strong-laws", checked, violations, witness)
+        ok = is_strong(spec, struct, meet).verdict
+        tally.check(ok, struct, lambda: f"intersection C={format_ids(c)} D={format_ids(d)}")
+    return tally.result()
 
 
 def audit_oracle_equivalence(
@@ -167,8 +172,7 @@ def audit_oracle_equivalence(
     Verdict and deficiency must match exactly; a negative verdict's witness
     must attain the reported deficiency.
     """
-    violations = 0
-    witness = None
+    tally = _Tally("oracle-equivalence")
     for _ in range(samples):
         struct = source(rng)
         base = random_subset(rng, struct.universe)
@@ -183,14 +187,11 @@ def audit_oracle_equivalence(
             d_base = delta(spec, struct, base)
             attained = delta(spec, struct, set(base) | set(fast.witness)) - d_base
             bad = attained != fast.deficiency
-        if bad:
-            violations += 1
-            if witness is None:
-                witness = (
-                    f"A={_ids(base)} W={_ids(within)} fast={fast.verdict}/{fast.deficiency} "
-                    f"brute={slow.verdict}/{slow.deficiency} on {_sketch(struct)}"
-                )
-    return AuditResult("oracle-equivalence", samples, violations, witness)
+        tally.check(not bad, struct, lambda: (
+            f"A={format_ids(base)} W={format_ids(within)} fast={fast.verdict}/{fast.deficiency} "
+            f"brute={slow.verdict}/{slow.deficiency}"
+        ))
+    return tally.result()
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +223,7 @@ def _grow_factor(
         for u in rng.sample(others, min(len(others), rng.randrange(0, 3))):
             edges.add((min(u, v), max(u, v)))
     cand = FinStructure(base.sig, elems, {name: sorted(edges)}, base.annotations)
-    if not in_class(spec, cand):
-        return None
-    if not is_strong(spec, cand, base.universe).verdict:
+    if not in_class(spec, cand) or not is_strong(spec, cand, base.universe).verdict:
         return None
     return cand
 
@@ -239,16 +238,17 @@ def audit_amalgamation(
     amalgam stays in the class, both factors sit strongly inside it, and
     predimension adds up with the base counted once.
 
-    Relational specs only; the instance sets of the two factors are disjoint
-    over the base, which is what the predimension identity rests on.
+    Relational specs with modular matroid components only: the factors'
+    instance sets are disjoint over the base, but annotations are carried
+    verbatim, with no independence over the base in a non-modular matroid.
     """
     if not spec.relational:
-        raise ValueError("the amalgamation audit needs a relational spec")
-    checked = 0
-    violations = 0
-    witness = None
+        raise ValueError("needs a relational spec")
+    if not all(oracle.modular for oracle, _ in spec.components):
+        raise ValueError("needs modular matroid components")
+    tally = _Tally("amalgamation")
     attempts = 0
-    while checked < samples and attempts < 6 * samples:
+    while tally.checked < samples and attempts < 6 * samples:
         attempts += 1
         b1 = _random_in_class(spec, source, rng)
         seed_cap = min(len(b1.universe), 2)
@@ -260,7 +260,6 @@ def audit_amalgamation(
         ident = {e: e for e in a}
         res = free_amalgam(Embedding.make(base, b1, ident), Embedding.make(base, b2, ident))
         d = res.amalgam
-        checked += 1
         problems = []
         if not in_class(spec, d):
             problems.append("amalgam left the class")
@@ -271,11 +270,8 @@ def audit_amalgamation(
         total = delta(spec, b1) + delta(spec, b2) - delta(spec, base)
         if delta(spec, d) != total:
             problems.append(f"delta {delta(spec, d)} != {total}")
-        if problems:
-            violations += 1
-            if witness is None:
-                witness = f"{'; '.join(problems)} base={_ids(a)} on {_sketch(d)}"
-    return AuditResult("amalgamation", checked, violations, witness)
+        tally.check(not problems, d, lambda: f"{'; '.join(problems)} base={format_ids(a)}")
+    return tally.result()
 
 
 # ---------------------------------------------------------------------------
@@ -291,30 +287,24 @@ def audit_exchange(
     fresh_every: int = 10,
 ) -> AuditResult:
     """Exchange law on sampled (a, b, C) triples."""
-    checked = 0
-    violations = 0
-    witness = None
+    tally = _Tally("exchange")
     struct = None
     drawn_at = -1
     attempts = 0
-    while checked < samples and attempts < 4 * samples + 16:
+    while tally.checked < samples and attempts < 4 * samples + 16:
         attempts += 1
-        if struct is None or (fresh_every and checked % fresh_every == 0 and drawn_at != checked):
+        if struct is None or (fresh_every and tally.checked % fresh_every == 0 and drawn_at != tally.checked):
             struct = source(rng)
             require_geometric(spec, struct)
-            drawn_at = checked
+            drawn_at = tally.checked
         if len(struct.universe) < 2:
             struct = None
             continue
         a, b = rng.sample(list(struct.universe), 2)
         pool = [e for e in struct.universe if e not in (a, b)]
         c = random_subset(rng, pool, k=rng.randrange(min(len(pool), 3) + 1))
-        checked += 1
-        if not check_exchange(spec, struct, a, b, c):
-            violations += 1
-            if witness is None:
-                witness = f"a={a} b={b} C={_ids(c)} on {_sketch(struct)}"
-    return AuditResult("exchange", checked, violations, witness)
+        tally.check(check_exchange(spec, struct, a, b, c), struct, lambda: f"a={a} b={b} C={format_ids(c)}")
+    return tally.result()
 
 
 def audit_dim_additivity(
@@ -326,9 +316,7 @@ def audit_dim_additivity(
     fresh_every: int = 10,
 ) -> AuditResult:
     """dim(XY/C) = dim(X/YC) + dim(Y/C) on sampled triples of subsets."""
-    checked = 0
-    violations = 0
-    witness = None
+    tally = _Tally("dim-additivity")
     struct = None
     for i in range(samples):
         if struct is None or (fresh_every and i % fresh_every == 0):
@@ -338,14 +326,9 @@ def audit_dim_additivity(
         x = set(random_subset(rng, univ, k=rng.randrange(min(len(univ), 3) + 1)))
         y = set(random_subset(rng, univ, k=rng.randrange(min(len(univ), 3) + 1)))
         c = set(random_subset(rng, univ, k=rng.randrange(min(len(univ), 3) + 1)))
-        checked += 1
         joint = dim(spec, struct, x | y, c)
         split = dim(spec, struct, x, y | c) + dim(spec, struct, y, c)
-        if joint != split:
-            violations += 1
-            if witness is None:
-                witness = (
-                    f"X={_ids(x)} Y={_ids(y)} C={_ids(c)} joint={joint} "
-                    f"split={split} on {_sketch(struct)}"
-                )
-    return AuditResult("dim-additivity", checked, violations, witness)
+        tally.check(joint == split, struct, lambda: (
+            f"X={format_ids(x)} Y={format_ids(y)} C={format_ids(c)} joint={joint} split={split}"
+        ))
+    return tally.result()

@@ -6,6 +6,10 @@ rationals printed as reduced `p/q`.  Verbs that emit a structure write it to
 report prefixed as `#` comment lines, so the combined output still parses as
 a structure file.
 
+`main` loads `--spec` (pure relational without it) and then the
+`structure` argument before any verb runs, so a verb reads both from its
+parsed arguments.  Only `audit-all` accepts a spec that is not submodular.
+
 Exit status: 0 on success, 1 when a property check comes back negative, 2 on
 usage, parse, or precondition errors.  `--threads` (default 1) is accepted
 and ignored: nothing runs in parallel.  The `--seed` of `build` and
@@ -74,14 +78,6 @@ class UsageError(Exception):
 # input plumbing
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        raise UsageError(f"{path}: {e.strerror or e}")
-
-
 T = TypeVar("T")
 
 # the spec of a verb run without --spec
@@ -94,14 +90,14 @@ def _load(parse: Callable[[str], T], path: Optional[str], default: Optional[T] =
     if path is None:
         return default
     try:
-        return parse(_read(path))
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise UsageError(f"{path}: {e.strerror or e}")
+    try:
+        return parse(text)
     except ParseError as e:
         raise UsageError(f"{path}: {e}")
-
-
-def _require_valid(spec: PredimensionSpec) -> None:
-    if not spec.valid:
-        raise UsageError("spec is not submodular: " + "; ".join(spec.violations))
 
 
 def _parse_ids(text: str) -> tuple[int, ...]:
@@ -114,21 +110,25 @@ def _parse_ids(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _ids(struct: FinStructure, text: Optional[str], flag: str, absent=None):
-    """The ids an id flag names, checked to be elements; `absent` when the
-    flag is not given."""
+def _ids(args, name: str, absent=None):
+    """The ids the flag `--name` gives, checked to be elements of the
+    structure; `absent` when the flag is not given."""
+    text = getattr(args, name)
     if text is None:
         return absent
     ids = _parse_ids(text)
-    missing = [e for e in ids if e not in struct]
+    missing = [e for e in ids if e not in args.structure]
     if missing:
-        raise UsageError(f"{flag} mentions non-elements {missing}")
+        raise UsageError(f"--{name} mentions non-elements {missing}")
     return ids
 
 
-def _empty_start(spec: PredimensionSpec, weight: Fraction = Fraction(1)) -> FinStructure:
-    """Default build seed: an empty graph for relational specs, an empty
-    annotated set otherwise (relations would only inflate the class count)."""
+def _start(spec: PredimensionSpec, path: Optional[str], weight: Fraction = Fraction(1)) -> FinStructure:
+    """The build seed at `path`; without one, an empty graph for relational
+    specs and an empty annotated set otherwise (relations would only inflate
+    the class count)."""
+    if path:
+        return _load(parse_structure, path)
     if spec.relational:
         return FinStructure(graph_signature(weight), (), {"E": []})
     return FinStructure(Signature(()), (), {})
@@ -136,18 +136,12 @@ def _empty_start(spec: PredimensionSpec, weight: Fraction = Fraction(1)) -> FinS
 
 def _emit(facts: dict, struct: Optional[FinStructure] = None, out: Optional[str] = None) -> None:
     report = report_text(facts)
-    if struct is None:
-        sys.stdout.write(report)
-        return
-    text = serialize_structure(struct)
-    if out:
+    if struct is not None and out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        sys.stdout.write(report)
-    else:
-        for line in report.splitlines():
-            sys.stdout.write(f"# {line}\n")
-        sys.stdout.write(text)
+            fh.write(serialize_structure(struct))
+    elif struct is not None:
+        report = "".join(f"# {line}\n" for line in report.splitlines()) + serialize_structure(struct)
+    sys.stdout.write(report)
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +149,13 @@ def _emit(facts: dict, struct: Optional[FinStructure] = None, out: Optional[str]
 
 
 def _cmd_delta(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    struct = _load(parse_structure, args.structure)
-    value = delta(spec, struct, _ids(struct, args.subset, "--subset"))
+    value = delta(args.spec, args.structure, _ids(args, "subset"))
     print(f"{value.numerator}/{value.denominator}")
     return 0
 
 
 def _cmd_strong(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    struct = _load(parse_structure, args.structure)
-    base = _ids(struct, args.base, "--base")
-    within = _ids(struct, args.within, "--within")
-    rep = is_strong(spec, struct, base, within)
+    rep = is_strong(args.spec, args.structure, _ids(args, "base"), _ids(args, "within"))
     facts = {"verdict": rep.verdict, "deficiency": rep.deficiency}
     if rep.witness is not None:
         facts["witness"] = format_ids(rep.witness)
@@ -176,18 +164,13 @@ def _cmd_strong(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    struct = _load(parse_structure, args.structure)
-    base = _ids(struct, args.base, "--base")
-    within = _ids(struct, args.within, "--within")
-    _emit({"closure": format_ids(strong_closure(spec, struct, base, within))})
+    closure = strong_closure(args.spec, args.structure, _ids(args, "base"), _ids(args, "within"))
+    _emit({"closure": format_ids(closure)})
     return 0
 
 
 def _cmd_check_class(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    struct = _load(parse_structure, args.structure)
-    rep = is_strong(spec, struct, ())
+    rep = is_strong(args.spec, args.structure, ())
     facts = {"in-class": rep.verdict}
     if not rep.verdict:
         facts["deficiency"] = rep.deficiency
@@ -197,19 +180,12 @@ def _cmd_check_class(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    struct = _load(parse_structure, args.structure)
-    of = _ids(struct, args.of, "--of")
-    over = _ids(struct, args.over, "--over", ())
-    _emit({"dim": dim(spec, struct, of, over)})
+    _emit({"dim": dim(args.spec, args.structure, _ids(args, "of"), _ids(args, "over", ()))})
     return 0
 
 
 def _cmd_gcl(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    struct = _load(parse_structure, args.structure)
-    of = _ids(struct, args.of, "--of", ())
-    _emit({"gcl": format_ids(gcl(spec, struct, of))})
+    _emit({"gcl": format_ids(gcl(args.spec, args.structure, _ids(args, "of", ())))})
     return 0
 
 
@@ -235,68 +211,60 @@ def _cmd_amalgamate(args) -> int:
     return 0
 
 
-def _richness_facts(rep) -> dict:
-    facts = {"k": rep.k, "satisfied": rep.satisfied, "total": rep.total}
+def _richness_facts(spec: PredimensionSpec, struct: FinStructure, k: int, ga=None) -> dict:
+    """The level-k richness report on `struct` and its size, plus how the
+    build `ga` that grew it ended."""
+    rep = audit_richness(spec, struct, k)
+    facts = {"k": rep.k, "n": len(struct.universe), "satisfied": rep.satisfied, "total": rep.total}
     if rep.total:
         facts["fraction"] = Fraction(rep.satisfied, rep.total)
     for i, (ids, code) in enumerate(rep.unmet):
         facts[f"unmet.{i:05d}"] = f"{format_ids(ids)} {code.hex()}"
+    if ga is not None:
+        facts["blocked"] = ga.blocked is not None
+        facts["discharged"] = len(ga.history)
     return facts
 
 
 def _cmd_build(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    _require_valid(spec)
-    start = _load(parse_structure, args.start) if args.start else _empty_start(spec)
-    ga = build_generic(spec, start, args.k, args.budget)
-    rep = audit_richness(spec, ga.current, args.k)
-    facts = _richness_facts(rep)
-    facts["n"] = len(ga.current.universe)
-    facts["blocked"] = ga.blocked is not None
-    facts["discharged"] = len(ga.history)
-    _emit(facts, ga.current, args.out)
+    ga = build_generic(args.spec, _start(args.spec, args.start), args.k, args.budget)
+    _emit(_richness_facts(args.spec, ga.current, args.k, ga), ga.current, args.out)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    _require_valid(spec)
-    struct = _load(parse_structure, args.structure)
-    rep = audit_richness(spec, struct, args.k)
-    facts = _richness_facts(rep)
-    facts["n"] = len(struct.universe)
-    _emit(facts, struct, args.out)
-    return 0 if rep.satisfied == rep.total else 1
+    facts = _richness_facts(args.spec, args.structure, args.k)
+    _emit(facts, args.structure, args.out)
+    return 0 if facts["satisfied"] == facts["total"] else 1
+
+
+def _audit_facts(facts: dict, res: AuditResult, prefix: str = "") -> None:
+    facts[f"{prefix}{res.name}.checked"] = res.checked
+    facts[f"{prefix}{res.name}.violations"] = res.violations
+    if res.witness:
+        facts[f"{prefix}{res.name}.witness"] = res.witness
 
 
 def _cmd_exchange_audit(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    _require_valid(spec)
-    struct = _load(parse_structure, args.structure)
     rng = random.Random(args.seed)
-    source = lambda _rng: struct
-    ex = audit_exchange(spec, source, rng, args.samples, fresh_every=0)
-    ad = audit_dim_additivity(spec, source, rng, args.samples, fresh_every=0)
+    source = lambda _rng: args.structure
+    ex = audit_exchange(args.spec, source, rng, args.samples, fresh_every=0)
+    ad = audit_dim_additivity(args.spec, source, rng, args.samples, fresh_every=0)
     facts = {}
     for res in (ex, ad):
-        facts[f"{res.name}.checked"] = res.checked
-        facts[f"{res.name}.violations"] = res.violations
-        if res.witness:
-            facts[f"{res.name}.witness"] = res.witness
+        _audit_facts(facts, res)
     _emit(facts)
     return 1 if ex.violations or ad.violations else 0
 
 
 def _cmd_enumerate_min(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    _require_valid(spec)
-    base = _load(parse_structure, args.structure)
+    base = args.structure
     if args.biminimal:
-        classes = enumerate_minimal_extensions(spec, base, args.max_new)
+        classes = enumerate_minimal_extensions(args.spec, base, args.max_new)
     else:
         classes = [
             c
-            for c in enumerate_extensions(spec, base, args.max_new)
+            for c in enumerate_extensions(args.spec, base, args.max_new)
             if c.minimal and c.ext_in_class
         ]
     facts = {"classes": len(classes)}
@@ -324,11 +292,8 @@ def _cmd_enumerate_min(args) -> int:
 
 
 def _cmd_check_mu(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    _require_valid(spec)
-    struct = _load(parse_structure, args.structure)
     mu = _load(parse_mu, args.mu, DEFAULT_MU)
-    rep = in_class_mu(spec, mu, struct, args.bound)
+    rep = in_class_mu(args.spec, mu, args.structure, args.bound)
     facts = {"ok": rep.ok, "violations": len(rep.violations)}
     for i, (ids, code, count, limit) in enumerate(rep.violations):
         facts[f"violation.{i:05d}"] = f"{format_ids(ids)} {code.hex()} {count} {limit}"
@@ -337,25 +302,19 @@ def _cmd_check_mu(args) -> int:
 
 
 def _cmd_count_copies(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    _require_valid(spec)
-    struct = _load(parse_structure, args.structure)
     ext = _load(parse_structure, args.ext)
-    cls = classify_extension(spec, ext, _parse_ids(args.base))
-    base = _ids(struct, args.base, "--base")
-    count = count_independent_copies(spec, struct, base, cls, cap=args.cap)
+    cls = classify_extension(args.spec, ext, _parse_ids(args.base))
+    count = count_independent_copies(args.spec, args.structure, _ids(args, "base"), cls, cap=args.cap)
     _emit({"count": count})
     return 0
 
 
 def _cmd_collapse_build(args) -> int:
-    spec = _load(parse_spec, args.spec, _RELATIONAL)
-    _require_valid(spec)
     mu = _load(parse_mu, args.mu, DEFAULT_MU)
-    start = _load(parse_structure, args.start) if args.start else _empty_start(spec)
+    start = _start(args.spec, args.start)
     bound = args.bound if args.bound is not None else args.k
     ga = build_collapsed(
-        spec,
+        args.spec,
         mu,
         start,
         args.k,
@@ -363,12 +322,8 @@ def _cmd_collapse_build(args) -> int:
         bound=bound,
         cross_check=args.cross_check,
     )
-    rep = audit_richness(spec, ga.current, args.k)
-    mu_rep = in_class_mu(spec, mu, ga.current, bound)
-    facts = _richness_facts(rep)
-    facts["n"] = len(ga.current.universe)
-    facts["blocked"] = ga.blocked is not None
-    facts["discharged"] = len(ga.history)
+    facts = _richness_facts(args.spec, ga.current, args.k, ga)
+    mu_rep = in_class_mu(args.spec, mu, ga.current, bound)
     facts["mu-ok"] = mu_rep.ok
     facts["mu-violations"] = len(mu_rep.violations)
     _emit(facts, ga.current, args.out)
@@ -390,7 +345,7 @@ def _mu_build_audit(spec: PredimensionSpec, weight: Fraction, samples: int) -> A
     mu = MuFunction(table=table)
     try:
         ga = build_collapsed(
-            spec, mu, _empty_start(spec, weight), 2, 14, bound=3, cross_check=True
+            spec, mu, _start(spec, None, weight), 2, 14, bound=3, cross_check=True
         )
     except ThriftyError as e:
         return AuditResult("mu", 1, 1, f"thrifty failure: {e}")
@@ -403,7 +358,7 @@ def _mu_build_audit(spec: PredimensionSpec, weight: Fraction, samples: int) -> A
 
 
 def _cmd_audit_all(args) -> int:
-    spec = _load(partial(parse_spec, allow_invalid=True), args.spec, _RELATIONAL)
+    spec = args.spec
     try:
         weight = Fraction(args.weight)
     except (ValueError, ZeroDivisionError):
@@ -411,45 +366,38 @@ def _cmd_audit_all(args) -> int:
     rng = random.Random(args.seed)
     n = args.samples
     facts: dict = {}
-    failed = False
-    any_checked = False
-
-    def record(res: AuditResult) -> None:
-        nonlocal failed, any_checked
-        facts[f"audit.{res.name}.checked"] = res.checked
-        facts[f"audit.{res.name}.violations"] = res.violations
-        if res.witness:
-            facts[f"audit.{res.name}.witness"] = res.witness
-        failed = failed or res.violations > 0
-        any_checked = any_checked or res.checked > 0
+    results: list[AuditResult] = []
 
     def skip(name: str, why: str) -> None:
         facts[f"audit.{name}.note"] = f"skipped: {why}"
 
     source = structure_source(spec, weight=weight, max_n=args.max_n)
-    record(audit_submodularity(spec, source, rng, n))
+    results.append(audit_submodularity(spec, source, rng, n))
     if not spec.valid:
         for name in ("strong-laws", "oracle-equivalence", "amalgamation", "exchange", "dim-additivity", "mu"):
             skip(name, "spec not submodular")
     else:
-        record(audit_strong_laws(spec, source, rng, n // 2))
-        record(audit_oracle_equivalence(spec, source, rng, n))
-        if spec.relational:
-            record(audit_amalgamation(spec, source, rng, n // 4))
-        else:
-            skip("amalgamation", "needs a relational spec")
+        results.append(audit_strong_laws(spec, source, rng, n // 2))
+        results.append(audit_oracle_equivalence(spec, source, rng, n))
         try:
-            record(audit_exchange(spec, source, rng, n // 2))
-            record(audit_dim_additivity(spec, source, rng, n // 2))
+            results.append(audit_amalgamation(spec, source, rng, n // 4))
+        except ValueError as e:
+            skip("amalgamation", str(e))
+        try:
+            results.append(audit_exchange(spec, source, rng, n // 2))
+            results.append(audit_dim_additivity(spec, source, rng, n // 2))
         except GeometryError as e:
             skip("exchange", str(e))
             skip("dim-additivity", str(e))
         if spec.relational:
-            record(_mu_build_audit(spec, weight, n))
+            results.append(_mu_build_audit(spec, weight, n))
         else:
             skip("mu", "needs a relational spec")
+    for res in results:
+        _audit_facts(facts, res, "audit.")
+    failed = any(res.violations for res in results)
     facts["ok"] = not failed
-    if not any_checked:
+    if not any(res.checked for res in results):
         facts["vacuous"] = True
         print("warning: zero sample budgets, every audit is vacuous", file=sys.stderr)
     _emit(facts)
@@ -484,7 +432,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    def add(name: str, func, help: str, *, spec: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, func, help: str, *, spec=True, structure=True, need=None, ids=""):
+        """A verb's parser: `--spec` unless `spec` is false, `--threads`, the
+        `structure` argument unless `structure` is false, then the required
+        id flag `need` and the optional id flags in `ids`."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if spec:
@@ -495,35 +446,35 @@ def _build_parser() -> argparse.ArgumentParser:
             default=1,
             help="accepted and ignored (nothing runs in parallel)",
         )
+        if structure:
+            p.add_argument("structure")
+        if need:
+            p.add_argument(need, required=True, metavar="IDS")
+        for flag in ids.split():
+            p.add_argument(flag, metavar="IDS")
         return p
 
-    p = add("delta", _cmd_delta, "predimension of a structure or subset")
-    p.add_argument("structure")
-    p.add_argument("--subset", metavar="IDS")
+    def grow(name: str, func, help: str, *, capped=False):
+        """A growth verb's parser; `capped` adds `--mu` and `--bound`."""
+        p = add(name, func, help, structure=False)
+        p.add_argument("--k", type=_uint, required=True)
+        p.add_argument("--budget", type=_uint, required=True)
+        p.add_argument("--seed", type=_seed_value, default=0, help="accepted; the schedule is deterministic")
+        if capped:
+            p.add_argument("--mu", metavar="FILE")
+            p.add_argument("--bound", type=_uint)
+        p.add_argument("--start", metavar="FILE")
+        p.add_argument("--out", metavar="FILE")
+        return p
 
-    p = add("strong", _cmd_strong, "is the base self-sufficient in the ambient set")
-    p.add_argument("structure")
-    p.add_argument("--base", required=True, metavar="IDS")
-    p.add_argument("--within", metavar="IDS")
+    add("delta", _cmd_delta, "predimension of a structure or subset", ids="--subset")
+    add("strong", _cmd_strong, "is the base self-sufficient in the ambient set", need="--base", ids="--within")
+    add("closure", _cmd_closure, "least strong superset of the base", need="--base", ids="--within")
+    add("check-class", _cmd_check_class, "does every subset have nonnegative predimension")
+    add("dim", _cmd_dim, "geometric dimension of a subset over another", need="--of", ids="--over")
+    add("gcl", _cmd_gcl, "geometric closure of a subset", ids="--of")
 
-    p = add("closure", _cmd_closure, "least strong superset of the base")
-    p.add_argument("structure")
-    p.add_argument("--base", required=True, metavar="IDS")
-    p.add_argument("--within", metavar="IDS")
-
-    p = add("check-class", _cmd_check_class, "does every subset have nonnegative predimension")
-    p.add_argument("structure")
-
-    p = add("dim", _cmd_dim, "geometric dimension of a subset over another")
-    p.add_argument("structure")
-    p.add_argument("--of", required=True, metavar="IDS")
-    p.add_argument("--over", metavar="IDS")
-
-    p = add("gcl", _cmd_gcl, "geometric closure of a subset")
-    p.add_argument("structure")
-    p.add_argument("--of", metavar="IDS")
-
-    p = add("amalgamate", _cmd_amalgamate, "free amalgam of two factors over a base", spec=False)
+    p = add("amalgamate", _cmd_amalgamate, "free amalgam of two factors over a base", spec=False, structure=False)
     p.add_argument("base")
     p.add_argument("left")
     p.add_argument("right")
@@ -531,51 +482,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right-map", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE")
 
-    p = add("build", _cmd_build, "grow a generic approximation by free extensions")
-    p.add_argument("--k", type=_uint, required=True)
-    p.add_argument("--budget", type=_uint, required=True)
-    p.add_argument("--seed", type=_seed_value, default=0, help="accepted; the schedule is deterministic")
-    p.add_argument("--start", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
+    grow("build", _cmd_build, "grow a generic approximation by free extensions")
 
     p = add("audit", _cmd_audit, "count satisfied extension obligations at level k")
-    p.add_argument("structure")
     p.add_argument("--k", type=_uint, required=True)
     p.add_argument("--out", metavar="FILE")
 
     p = add("exchange-audit", _cmd_exchange_audit, "exchange and additivity laws on sampled triples")
-    p.add_argument("structure")
     p.add_argument("--samples", type=_uint, default=200)
     p.add_argument("--seed", type=_seed_value, default=0)
 
     p = add("enumerate-min", _cmd_enumerate_min, "minimal extension classes of a base structure")
-    p.add_argument("structure")
     p.add_argument("--max-new", type=_uint, required=True)
     p.add_argument("--biminimal", action="store_true", help="prealgebraic classes least over this base")
     p.add_argument("--out-dir", metavar="DIR")
 
     p = add("check-mu", _cmd_check_mu, "copy-count caps hold everywhere")
-    p.add_argument("structure")
     p.add_argument("--mu", metavar="FILE")
     p.add_argument("--bound", type=_uint, required=True)
 
     p = add("count-copies", _cmd_count_copies, "independent strong copies of an extension over a base")
-    p.add_argument("structure")
     p.add_argument("--ext", required=True, metavar="FILE")
     p.add_argument("--base", required=True, metavar="IDS")
     p.add_argument("--cap", type=_uint)
 
-    p = add("collapse-build", _cmd_collapse_build, "grow inside the capped class via free-or-embed steps")
-    p.add_argument("--k", type=_uint, required=True)
-    p.add_argument("--budget", type=_uint, required=True)
-    p.add_argument("--seed", type=_seed_value, default=0, help="accepted; the schedule is deterministic")
-    p.add_argument("--mu", metavar="FILE")
-    p.add_argument("--bound", type=_uint)
-    p.add_argument("--start", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
+    p = grow(
+        "collapse-build", _cmd_collapse_build, "grow inside the capped class via free-or-embed steps", capped=True
+    )
     p.add_argument("--cross-check", action="store_true", help="recount caps from scratch at every step")
 
-    p = add("audit-all", _cmd_audit_all, "seeded property audits, consolidated")
+    p = add("audit-all", _cmd_audit_all, "seeded property audits, consolidated", structure=False)
     p.add_argument("--samples", type=_uint, default=200)
     p.add_argument("--seed", type=_seed_value, default=0)
     p.add_argument("--weight", default="1", help="relation weight for sampled structures (p/q)")
@@ -591,14 +527,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     try:
+        if hasattr(args, "spec"):
+            parse = partial(parse_spec, allow_invalid=args.verb == "audit-all")
+            args.spec = _load(parse, args.spec, _RELATIONAL)
+        if hasattr(args, "structure"):
+            args.structure = _load(parse_structure, args.structure)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ThriftyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (
+        UsageError,
         ParseError,
         StructureError,
         SpecError,

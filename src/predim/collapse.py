@@ -209,22 +209,21 @@ def count_independent_copies(
     reach = [img.union(*(adj[x] for x in img)) for img in images]
     n = len(images)
     ok = [[reach[i].isdisjoint(images[j]) for j in range(n)] for i in range(n)]
+    # branch and bound on an explicit stack: a frame is (copies chosen,
+    # candidates left, next candidate); it is dropped once its candidates
+    # cannot beat the best family, and the search stops once best > cap
     best = 0
-
-    def grow(chosen: int, cand: list[int]) -> None:
-        nonlocal best
+    stack = [(0, list(range(n)), 0)]
+    while stack:
+        chosen, cand, idx = stack.pop()
         if chosen > best:
             best = chosen
         if cap is not None and best > cap:
-            return
-        for idx, i in enumerate(cand):
-            if chosen + len(cand) - idx <= best:
-                return
-            grow(chosen + 1, [j for j in cand[idx + 1:] if ok[i][j]])
-            if cap is not None and best > cap:
-                return
-
-    grow(0, list(range(n)))
+            break
+        if idx < len(cand) and chosen + len(cand) - idx > best:
+            i = cand[idx]
+            stack.append((chosen, cand, idx + 1))
+            stack.append((chosen + 1, [j for j in cand[idx + 1:] if ok[i][j]], 0))
     return best
 
 

@@ -66,16 +66,6 @@ def dim(
     return int(value)
 
 
-def gcl_member(
-    spec: PredimensionSpec,
-    struct: FinStructure,
-    elem: int,
-    base: Iterable[int] = (),
-) -> bool:
-    """Whether one element is geometrically dependent on the base."""
-    return dim(spec, struct, (elem,), base) == 0
-
-
 def gcl(
     spec: PredimensionSpec,
     struct: FinStructure,

@@ -256,18 +256,6 @@ def delta(spec: PredimensionSpec, struct: FinStructure, subset: Optional[Iterabl
     return value
 
 
-def delta_rel(
-    spec: PredimensionSpec,
-    struct: FinStructure,
-    subset: Iterable[int],
-    base: Iterable[int],
-) -> Fraction:
-    """Relative predimension of `subset` over `base`: delta(X|B) - delta(B)."""
-    b = frozenset(int(e) for e in base)
-    x = frozenset(int(e) for e in subset)
-    return delta(spec, struct, x | b) - delta(spec, struct, b)
-
-
 def is_embedding_compatible(spec: PredimensionSpec, emb: Embedding) -> bool:
     """Embedding respects every matroid component's rank pattern."""
     return all(oracle.embedding_ok(emb) for oracle, _ in spec.components)

@@ -14,6 +14,7 @@ from predim import (
     audit_oracle_equivalence,
     audit_strong_laws,
     audit_submodularity,
+    oracle_by_name,
     structure_source,
 )
 
@@ -97,6 +98,20 @@ def test_amalgamation_audit_relational_only(alpha1, fusion):
     assert res.checked == 60
     with pytest.raises(ValueError):
         audit_amalgamation(fusion, structure_source(fusion, max_n=5), rng, 5)
+
+
+def test_amalgamation_audit_needs_modular_matroid_components():
+    # a non-modular rank adds over a free amalgam only when the factors are
+    # independent over the base, and copied annotations need not be
+    rng = random.Random(82)
+    for name in ("linear3", "uniform2"):
+        spec = PredimensionSpec.make(relational=True, components=((oracle_by_name(name), F(1, 2)),))
+        with pytest.raises(ValueError, match="needs modular matroid components"):
+            audit_amalgamation(spec, structure_source(spec, max_n=5), rng, 5)
+    # a modular component keeps the audit
+    spec = PredimensionSpec.make(relational=True, components=((oracle_by_name("free"), F(1)),))
+    res = audit_amalgamation(spec, structure_source(spec, max_n=6), rng, 20)
+    assert res.ok and res.checked == 20
 
 
 def test_exchange_audit(alpha1):

@@ -88,6 +88,15 @@ def test_copy_count_respects_cap(alpha1):
     assert count_independent_copies(alpha1, big, [0], pend, cap=2) >= 3
 
 
+def test_copy_count_on_a_wide_star_needs_no_recursion(alpha1):
+    # the search used to take one Python stack frame per chosen copy
+    pend = _pendant_class(alpha1)
+    star = _star(1500)
+    assert count_independent_copies(alpha1, star, [0], pend) == 1500
+    report = in_class_mu(alpha1, DEFAULT_MU, star, 2)
+    assert report.violations == (((0,), pend.code, 1500, 12),)
+
+
 def test_copy_count_rejects_foreign_base(alpha1, k3):
     pend = _pendant_class(alpha1)
     # base shape is a single point; an edge base cannot host the class

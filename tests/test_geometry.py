@@ -15,7 +15,6 @@ from predim import (
     delta,
     dim,
     gcl,
-    gcl_member,
     require_geometric,
 )
 from predim.sampling import random_sparse_graph
@@ -47,8 +46,8 @@ def test_gcl_frozen_examples(alpha1):
     two_edges = graph(4, [(0, 1), (2, 3)])
     assert gcl(alpha1, two_edges, [0]) == (0, 1)
     assert gcl(alpha1, two_edges, []) == ()
-    assert gcl_member(alpha1, two_edges, 1, [0])
-    assert not gcl_member(alpha1, two_edges, 2, [0])
+    assert dim(alpha1, two_edges, [1], [0]) == 0
+    assert dim(alpha1, two_edges, [2], [0]) != 0
     k3 = graph(3, [(0, 1), (1, 2), (0, 2)])
     assert gcl(alpha1, k3, []) == (0, 1, 2)
 
@@ -77,8 +76,8 @@ def test_exchange_frozen_and_random(alpha1):
 def test_exchange_on_fusion(fusion):
     v = vectors((1, 0), (0, 1), (1, 1))
     # 0 depends on {1,2} but not on {1}; exchange forces 2 to depend on {0,1}
-    assert gcl_member(fusion, v, 0, [1, 2])
-    assert not gcl_member(fusion, v, 0, [1])
+    assert dim(fusion, v, [0], [1, 2]) == 0
+    assert dim(fusion, v, [0], [1]) != 0
     assert check_exchange(fusion, v, 0, 2, over=[1])
 
 

@@ -11,7 +11,6 @@ from predim import (
     SpecError,
     UniformOracle,
     delta,
-    delta_rel,
     oracle_by_name,
 )
 
@@ -62,13 +61,6 @@ def test_fusion_rank_reduces_mod_p():
     spec = spec_fusion(5)
     v = vectors((1, 0), (6, 0))  # 6 = 1 mod 5: same line
     assert delta(spec, v) == F(1)
-
-
-def test_delta_rel_is_difference():
-    spec = spec_alpha()
-    p4 = graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert delta_rel(spec, p4, [0, 1, 2, 3], [0, 3]) == delta(spec, p4) - delta(spec, p4, [0, 3])
-    assert delta_rel(spec, p4, [1], []) == F(1)
 
 
 def test_uniform_oracle_caps_rank():
@@ -171,4 +163,6 @@ def test_relative_delta_diminishing_in_base(edges, xs, base, extra):
     g = graph(8, edges)
     bigger = base | extra
     xs = xs - extra
-    assert delta_rel(spec, g, xs, base) >= delta_rel(spec, g, xs, bigger)
+    over_base = delta(spec, g, xs | base) - delta(spec, g, base)
+    over_bigger = delta(spec, g, xs | bigger) - delta(spec, g, bigger)
+    assert over_base >= over_bigger

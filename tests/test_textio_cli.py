@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -523,3 +524,69 @@ def test_cli_exhausted_resources_exit_2(files, capsys, monkeypatch, exc):
     assert main(["delta", "--spec", str(files / "alpha.spec"), str(files / "k3.structure")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_audit_all_skips_amalgamation_for_non_modular_components(tmp_path, capsys):
+    # copied annotations are not independent over the base, so a non-modular
+    # rank need not add over a free amalgam; the audit is skipped, not failed
+    mixed = tmp_path / "mixed.spec"
+    mixed.write_text(ALPHA_SPEC + "component matroid linear3 1/2\ncomponent matroid uniform2 1/2\n")
+    assert main(["audit-all", "--spec", str(mixed), "--samples", "20", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "audit.amalgamation.note\tskipped: needs modular matroid components\n" in out
+    assert "ok\ttrue\n" in out
+    free = tmp_path / "free.spec"
+    free.write_text(ALPHA_SPEC + "component matroid free 1/1\n")
+    assert main(["audit-all", "--spec", str(free), "--samples", "20", "--seed", "1"]) == 0
+    assert "audit.amalgamation.checked\t5\n" in capsys.readouterr().out
+
+
+# Every verb on small inputs, plus two refusals, run from the inputs'
+# directory so that argv holds no absolute path.  One SHA-256 over
+# (argv, exit code, stdout) of all cases pins the whole CLI surface; it was
+# computed on the code before `main` took over loading the inputs.
+CLI_SURFACE = [
+    ["delta", "k3.structure"],
+    ["delta", "k3.structure", "--subset", "0,1"],
+    ["delta", "--spec", "fusion.spec", "vec.structure"],
+    ["strong", "star.structure", "--base", "0,1", "--within", "0,1,2"],
+    ["strong", "k4.structure", "--base", "0"],
+    ["closure", "star.structure", "--base", "1"],
+    ["check-class", "star.structure"],
+    ["check-class", "k4.structure"],
+    ["dim", "star.structure", "--of", "1,2", "--over", "0"],
+    ["gcl", "star.structure", "--of", "0"],
+    ["amalgamate", "point.structure", "pend.structure", "pend.structure", "--left-map", "l.map",
+     "--right-map", "l.map"],
+    ["build", "--k", "2", "--budget", "8"],
+    ["audit", "star.structure", "--k", "1"],
+    ["exchange-audit", "star.structure", "--samples", "10", "--seed", "2"],
+    ["enumerate-min", "point.structure", "--max-new", "2"],
+    ["check-mu", "star.structure", "--bound", "2", "--mu", "tight.mu"],
+    ["count-copies", "star.structure", "--base", "0", "--ext", "pend.structure"],
+    ["collapse-build", "--k", "2", "--budget", "8", "--mu", "tight.mu", "--bound", "2"],
+    ["audit-all", "--samples", "8", "--seed", "1"],
+    ["delta", "k3.structure", "--subset", "0,9"],
+    ["delta", "nope.structure"],
+]
+CLI_SURFACE_SHA256 = "de2f6d4d4e87b8fa2bf503476405adf5196d01f02afee2956e3a378ca86a7608"
+
+
+def test_cli_surface_is_pinned(tmp_path, monkeypatch, capsys):
+    (tmp_path / "k3.structure").write_text(K3_TEXT)
+    k4 = graph(4, [(a, b) for a in range(4) for b in range(a)])
+    (tmp_path / "k4.structure").write_text(serialize_structure(k4))
+    (tmp_path / "star.structure").write_text(serialize_structure(graph(4, [(0, 1), (0, 2), (0, 3)])))
+    (tmp_path / "point.structure").write_text("universe 1\nrel E 2 1/1\n")
+    (tmp_path / "pend.structure").write_text("universe 2\nrel E 2 1/1\ntup E 0 1\n")
+    (tmp_path / "vec.structure").write_text("universe 3\nann 0 1 0\nann 1 0 1\nann 2 1 1\n")
+    (tmp_path / "fusion.spec").write_text(FUSION_SPEC)
+    (tmp_path / "l.map").write_text("0 0\n")
+    pend_code = classify_extension(spec_alpha(), graph(2, [(0, 1)]), [0]).code
+    (tmp_path / "tight.mu").write_text(f"mu-default linear 8 4\nmu {pend_code.hex()} 2\n")
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for argv in CLI_SURFACE:
+        rc = main(argv)
+        digest.update(repr((argv, rc, capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == CLI_SURFACE_SHA256

@@ -207,13 +207,11 @@ def count_independent_copies(
     # the new parts are disjoint and no instance meets both
     adj = struct.adjacency()
     reach = [img.union(*(adj[x] for x in img)) for img in images]
-    n = len(images)
-    ok = [[reach[i].isdisjoint(images[j]) for j in range(n)] for i in range(n)]
     # branch and bound on an explicit stack: a frame is (copies chosen,
     # candidates left, next candidate); it is dropped once its candidates
     # cannot beat the best family, and the search stops once best > cap
     best = 0
-    stack = [(0, list(range(n)), 0)]
+    stack = [(0, list(range(len(images))), 0)]
     while stack:
         chosen, cand, idx = stack.pop()
         if chosen > best:
@@ -223,7 +221,7 @@ def count_independent_copies(
         if idx < len(cand) and chosen + len(cand) - idx > best:
             i = cand[idx]
             stack.append((chosen, cand, idx + 1))
-            stack.append((chosen + 1, [j for j in cand[idx + 1:] if ok[i][j]], 0))
+            stack.append((chosen + 1, [j for j in cand[idx + 1:] if reach[i].isdisjoint(images[j])], 0))
     return best
 
 

@@ -1,11 +1,12 @@
 """The pregeometry induced by the predimension.
 
 Dimension of A over C is delta of the closure of A union C minus delta of the
-closure of C.  Geometric closure collects the elements of dimension zero.
-Both notions need an integer-valued predimension that gives single elements
-at most one unit, so validity is checked up front, once per spec and
-structure.  Each delta of a closure is read from the strength kernel's flow
-value (`closure_delta`), not recounted.
+closure of C, each read from the strength kernel's flow value
+(`closure_delta`), not recounted.  The geometric closure gcl(B), the
+elements of dimension zero over B, is the greatest minimizer of delta over
+the supersets of B, read off the sink side of B's solved network.  Both
+notions need an integer-valued predimension that gives single elements at
+most one unit, so validity is checked up front, once per spec and structure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .predimension import PredimensionSpec, delta
-from .strongsets import _session, closure_delta
+from .strongsets import _check_sets, _session, _sink_side, _solved, closure_delta
 from .structures import FinStructure
 
 
@@ -71,15 +72,15 @@ def gcl(
     struct: FinStructure,
     base: Iterable[int] = (),
 ) -> tuple[int, ...]:
-    """Geometric closure: every element of dimension zero over the base."""
+    """Every element of dimension zero over the base.  Minimizers of delta
+    over the supersets of B are closed under union (submodularity), and e
+    has dimension 0 exactly when one of them holds it, so gcl(B) is the
+    greatest one: the elements cut off from the sink of B's solved network."""
     require_geometric(spec, struct)
-    b = frozenset([int(e) for e in base])
-    ground, d_ground = closure_delta(spec, struct, b)
-    inside = set(ground)
-    return tuple([
-        e for e in struct.universe
-        if e in inside or closure_delta(spec, struct, b | {e})[1] == d_ground
-    ])
+    b, w = _check_sets(struct, base, None)
+    net = _solved(spec, struct, b, sorted(w - b))
+    reach = _sink_side(net)
+    return tuple([e for e in struct.universe if e in b or 2 + net.pos[e] not in reach])
 
 
 def check_exchange(

@@ -520,7 +520,8 @@ def _least_minimizer(net: _Net) -> dict:
 
 def _sink_side(net: _Net) -> set[int]:
     """Nodes that still reach the sink (node 1) over residual and exchange
-    arcs; the element nodes outside are the inclusion-greatest minimizer."""
+    arcs; the element nodes outside are the inclusion-greatest minimizer,
+    which `_flow_nonempty_min` and `geometry.gcl` read."""
     head, adj, cap = net.head, net.adj, net.cap
     elements = range(2, 2 + len(net.elems))
     reach = {1}

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from predim import (
+    FinStructure,
     GeometryError,
     PredimensionSpec,
+    Signature,
     UniformOracle,
     build_generic,
     check_exchange,
@@ -15,9 +17,13 @@ from predim import (
     delta,
     dim,
     gcl,
+    oracle_by_name,
     require_geometric,
+    serialize_structure,
 )
-from predim.sampling import random_sparse_graph
+from predim.cli import main
+from predim.sampling import random_sparse_graph, random_subset, random_vectors
+from predim.strongsets import closure_delta
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
 
@@ -148,3 +154,69 @@ def test_geometry_verdict_is_checked_once_per_spec_and_structure():
     require_geometric(spec_alpha(), g)
     assert g._sessions[spec_alpha()].geometric == ""
     assert half._sessions[spec_alpha()].geometric == "weight of E is not an integer"
+
+
+def _gcl_by_elements(spec, struct, base=()):
+    # the definition, element by element: e is in gcl(B) when adding it to B
+    # leaves delta of the closure unchanged
+    require_geometric(spec, struct)
+    b = frozenset(base)
+    ground, d_ground = closure_delta(spec, struct, b)
+    inside = set(ground)
+    return tuple(
+        e for e in struct.universe if e in inside or closure_delta(spec, struct, b | {e})[1] == d_ground
+    )
+
+
+def _with_cardinality(name: str) -> PredimensionSpec:
+    # delta = |X| - e(X) - |X| + rk(X)
+    return PredimensionSpec.make(components=((oracle_by_name("cardinality"), F(-1)), (oracle_by_name(name), F(1))))
+
+
+_GEOMETRIC_SPECS = {
+    "relational": spec_alpha(),
+    # non-modular: a cold network contracted by the base, with exchange arcs
+    "linear5": _with_cardinality("linear5"),
+    "uniform2": _with_cardinality("uniform2"),
+    "linear3": _with_cardinality("linear3"),
+    "free": _with_cardinality("free"),
+    "linear5 alone": PredimensionSpec.make(relational=False, components=((oracle_by_name("linear5"), F(1)),)),
+}
+
+
+@pytest.mark.parametrize("spec", list(_GEOMETRIC_SPECS.values()), ids=list(_GEOMETRIC_SPECS))
+def test_gcl_matches_the_element_by_element_closure(spec):
+    # gcl reads the greatest minimizer off one solved network; the oracle
+    # asks for one closure per element
+    rng = random.Random(45)
+    grown = 0
+    for _ in range(50):
+        n = rng.randrange(1, 14)
+        if spec.relational:
+            g = random_sparse_graph(rng, n, extra_edges=rng.randrange(3))
+            sig, instances = g.sig, g.instances
+        else:
+            sig, instances = Signature(()), {}
+        s = FinStructure(sig, range(n), instances, random_vectors(rng, n, rng.choice((2, 3)), 5))
+        for _ in range(6):
+            base = random_subset(rng, s.universe, rng.randrange(min(n, 4) + 1))
+            got = gcl(spec, s, base)
+            assert got == _gcl_by_elements(spec, s, base)
+            cl = closure(spec, s, base)
+            assert set(cl) <= set(got)
+            assert gcl(spec, s, got) == got
+            grown += len(got) > len(cl)
+    assert grown >= 15  # cases where gcl(B) is larger than cl(B)
+
+
+def test_gcl_on_a_long_path(tmp_path, capsys):
+    # every element of a path has dimension 0 over its first one, and gcl
+    # finds them all with one max flow, not one per element
+    n = 3000
+    path = graph(n, [(i, i + 1) for i in range(n - 1)])
+    assert gcl(spec_alpha(), path, (0,)) == tuple(range(n))
+    struct_file = tmp_path / "path.structure"
+    struct_file.write_text(serialize_structure(path))
+    capsys.readouterr()
+    assert main(["gcl", str(struct_file), "--of", "0"]) == 0
+    assert capsys.readouterr().out == "gcl\t[" + " ".join(map(str, range(n))) + "]\n"

@@ -56,15 +56,11 @@ def free_amalgam(e1: Embedding, e2: Embedding) -> AmalgamResult:
             fresh += 1
 
     new_elems = [sigma2[e] for e in b2.universe if e not in joint]
-    instances: dict[str, list] = {name: list(tuples) for name, tuples in b1.instances.items()}
-    for name in b2.sig.names:
-        carried = []
-        for t in b2.instances[name]:
-            mapped = tuple(sigma2[x] for x in t)
-            if all(x in joint for x in set(t)):
-                continue  # base-internal instance, already present via the left factor
-            carried.append(mapped)
-        instances.setdefault(name, []).extend(carried)
+    # base-internal instances are already present via the left factor
+    internal = b2.inside(set(joint))
+    instances = {name: list(tuples) for name, tuples in b1.instances.items()}
+    for name, ts in b2.instances.items():
+        instances[name] += [tuple([sigma2[x] for x in t]) for t in ts if t not in internal[name]]
     annotations = dict(b1.annotations)
     for e in b2.universe:
         toks = b2.annotation(e)

@@ -32,6 +32,10 @@ StructSource = Callable[[random.Random], FinStructure]
 SOURCE_DENSITY = 0.35
 SOURCE_WIDTH = 2
 
+# Samples between fresh draws in the geometry audits; a source that returns
+# one fixed structure consumes no randomness, so redrawing it changes nothing.
+REDRAW_EVERY = 10
+
 # Free elements past the base that `audit_oracle_equivalence` draws at most.
 ORACLE_MAX_FREE = 12
 
@@ -283,8 +287,6 @@ def audit_exchange(
     source: StructSource,
     rng: random.Random,
     samples: int,
-    *,
-    fresh_every: int = 10,
 ) -> AuditResult:
     """Exchange law on sampled (a, b, C) triples."""
     tally = _Tally("exchange")
@@ -293,7 +295,7 @@ def audit_exchange(
     attempts = 0
     while tally.checked < samples and attempts < 4 * samples + 16:
         attempts += 1
-        if struct is None or (fresh_every and tally.checked % fresh_every == 0 and drawn_at != tally.checked):
+        if struct is None or (tally.checked % REDRAW_EVERY == 0 and drawn_at != tally.checked):
             struct = source(rng)
             require_geometric(spec, struct)
             drawn_at = tally.checked
@@ -312,14 +314,12 @@ def audit_dim_additivity(
     source: StructSource,
     rng: random.Random,
     samples: int,
-    *,
-    fresh_every: int = 10,
 ) -> AuditResult:
     """dim(XY/C) = dim(X/YC) + dim(Y/C) on sampled triples of subsets."""
     tally = _Tally("dim-additivity")
     struct = None
     for i in range(samples):
-        if struct is None or (fresh_every and i % fresh_every == 0):
+        if struct is None or i % REDRAW_EVERY == 0:
             struct = source(rng)
             require_geometric(spec, struct)
         univ = struct.universe

@@ -285,12 +285,11 @@ def free_extend(
     else:
         mapping.update({e: targets[e] for e in new_elems})
     new_ids = tuple(mapping[e] for e in new_elems)
-    new_instances: dict[str, list] = {}
-    newset = set(new_elems)
-    for name in ext.sig.names:
-        for t in ext.instances[name]:
-            if newset.intersection(t):
-                new_instances.setdefault(name, []).append(tuple(mapping[x] for x in t))
+    old = ext.inside(ext._uset.difference(new_elems))
+    new_instances = {
+        name: [tuple([mapping[x] for x in t]) for t in ts if t not in old[name]]
+        for name, ts in ext.instances.items()
+    }
     annotations = _annotation_shift(struct, ext, base_ids, new_elems, mapping)
     return struct.extended(new_ids, new_instances, annotations), mapping
 

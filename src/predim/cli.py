@@ -53,7 +53,7 @@ from .extensions import classify_extension, enumerate_extensions
 from .geometry import GeometryError, dim, gcl
 from .predimension import PredimensionSpec, SpecError, delta
 from .sampling import graph_signature
-from .strongsets import is_strong
+from .strongsets import in_class, is_strong
 from .strongsets import closure as strong_closure
 from .structures import Embedding, FinStructure, Signature, StructureError
 from .textio import (
@@ -170,13 +170,14 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_check_class(args) -> int:
-    rep = is_strong(args.spec, args.structure, ())
-    facts = {"in-class": rep.verdict}
-    if not rep.verdict:
+    ok = in_class(args.spec, args.structure)
+    facts = {"in-class": ok}
+    if not ok:
+        rep = is_strong(args.spec, args.structure, ())
         facts["deficiency"] = rep.deficiency
         facts["witness"] = format_ids(rep.witness)
     _emit(facts)
-    return 0 if rep.verdict else 1
+    return 0 if ok else 1
 
 
 def _cmd_dim(args) -> int:
@@ -248,8 +249,8 @@ def _audit_facts(facts: dict, res: AuditResult, prefix: str = "") -> None:
 def _cmd_exchange_audit(args) -> int:
     rng = random.Random(args.seed)
     source = lambda _rng: args.structure
-    ex = audit_exchange(args.spec, source, rng, args.samples, fresh_every=0)
-    ad = audit_dim_additivity(args.spec, source, rng, args.samples, fresh_every=0)
+    ex = audit_exchange(args.spec, source, rng, args.samples)
+    ad = audit_dim_additivity(args.spec, source, rng, args.samples)
     facts = {}
     for res in (ex, ad):
         _audit_facts(facts, res)

@@ -106,14 +106,10 @@ class MuFunction:
         hit = self.lookup(cls.code)
         if hit is not None:
             return hit
-        weight = Fraction(0)
-        newset = set(cls.new_elements)
-        for name in cls.ext.sig.names:
-            w = cls.ext.sig.weight(name)
-            for t in cls.ext.instances[name]:
-                if newset.intersection(t):
-                    weight += w
-        return MU_FORMULAS[self.formula][1](self.params, len(cls.new_elements), weight)
+        ext = cls.ext
+        old = ext.inside(ext._uset.difference(cls.new_elements))
+        weights = [ext.sig.weight(name) * (len(ts) - len(old[name])) for name, ts in ext.instances.items()]
+        return MU_FORMULAS[self.formula][1](self.params, len(cls.new_elements), sum(weights, Fraction(0)))
 
 
 DEFAULT_MU = MuFunction()

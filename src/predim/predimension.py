@@ -237,20 +237,18 @@ class PredimensionSpec:
 def delta(spec: PredimensionSpec, struct: FinStructure, subset: Optional[Iterable[int]] = None) -> Fraction:
     """Predimension of `subset` inside `struct` (whole universe by default)."""
     if subset is None:
-        sub = frozenset(struct.universe)
+        sub = struct._uset
     else:
         sub = frozenset(int(e) for e in subset)
-        stray = sub - frozenset(struct.universe)
+        stray = sub - struct._uset
         if stray:
             raise StructureError(f"delta over non-elements {sorted(stray)}")
     value = Fraction(0)
     if spec.relational:
         value += len(sub)
-        for name in struct.sig.names:
-            w = struct.sig.weight(name)
-            inside = sum(1 for t in struct.instances[name] if sub.issuperset(t))
-            if inside:
-                value -= w * inside
+        for name, ts in struct.inside(sub).items():
+            if ts:
+                value -= struct.sig.weight(name) * len(ts)
     for oracle, coef in spec.components:
         value += coef * oracle.rank(struct, sub)
     return value

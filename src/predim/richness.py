@@ -10,7 +10,9 @@ That turns obligation satisfaction into local checks, which is what makes
 level-4 audits on structures with dozens of elements tractable.
 
 Everything here is exact and is cross-checked against the generic engines in
-the test suite.
+the test suite.  `Pseudoforest` and `met_fast` stay beside those engines
+because they still pay: the level-4 audit took 0.94 s at n=40 and 4.8 s at
+n=80 with them, and 2.05 s and 15.4 s with the generic engines alone.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ deficiency of A is the minimum of delta(X/A) over nonempty X inside W minus A
 
 Every valid spec goes to one polynomial kernel: a max flow whose solved
 network gives the exact minimum of delta(X/A) over all X, with its least
-minimizer (`_Net`, built by `_network`).  The routes:
+minimizer (`_Net`, built by `_network`), over the instances that
+`FinStructure.inside` gives, sorted per symbol in signature order (as for
+the brute oracle and `graph_strong`).  The routes:
 
 - `closure` adds the least minimizer to the base;
 - `strong_verdict` asks whether it is empty, except on weight-1 graph specs
@@ -72,7 +74,7 @@ class StrongReport:
 def _check_sets(struct: FinStructure, base, within):
     b = frozenset([int(e) for e in base])
     w = struct._uset if within is None else frozenset([int(e) for e in within])
-    if not w.issubset(struct.universe):
+    if not w.issubset(struct._uset):
         raise StructureError("within-set contains non-elements")
     if not b.issubset(w):
         raise StructureError("base must be contained in the ambient set")
@@ -89,16 +91,12 @@ def _scaled_instances(struct: FinStructure, base: frozenset[int], within: frozen
     Returns (list of (new-element frozenset, scaled weight), scale) with all
     weights integral after scaling.
     """
-    denoms = [struct.sig.weight(name).denominator for name in struct.sig.names] or [1]
-    q = lcm(*denoms)
+    q = lcm(*[struct.sig.weight(name).denominator for name in struct.sig.names])
     out = []
-    for name in struct.sig.names:
+    for name, ts in struct.inside(within).items():
         w = int(struct.sig.weight(name) * q)
-        for t in sorted(struct.instances[name]):
-            elems = set(t)
-            if not within.issuperset(elems):
-                continue
-            new = frozenset(elems - base)
+        for t in sorted(ts):
+            new = frozenset(t).difference(base)
             if new:
                 out.append((new, w))
     return out, q
@@ -369,9 +367,10 @@ class _Net:
         return level
 
     def _blocking_flow(self, level: list[int]) -> int:
-        """Dinic's blocking flow along `level`, on an explicit stack of arcs."""
+        """Dinic's blocking flow along `level`, on an explicit stack of arcs;
+        a return to a node resumes at its current arc, copying nothing."""
         head, adj, cap = self.head, self.adj, self.cap
-        it = [0] * len(adj)
+        rest, cur = [None] * len(adj), [-1] * len(adj)
         path: list[int] = []
         pushed = 0
         u = 0
@@ -388,18 +387,19 @@ class _Net:
                 u = head[path[k] ^ 1]
                 del path[k:]
                 continue
-            arcs, i, want = adj[u], it[u], level[u] + 1
-            for a in arcs[i:] if i else arcs:
-                if cap[a] and level[head[a]] == want:
-                    break
-                i += 1
-            else:
-                if u == 0:
-                    return pushed
-                level[u] = -1  # a dead end: drop it from the level graph
-                u = head[path.pop() ^ 1]
-                continue
-            it[u] = i
+            a, want = cur[u], level[u] + 1
+            if a < 0 or not (cap[a] and level[head[a]] == want):
+                rest[u] = arcs = rest[u] or iter(adj[u])  # the arcs past the current one
+                for a in arcs:
+                    if cap[a] and level[head[a]] == want:
+                        break
+                else:
+                    if u == 0:
+                        return pushed
+                    level[u] = -1  # a dead end: drop it from the level graph
+                    u = head[path.pop() ^ 1]
+                    continue
+                cur[u] = a
             path.append(a)
             u = head[a]
 
@@ -628,20 +628,15 @@ def graph_strong(struct: FinStructure, elems: Iterable[int]) -> bool:
     connected graph with cyclomatic number the difference of the two sides,
     and A is strong iff each contracted component is a tree.  Reads the
     structure's component table; costs the degrees of the elements."""
-    comp_of, comp_elems, count, crowded = struct.components()
-    inc = struct.incidence()
+    comp_of, _, excess, crowded = struct.components()
     a_set = set(elems)
     cyclomatic: dict[int, int] = {}  # per component met, after contracting A
     for a in a_set:
         r = comp_of[a]
-        c = cyclomatic.get(r)
-        if c is None:
-            c = count[r] - len(comp_elems[r])
-        c += 1  # a itself, less the edges it closes inside A
-        for _, t in inc[a]:
-            if t[0] == a and a_set.issuperset(t):
-                c -= 1
-        cyclomatic[r] = c
+        cyclomatic[r] = cyclomatic.get(r, excess[r]) + 1
+    for ts in struct.inside(a_set).values():  # less the edges closed inside A
+        for t in ts:
+            cyclomatic[comp_of[t[0]]] -= 1
     return not any(cyclomatic.values()) and crowded.issubset(cyclomatic)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -91,7 +91,8 @@ class FinStructure:
     of distinct elements under unordered semantics, raw tuples under ordered
     semantics).  An annotation attaches an ordered tuple of string tokens to
     an element; matroid rank oracles interpret the tokens, the relational
-    part ignores them.
+    part ignores them.  Which instances lie inside a set is answered by
+    `inside` alone, for delta, `restrict`, embeddings and the kernel.
     """
 
     __slots__ = (
@@ -215,18 +216,31 @@ class FinStructure:
 
     # -- derived structures -----------------------------------------------
 
+    def inside(self, subset: AbstractSet[int]) -> Mapping[str, frozenset[tuple[int, ...]]]:
+        """Per symbol, in signature order, the instances inside `subset`, a set
+        of elements: the structure's own sets for the whole universe, else
+        read off `incidence()`, each instance once at its first element."""
+        if len(subset) == len(self.universe):
+            return self.instances
+        found: dict[str, list] = {name: [] for name in self.sig.names}
+        inc = self.incidence()
+        for e in subset:
+            for name, t in inc[e]:
+                if t[0] == e and subset.issuperset(t):
+                    found[name].append(t)
+        for name, ts in found.items():
+            found[name] = frozenset(ts)
+        return found
+
     def restrict(self, subset: Iterable[int]) -> "FinStructure":
         """Induced substructure on `subset` (must consist of elements)."""
         sub = set(int(e) for e in subset)
         stray = sub - self._uset
         if stray:
             raise StructureError(f"restrict to non-elements {sorted(stray)}")
-        inst = {
-            name: frozenset(t for t in tuples if sub.issuperset(t))
-            for name, tuples in self.instances.items()
-        }
-        ann = {e: toks for e, toks in self.annotations.items() if e in sub}
-        return FinStructure._trusted(self.sig, tuple(sorted(sub)), inst, ann)
+        uni = tuple(sorted(sub))
+        ann = {e: self.annotations[e] for e in uni if e in self.annotations}
+        return FinStructure._trusted(self.sig, uni, self.inside(sub), ann)
 
     def relabel(self, mapping: Mapping[int, int]) -> "FinStructure":
         """Rename elements by an injective map defined on the whole universe."""
@@ -280,14 +294,14 @@ class FinStructure:
 
     def components(self) -> tuple[dict[int, int], dict[int, list[int]], dict[int, int], frozenset[int]]:
         """(component of each element, named by its least element; each
-        component's sorted elements; each component's instance count; the
-        components with more instances than elements), computed from the
+        component's sorted elements; each component's instances less its
+        elements; the components where that is positive), computed from the
         index on first use and kept (read-only)."""
         if self._comps is None:
-            adj, inc = self._indexed()
+            adj = self.adjacency()
             comp_of: dict[int, int] = {}
             elems_of: dict[int, list[int]] = {}
-            count: dict[int, int] = {}
+            excess: dict[int, int] = {}
             for root in self.universe:
                 if root in comp_of:
                     continue
@@ -300,10 +314,9 @@ class FinStructure:
                             elems.append(y)
                 elems.sort()
                 elems_of[root] = elems
-                # each instance once, at its first element
-                count[root] = sum([1 for e in elems for _, t in inc[e] if t[0] == e])
-            crowded = frozenset([r for r, c in count.items() if c > len(elems_of[r])])
-            self._comps = (comp_of, elems_of, count, crowded)
+                excess[root] = sum(map(len, self.inside(set(elems)).values())) - len(elems)
+            crowded = frozenset([r for r, c in excess.items() if c > 0])
+            self._comps = (comp_of, elems_of, excess, crowded)
         return self._comps
 
     def annotation_width(self) -> int:
@@ -372,13 +385,12 @@ class Embedding:
             raise StructureError("embedding must be injective")
         if not set(m.values()).issubset(self.target._uset):
             raise StructureError("embedding hits non-elements of the target")
-        image = set(m.values())
+        inside = self.target.inside(set(m.values()))
         for name in self.source.sig.names:
             mapped = {self.apply(t) for t in self.source.instances[name]}
-            present = {t for t in self.target.instances[name] if image.issuperset(t)}
-            if mapped - present:
+            if mapped - inside[name]:
                 raise StructureError(f"embedding loses an instance of {name}")
-            if present - mapped:
+            if inside[name] - mapped:
                 raise StructureError(f"embedding image has an extra instance of {name}")
 
 
@@ -432,7 +444,7 @@ def find_embeddings(
             return []
 
     inv = {b: a for a, b in fixed.items()}
-    used = set(inv)
+    used: set[int] = set()
     target_adj, by_target_elem = target._indexed()
 
     def pulls_back(name: str, t: tuple[int, ...]) -> bool:
@@ -441,19 +453,6 @@ def find_embeddings(
             back = tuple(sorted(back))
         return back in source.instances[name]
 
-    # Target instances fully inside the fixed image must already pull back.
-    for b in sorted(used):
-        for name, t in by_target_elem[b]:
-            if used.issuperset(t) and max(t) == b and not pulls_back(name, t):
-                return []
-
-    results: list[dict[int, int]] = []
-    assignment = dict(fixed)
-    if not free:
-        if compat is None or compat(assignment):
-            results.append(assignment)
-        return results
-
     def reflected_ok(new_target_elem: int) -> bool:
         # Every target instance lying inside the current image and touching
         # the new element must pull back to a source instance.
@@ -461,6 +460,19 @@ def find_embeddings(
             if used.issuperset(t) and not pulls_back(name, t):
                 return False
         return True
+
+    # The fixed image enters one element at a time and is checked like the rest.
+    for b in inv:
+        used.add(b)
+        if not reflected_ok(b):
+            return []
+
+    results: list[dict[int, int]] = []
+    assignment = dict(fixed)
+    if not free:
+        if compat is None or compat(assignment):
+            results.append(assignment)
+        return results
 
     def candidates(step: int) -> Iterator[int]:
         # If the source element touches an already-assigned one through an

@@ -246,12 +246,8 @@ def test_criterion_6_richness(capsys, k3_build):
 
 def test_criterion_7_pregeometry(capsys, k3_build):
     fixed = lambda rng: k3_build.approx
-    exchange = audit_exchange(
-        k3_build.spec, fixed, random.Random(9), 1_000, fresh_every=0
-    )
-    additivity = audit_dim_additivity(
-        k3_build.spec, fixed, random.Random(9), 1_000, fresh_every=0
-    )
+    exchange = audit_exchange(k3_build.spec, fixed, random.Random(9), 1_000)
+    additivity = audit_dim_additivity(k3_build.spec, fixed, random.Random(9), 1_000)
     ok = (
         exchange.checked == 1_000
         and additivity.checked == 1_000

@@ -127,7 +127,7 @@ def test_exchange_audit_fixed_structure(alpha1):
 
     ga = build_generic(alpha1, graph(0, []), k=2, budget=16)
     rng = random.Random(79)
-    res = audit_exchange(alpha1, lambda r: ga.current, rng, 100, fresh_every=0)
+    res = audit_exchange(alpha1, lambda r: ga.current, rng, 100)
     assert res.ok
 
 

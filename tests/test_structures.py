@@ -261,6 +261,15 @@ def test_trusted_restrict_equals_validated_structure():
             assert canonical_code(trusted) == canonical_code(checked)
             assert code_over_base(trusted, base) == code_over_base(checked, base)
             assert pair_code(trusted, base) == pair_code(checked, base)
+        # delta, restrict, validate, the kernel and the brute oracle all read
+        # `inside`, so check it against a filter of its own
+        for x in (subset, set(), set(s.universe)):
+            found = {name: set() for name in s.sig.names}
+            for name, t in s.all_instances():
+                if x.issuperset(t):
+                    found[name].add(t)
+            assert list(s.inside(x)) == list(s.sig.names)
+            assert {name: set(ts) for name, ts in s.inside(x).items()} == found
 
 
 def test_cached_index_equals_a_fresh_scan():

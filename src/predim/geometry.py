@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .predimension import PredimensionSpec, delta
-from .strongsets import _check_sets, _session, _sink_side, _solved, closure_delta
+from .strongsets import _check_sets, _greatest_minimizer, _session, _solved, closure_delta
 from .structures import FinStructure
 
 
@@ -79,8 +79,7 @@ def gcl(
     require_geometric(spec, struct)
     b, w = _check_sets(struct, base, None)
     net = _solved(spec, struct, b, sorted(w - b))
-    reach = _sink_side(net)
-    return tuple([e for e in struct.universe if e in b or 2 + net.pos[e] not in reach])
+    return tuple(sorted(b.union(_greatest_minimizer(net))))
 
 
 def check_exchange(

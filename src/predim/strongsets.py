@@ -27,10 +27,10 @@ codes.  A query with base B copies the solved capacities, raises the source
 arc of each element of B to infinity and augments: raising capacities keeps
 the flow feasible (parametric flow, Gallo, Grigoriadis & Tarjan 1989), and
 the flow value is delta of the closure, which `geometry` reads.  Queries
-inside a smaller ambient set, and matroid specs, solve a network contracted
-by the base cold: forced elements would load the matroid copies, and those
-specs are asked about small fresh structures, where a root solve costs more
-than the query.  `_flow_nonempty_min` forces each free element on a copy of
+inside a smaller ambient set, and specs with non-modular matroid terms,
+solve a network contracted by the base cold: forced elements would load the
+matroid copies, and those specs are asked about small fresh structures,
+where a root solve costs more than the query.  `_flow_nonempty_min` forces each free element on a copy of
 the base's solved state when every nonempty set is strictly positive.
 
 All engines are exact; the brute oracle and the unrouted subset search
@@ -102,15 +102,6 @@ def _scaled_instances(struct: FinStructure, base: frozenset[int], within: frozen
     return out, q
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    import numpy as np
-    x = arr.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
-
-
 def _relative_delta_table(
     spec: PredimensionSpec,
     struct: FinStructure,
@@ -130,7 +121,7 @@ def _relative_delta_table(
     if spec.relational:
         insts, qr = _scaled_instances(struct, base, within)
         q = lcm(q, qr)
-        table = q * _popcount(masks)
+        table = q * np.bitwise_count(masks).astype(np.int64)
         for new, w in insts:
             mk = 0
             for e in new:
@@ -180,7 +171,7 @@ def brute_force_is_strong(
     if deficiency >= 0:
         return StrongReport(True, deficiency)
     tied = np.nonzero(table == best)[0]
-    order = np.lexsort((tied, _popcount(tied)))
+    order = np.lexsort((tied, np.bitwise_count(tied)))
     mask = int(tied[order[0]])
     witness = tuple(free[i] for i in range(m) if mask >> i & 1)
     return StrongReport(False, deficiency, witness)
@@ -518,10 +509,10 @@ def _least_minimizer(net: _Net) -> dict:
     return pred
 
 
-def _sink_side(net: _Net) -> set[int]:
-    """Nodes that still reach the sink (node 1) over residual and exchange
-    arcs; the element nodes outside are the inclusion-greatest minimizer,
-    which `_flow_nonempty_min` and `geometry.gcl` read."""
+def _greatest_minimizer(net: _Net) -> tuple[int, ...]:
+    """The inclusion-greatest minimizer of a solved network: its elements
+    whose nodes no longer reach the sink (node 1) over residual and exchange
+    arcs.  On a session copy it holds the forced base."""
     head, adj, cap = net.head, net.adj, net.cap
     elements = range(2, 2 + len(net.elems))
     reach = {1}
@@ -537,7 +528,7 @@ def _sink_side(net: _Net) -> set[int]:
             if u not in reach:
                 reach.add(u)
                 queue.append(u)
-    return reach
+    return tuple([e for v, e in enumerate(net.elems, 2) if v not in reach])
 
 
 @dataclass
@@ -597,9 +588,8 @@ def _flow_nonempty_min(
         return value, lo
     if value < 0:
         raise AssertionError("negative minimum with empty minimal minimizer")
-    reach = _sink_side(net)
-    if any(2 + net.pos[e] not in reach for e in free):
-        return Fraction(0), ()  # the greatest minimizer is nonempty
+    if any(e not in base for e in _greatest_minimizer(net)):
+        return Fraction(0), ()  # the greatest minimizer holds a free element
     # every nonempty set is strictly positive: force each element in turn
     # on a copy of the solved state; each flow is min over X holding it
     best = min([net.forced((e,)).flow for e in free])

@@ -92,7 +92,8 @@ class FinStructure:
     semantics).  An annotation attaches an ordered tuple of string tokens to
     an element; matroid rank oracles interpret the tokens, the relational
     part ignores them.  Which instances lie inside a set is answered by
-    `inside` alone, for delta, `restrict`, embeddings and the kernel.
+    `inside`, for delta, `restrict`, `Embedding.validate` and the kernel;
+    `find_embeddings` checks each placed element against `incidence()`.
     """
 
     __slots__ = (
@@ -423,116 +424,78 @@ def find_embeddings(
         raise StructureError("fixed part of embedding is not injective")
 
     free = [e for e in source.universe if e not in fixed]
-    # Instances indexed by the latest free element they involve, so each
-    # assignment step checks exactly the constraints it completes.
-    order_pos = {e: i for i, e in enumerate(free)}
-    by_step: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in free]
-    base_only: list[tuple[str, tuple[int, ...]]] = []
-    for name, t in source.all_instances():
-        steps = [order_pos[e] for e in set(t) if e in order_pos]
-        if steps:
-            by_step[max(steps)].append((name, t))
-        else:
-            base_only.append((name, t))
-
-    tinst = {name: target.instances[name] for name in target.sig.names}
-    for name, t in base_only:
-        mapped = tuple(fixed[e] for e in t)
-        if not source.sig.ordered:
-            mapped = tuple(sorted(mapped))
-        if mapped not in tinst[name]:
-            return []
-
-    inv = {b: a for a, b in fixed.items()}
+    ordered = source.sig.ordered
+    source_inc = source.incidence()
+    target_adj, target_inc = target._indexed()
+    assignment: dict[int, int] = {}
     used: set[int] = set()
-    target_adj, by_target_elem = target._indexed()
 
-    def pulls_back(name: str, t: tuple[int, ...]) -> bool:
-        back = tuple(inv[e] for e in t)
-        if not source.sig.ordered:
-            back = tuple(sorted(back))
-        return back in source.instances[name]
-
-    def reflected_ok(new_target_elem: int) -> bool:
-        # Every target instance lying inside the current image and touching
-        # the new element must pull back to a source instance.
-        for name, t in by_target_elem[new_target_elem]:
-            if used.issuperset(t) and not pulls_back(name, t):
-                return False
-        return True
-
-    # The fixed image enters one element at a time and is checked like the rest.
-    for b in inv:
+    def place(a: int, b: int) -> bool:
+        # Map a to b and keep the map when it is still induced: the source
+        # instances at a with every element assigned land on target
+        # instances, and are as many as the target instances at b inside the
+        # image.  The map is injective, so these are then the same instances.
+        assignment[a] = b
         used.add(b)
-        if not reflected_ok(b):
+        closed = 0
+        for name, t in source_inc[a]:
+            image = [assignment.get(x) for x in t]
+            if None in image:
+                continue
+            if (tuple(image) if ordered else tuple(sorted(image))) not in target.instances[name]:
+                return False
+            closed += 1
+        return closed == len([t for _, t in target_inc[b] if used.issuperset(t)])
+
+    def unassign(a: int) -> None:
+        used.discard(assignment.pop(a))
+
+    # The fixed part enters one pair at a time and is checked like the rest.
+    for a, b in fixed.items():
+        if not place(a, b):
             return []
 
     results: list[dict[int, int]] = []
-    assignment = dict(fixed)
     if not free:
         if compat is None or compat(assignment):
             results.append(assignment)
         return results
 
-    def candidates(step: int) -> Iterator[int]:
-        # If the source element touches an already-assigned one through an
-        # instance, restrict to co-occurrence neighbours of its image.
-        e = free[step]
-        anchors = set()
-        for name, t in by_step[step]:
-            for x in t:
-                if x != e and x in assignment:
-                    anchors.add(assignment[x])
+    def candidates(a: int) -> Iterator[int]:
+        # Every instance at a must land on a target instance, so an image of
+        # a co-occurs with the image of each assigned co-member.
+        anchors = {assignment[x] for _, t in source_inc[a] for x in t if x in assignment}
         if anchors:
             # anchors are used, so leaving them out of the pool changes nothing
-            return iter(sorted(frozenset.intersection(*(target_adj[a] for a in anchors))))
+            return iter(sorted(frozenset.intersection(*(target_adj[b] for b in anchors))))
         return iter(target.universe)
-
-    def forward_ok(step: int) -> bool:
-        for name, t in by_step[step]:
-            if not all(e in assignment for e in t):
-                continue
-            mapped = tuple(assignment[e] for e in t)
-            if not source.sig.ordered:
-                mapped = tuple(sorted(mapped))
-            if mapped not in tinst[name]:
-                return False
-        return True
-
-    def unassign(e: int) -> None:
-        cand = assignment.pop(e)
-        used.discard(cand)
-        del inv[cand]
 
     # Depth-first over the free elements with an explicit stack of candidate
     # iterators, one per assigned step, so long sources cannot exhaust the
     # interpreter's recursion limit.
     last = len(free) - 1
-    stack = [candidates(0)]
+    stack = [candidates(free[0])]
     while stack:
         step = len(stack) - 1
-        e = free[step]
-        for cand in stack[-1]:
-            if cand in used:
+        a = free[step]
+        for b in stack[-1]:
+            if b in used:
                 continue
-            assignment[e] = cand
-            used.add(cand)
-            inv[cand] = e
-            if forward_ok(step) and reflected_ok(cand):
+            if place(a, b):
                 break
-            unassign(e)
+            unassign(a)
         else:
             stack.pop()
             if stack:
                 unassign(free[step - 1])
             continue
         if step < last:
-            stack.append(candidates(step + 1))
+            stack.append(candidates(free[step + 1]))
             continue
         final = dict(assignment)
         if compat is None or compat(final):
             results.append(final)
             if limit is not None and len(results) >= limit:
                 return results
-        unassign(e)
+        unassign(a)
     return results

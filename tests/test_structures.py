@@ -222,26 +222,50 @@ def _random_structures(seed: int, count: int):
         yield FinStructure(s.sig, s.universe, s.instances, ann), rng
 
 
+def _brute_embeddings(source, target, pin):
+    free = [e for e in source.universe if e not in pin]
+    expected = []
+    for image in permutations(target.universe, len(free)):
+        mapping = dict(pin)
+        mapping.update(zip(free, image))
+        if len(set(mapping.values())) < len(mapping):
+            continue
+        try:
+            Embedding.make(source, target, mapping)
+        except StructureError:
+            continue
+        expected.append(mapping)
+    return expected
+
+
 def test_find_embeddings_matches_brute_force_in_order():
+    cases = []
     for source, rng in _random_structures(71, 60):
         target = random_structure(rng, source.sig, rng.randrange(0, 6), 0.4)
         pin = {}
         if source.universe and target.universe and rng.random() < 0.5:
             pin = {source.universe[0]: rng.choice(target.universe)}
-        free = [e for e in source.universe if e not in pin]
-        expected = []
-        for image in permutations(target.universe, len(free)):
-            mapping = dict(pin)
-            mapping.update(zip(free, image))
-            if len(set(mapping.values())) < len(mapping):
-                continue
-            try:
-                Embedding.make(source, target, mapping)
-            except StructureError:
-                continue
-            expected.append(mapping)
+        cases.append((source, target, pin))
+    # pins of two or three points, and two binary symbols whose parallel
+    # instances the per-element count has to tell apart
+    rng = random.Random(74)
+    parallel = Signature((("E", 2), ("F", 2)))
+    sigs = _signatures() + (parallel, Signature(parallel.symbols, ordered=True))
+    for _ in range(120):
+        sig = rng.choice(sigs)
+        source = random_structure(rng, sig, rng.randrange(2, 6), 0.5)
+        target = random_structure(rng, sig, rng.randrange(2, 6), 0.5)
+        size = rng.randint(2, min(3, source.n, target.n))
+        cases.append((source, target, dict(zip(rng.sample(source.universe, size), rng.sample(target.universe, size)))))
+    induced = {True: 0, False: 0}
+    for source, target, pin in cases:
+        expected = _brute_embeddings(source, target, pin)
         # candidates are tried in sorted order, so results come lexicographically
         assert find_embeddings(source, target, fixed=pin) == expected
+        assert find_embeddings(source, target, fixed=pin, limit=1) == expected[:1]
+        if len(pin) > 1:
+            induced[bool(_brute_embeddings(source.restrict(pin), target, pin))] += 1
+    assert min(induced.values()) >= 10, induced
 
 
 def test_trusted_restrict_equals_validated_structure():

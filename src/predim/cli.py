@@ -14,45 +14,27 @@ Exit status: 0 on success, 1 when a property check comes back negative, 2 on
 usage, parse, or precondition errors.  `--threads` (default 1) is accepted
 and ignored: nothing runs in parallel.  The `--seed` of `build` and
 `collapse-build` is accepted but does not change the deterministic schedule.
+
+Every run is a fresh process that compiles what it imports, so a module is
+imported at the top of this file only when every verb needs it; any other
+layer is imported inside the verbs that run it, and `main` looks the
+refusal classes of those layers up on the package only when an exception
+reaches them.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
-from .amalgams import AmalgamError, free_amalgam
-from .audits import (
-    AuditResult,
-    audit_amalgamation,
-    audit_dim_additivity,
-    audit_exchange,
-    audit_oracle_equivalence,
-    audit_strong_laws,
-    audit_submodularity,
-    structure_source,
-)
-from .builder import BuilderError, audit_richness, build_generic
-from .collapse import (
-    DEFAULT_MU,
-    BiminimalError,
-    MuError,
-    MuFunction,
-    ThriftyError,
-    build_collapsed,
-    count_independent_copies,
-    enumerate_minimal_extensions,
-    in_class_mu,
-)
-from .extensions import classify_extension, enumerate_extensions
+import predim
+
 from .geometry import GeometryError, dim, gcl
 from .predimension import PredimensionSpec, SpecError, delta
-from .sampling import graph_signature
 from .strongsets import in_class, is_strong
 from .strongsets import closure as strong_closure
 from .structures import Embedding, FinStructure, Signature, StructureError
@@ -68,6 +50,9 @@ from .textio import (
     serialize_map,
     serialize_structure,
 )
+
+if TYPE_CHECKING:
+    from .audits import AuditResult
 
 
 class UsageError(Exception):
@@ -127,6 +112,8 @@ def _start(spec: PredimensionSpec, path: Optional[str], weight: Fraction = Fract
     """The build seed at `path`; without one, an empty graph for relational
     specs and an empty annotated set otherwise (relations would only inflate
     the class count)."""
+    from .sampling import graph_signature
+
     if path:
         return _load(parse_structure, path)
     if spec.relational:
@@ -191,6 +178,8 @@ def _cmd_gcl(args) -> int:
 
 
 def _cmd_amalgamate(args) -> int:
+    from .amalgams import free_amalgam
+
     base = _load(parse_structure, args.base)
     left = _load(parse_structure, args.left)
     right = _load(parse_structure, args.right)
@@ -215,6 +204,8 @@ def _cmd_amalgamate(args) -> int:
 def _richness_facts(spec: PredimensionSpec, struct: FinStructure, k: int, ga=None) -> dict:
     """The level-k richness report on `struct` and its size, plus how the
     build `ga` that grew it ended."""
+    from .builder import audit_richness
+
     rep = audit_richness(spec, struct, k)
     facts = {"k": rep.k, "n": len(struct.universe), "satisfied": rep.satisfied, "total": rep.total}
     if rep.total:
@@ -228,6 +219,8 @@ def _richness_facts(spec: PredimensionSpec, struct: FinStructure, k: int, ga=Non
 
 
 def _cmd_build(args) -> int:
+    from .builder import build_generic
+
     ga = build_generic(args.spec, _start(args.spec, args.start), args.k, args.budget)
     _emit(_richness_facts(args.spec, ga.current, args.k, ga), ga.current, args.out)
     return 0
@@ -247,6 +240,10 @@ def _audit_facts(facts: dict, res: AuditResult, prefix: str = "") -> None:
 
 
 def _cmd_exchange_audit(args) -> int:
+    import random
+
+    from .audits import audit_dim_additivity, audit_exchange
+
     rng = random.Random(args.seed)
     source = lambda _rng: args.structure
     ex = audit_exchange(args.spec, source, rng, args.samples)
@@ -259,6 +256,9 @@ def _cmd_exchange_audit(args) -> int:
 
 
 def _cmd_enumerate_min(args) -> int:
+    from .collapse import enumerate_minimal_extensions
+    from .extensions import enumerate_extensions
+
     base = args.structure
     if args.biminimal:
         classes = enumerate_minimal_extensions(args.spec, base, args.max_new)
@@ -293,6 +293,8 @@ def _cmd_enumerate_min(args) -> int:
 
 
 def _cmd_check_mu(args) -> int:
+    from .collapse import DEFAULT_MU, in_class_mu
+
     mu = _load(parse_mu, args.mu, DEFAULT_MU)
     rep = in_class_mu(args.spec, mu, args.structure, args.bound)
     facts = {"ok": rep.ok, "violations": len(rep.violations)}
@@ -303,6 +305,9 @@ def _cmd_check_mu(args) -> int:
 
 
 def _cmd_count_copies(args) -> int:
+    from .collapse import count_independent_copies
+    from .extensions import classify_extension
+
     ext = _load(parse_structure, args.ext)
     cls = classify_extension(args.spec, ext, _parse_ids(args.base))
     count = count_independent_copies(args.spec, args.structure, _ids(args, "base"), cls, cap=args.cap)
@@ -311,6 +316,8 @@ def _cmd_count_copies(args) -> int:
 
 
 def _cmd_collapse_build(args) -> int:
+    from .collapse import DEFAULT_MU, build_collapsed, in_class_mu
+
     mu = _load(parse_mu, args.mu, DEFAULT_MU)
     start = _start(args.spec, args.start)
     bound = args.bound if args.bound is not None else args.k
@@ -335,6 +342,11 @@ def _mu_build_audit(spec: PredimensionSpec, weight: Fraction, samples: int) -> A
     """Collapsed build honors its caps: tight pendant cap when weights allow,
     incremental checking cross-checked against the full recount throughout,
     and a final full membership audit."""
+    from .audits import AuditResult
+    from .collapse import MuFunction, ThriftyError, build_collapsed, in_class_mu
+    from .extensions import classify_extension
+    from .sampling import graph_signature
+
     if samples == 0:
         return AuditResult("mu", 0, 0)
     sig = graph_signature(weight)
@@ -359,6 +371,18 @@ def _mu_build_audit(spec: PredimensionSpec, weight: Fraction, samples: int) -> A
 
 
 def _cmd_audit_all(args) -> int:
+    import random
+
+    from .audits import (
+        audit_amalgamation,
+        audit_dim_additivity,
+        audit_exchange,
+        audit_oracle_equivalence,
+        audit_strong_laws,
+        audit_submodularity,
+        structure_source,
+    )
+
     spec = args.spec
     try:
         weight = Fraction(args.weight)
@@ -534,26 +558,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         if hasattr(args, "structure"):
             args.structure = _load(parse_structure, args.structure)
         return args.func(args)
-    except ThriftyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (
-        UsageError,
-        ParseError,
-        StructureError,
-        SpecError,
-        GeometryError,
-        BuilderError,
-        MuError,
-        BiminimalError,
-        AmalgamError,
-        OSError,
-    ) as e:
+    except (UsageError, ParseError, StructureError, SpecError, GeometryError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as e:
         # running out of stack or memory is a refusal, not a failed property
         print(f"error: input too large ({type(e).__name__})", file=sys.stderr)
+        return 2
+    # The refusals of layers only some verbs load.  An except clause is
+    # evaluated only when an exception reaches it, and looking one of these
+    # classes up on the package loads its layer, so they come last.
+    except predim.ThriftyError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (predim.BuilderError, predim.MuError, predim.BiminimalError, predim.AmalgamError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
 
 

@@ -23,11 +23,13 @@ Machine reports are sorted `key<TAB>value` lines; rationals always print as
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .collapse import MuError, MuFunction, MU_FORMULAS
 from .predimension import PredimensionSpec, SpecError, oracle_by_name
 from .structures import FinStructure, Signature, StructureError
+
+if TYPE_CHECKING:
+    from .collapse import MuFunction
 
 
 # Largest universe a structure file may declare; elements are built eagerly.
@@ -207,6 +209,9 @@ def serialize_spec(spec: PredimensionSpec) -> str:
 
 
 def parse_mu(text: str) -> MuFunction:
+    # collapse (and the builder under it) loads only when a mu file is read
+    from .collapse import MU_FORMULAS, MuError, MuFunction
+
     table: dict[bytes, int] = {}
     formula = "linear"
     params: tuple[int, ...] = (8, 4)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -524,6 +528,52 @@ def test_cli_exhausted_resources_exit_2(files, capsys, monkeypatch, exc):
     assert main(["delta", "--spec", str(files / "alpha.spec"), str(files / "k3.structure")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Refusals raised by layers that only some verbs load, each run as
+# `python -m predim.cli` in a fresh interpreter, so that `main` must catch
+# a class whose module the run has not imported up front.
+REFUSALS = [
+    # BuilderError: the start structure is outside the class
+    (["build", "--start", "k4.structure", "--k", "2", "--budget", "4"], 2,
+     "start structure is outside the nonnegative class"),
+    # MuError inside parse_mu, reported as a bad --mu file
+    (["check-mu", "star.structure", "--bound", "2", "--mu", "zero.mu"], 2,
+     "zero.mu: line 1: mu values must stay at least 1"),
+    # MuError: K4 is outside the class, a precondition of check-mu
+    (["check-mu", "k4.structure", "--bound", "2"], 2, "structure outside the nonnegative class"),
+    # AmalgamError: the factors annotate the base element differently
+    (["amalgamate", "point.structure", "left.structure", "right.structure", "--left-map", "l.map",
+      "--right-map", "l.map"], 2, "base element 0 carries conflicting annotations in the factors"),
+    # ThriftyError: with every cap at 1, a level-3 step can neither
+    # amalgamate freely nor embed
+    (["collapse-build", "--k", "3", "--budget", "12", "--mu", "one.mu", "--bound", "3"], 1,
+     "cannot amalgamate freely (violations: "),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, message", REFUSALS, ids=[f"{r[0][0]}-{i}" for i, r in enumerate(REFUSALS)]
+)
+def test_cli_refusals_in_a_fresh_interpreter(tmp_path, argv, rc, message):
+    k4 = graph(4, [(a, b) for a in range(4) for b in range(a)])
+    (tmp_path / "k4.structure").write_text(serialize_structure(k4))
+    (tmp_path / "star.structure").write_text(serialize_structure(graph(4, [(0, 1), (0, 2), (0, 3)])))
+    (tmp_path / "zero.mu").write_text("mu-default linear 0 0\n")
+    (tmp_path / "one.mu").write_text("mu-default linear 1 0\n")
+    (tmp_path / "point.structure").write_text("universe 1\nrel E 2 1/1\n")
+    (tmp_path / "left.structure").write_text("universe 1\nrel E 2 1/1\nann 0 1 0\n")
+    (tmp_path / "right.structure").write_text("universe 1\nrel E 2 1/1\nann 0 0 1\n")
+    (tmp_path / "l.map").write_text("0 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "predim.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == rc, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), done.stderr
 
 
 def test_cli_audit_all_skips_amalgamation_for_non_modular_components(tmp_path, capsys):

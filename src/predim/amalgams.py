@@ -8,7 +8,7 @@ new elements, in sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .structures import Embedding, FinStructure
 
@@ -17,8 +17,7 @@ class AmalgamError(ValueError):
     """Incompatible amalgamation data."""
 
 
-@dataclass(frozen=True)
-class AmalgamResult:
+class AmalgamResult(NamedTuple):
     amalgam: FinStructure
     left: Embedding   # first factor into the amalgam (identity on ids)
     right: Embedding  # second factor into the amalgam

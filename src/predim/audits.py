@@ -9,21 +9,15 @@ vacuous result, which callers must report as such rather than as evidence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .amalgams import free_amalgam
 from .geometry import check_exchange, dim, require_geometric
 from .predimension import LinearOracle, PredimensionSpec, delta
-from .sampling import (
-    graph_signature,
-    random_structure,
-    random_subset,
-    random_vectors,
-)
+from .sampling import random_structure, random_subset, random_vectors
 from .strongsets import brute_force_is_strong, closure, in_class, is_strong
-from .structures import Embedding, FinStructure, Signature
+from .structures import Embedding, FinStructure, Record, Signature, graph_signature
 from .textio import format_ids
 
 StructSource = Callable[[random.Random], FinStructure]
@@ -39,9 +33,12 @@ REDRAW_EVERY = 10
 # Free elements past the base that `audit_oracle_equivalence` draws at most.
 ORACLE_MAX_FREE = 12
 
+# Draws from the source before `audit_amalgamation` gives up on finding a
+# structure in the class; under some valid specs none is.
+IN_CLASS_DRAWS = 1000
 
-@dataclass(frozen=True)
-class AuditResult:
+
+class AuditResult(NamedTuple):
     name: str
     checked: int
     violations: int
@@ -56,14 +53,15 @@ class AuditResult:
         return self.checked == 0
 
 
-@dataclass
-class _Tally:
+class _Tally(Record):
     """Checks and failures of one audit, and the first failure's witness."""
 
-    name: str
-    checked: int = 0
-    violations: int = 0
-    witness: Optional[str] = None
+    __slots__ = __match_args__ = ("name", "checked", "violations", "witness")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+
+    def __init__(self, name: str, checked: int = 0, violations: int = 0, witness: Optional[str] = None):
+        self._fill(name, checked, violations, witness)
 
     def check(self, ok: bool, struct: FinStructure, witness: Callable[[], str]) -> None:
         self.checked += 1
@@ -203,10 +201,11 @@ def audit_oracle_equivalence(
 
 
 def _random_in_class(spec: PredimensionSpec, source: StructSource, rng: random.Random) -> FinStructure:
-    while True:
+    for _ in range(IN_CLASS_DRAWS):
         struct = source(rng)
         if in_class(spec, struct):
             return struct
+    raise ValueError(f"no structure in the class in {IN_CLASS_DRAWS} draws")
 
 
 def _grow_factor(
@@ -245,6 +244,8 @@ def audit_amalgamation(
     Relational specs with modular matroid components only: the factors'
     instance sets are disjoint over the base, but annotations are carried
     verbatim, with no independence over the base in a non-modular matroid.
+    Raises ValueError, as for those specs, when `IN_CLASS_DRAWS` draws find
+    no factor in the class.
     """
     if not spec.relational:
         raise ValueError("needs a relational spec")

@@ -18,11 +18,10 @@ cached and never rechecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .canonical import code_over_base
 from .extensions import ExtensionClass, enumerate_extensions
@@ -75,23 +74,20 @@ class BuilderError(ValueError):
     """Invalid builder input or state."""
 
 
-@dataclass(frozen=True)
-class DischargeRecord:
+class DischargeRecord(NamedTuple):
     step: int
     base: tuple[int, ...]
     code: bytes
     new_elements: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BlockedRecord:
+class BlockedRecord(NamedTuple):
     base: tuple[int, ...]
     code: bytes
     needed: int
 
 
-@dataclass(frozen=True)
-class RichnessReport:
+class RichnessReport(NamedTuple):
     k: int
     total: int
     satisfied: int

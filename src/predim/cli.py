@@ -37,7 +37,7 @@ from .geometry import GeometryError, dim, gcl
 from .predimension import PredimensionSpec, SpecError, delta
 from .strongsets import in_class, is_strong
 from .strongsets import closure as strong_closure
-from .structures import Embedding, FinStructure, Signature, StructureError
+from .structures import Embedding, FinStructure, Signature, StructureError, graph_signature
 from .textio import (
     ParseError,
     _ascii_int,
@@ -112,8 +112,6 @@ def _start(spec: PredimensionSpec, path: Optional[str], weight: Fraction = Fract
     """The build seed at `path`; without one, an empty graph for relational
     specs and an empty annotated set otherwise (relations would only inflate
     the class count)."""
-    from .sampling import graph_signature
-
     if path:
         return _load(parse_structure, path)
     if spec.relational:
@@ -345,7 +343,6 @@ def _mu_build_audit(spec: PredimensionSpec, weight: Fraction, samples: int) -> A
     from .audits import AuditResult
     from .collapse import MuFunction, ThriftyError, build_collapsed, in_class_mu
     from .extensions import classify_extension
-    from .sampling import graph_signature
 
     if samples == 0:
         return AuditResult("mu", 0, 0)

@@ -12,11 +12,10 @@ the build fails loudly when it cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .builder import (
     GenericApprox,
@@ -29,7 +28,7 @@ from .builder import (
 from .canonical import code_over_base
 from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
 from .predimension import PredimensionSpec, delta, is_embedding_compatible
-from .structures import Embedding, FinStructure, find_embeddings
+from .structures import Embedding, FinStructure, Record, find_embeddings
 from .strongsets import closure, in_class, strong_verdict
 
 
@@ -62,8 +61,7 @@ MU_FORMULAS: dict[str, tuple[int, Callable]] = {
 }
 
 
-@dataclass(frozen=True)
-class MuFunction:
+class MuFunction(Record):
     """Copy caps per extension-class code, with a formula for absent codes.
 
     Values must stay at least 1: a zero cap would empty the bounded class.
@@ -71,25 +69,29 @@ class MuFunction:
     total relation weight; the shipped default grows linearly in the former.
     """
 
-    table: tuple[tuple[bytes, int], ...] = ()
-    formula: str = "linear"
-    params: tuple[int, ...] = (8, 4)
+    __slots__ = __match_args__ = ("table", "formula", "params")
 
-    def __post_init__(self):
-        if self.formula not in MU_FORMULAS:
-            raise MuError(f"unknown mu formula {self.formula!r}")
-        arity, fn = MU_FORMULAS[self.formula]
-        if len(self.params) != arity:
-            raise MuError(f"formula {self.formula!r} takes {arity} parameters")
-        if any(p < 0 for p in self.params) or fn(self.params, 1, Fraction(0)) < 1:
+    def __init__(
+        self,
+        table: tuple[tuple[bytes, int], ...] = (),
+        formula: str = "linear",
+        params: tuple[int, ...] = (8, 4),
+    ):
+        if formula not in MU_FORMULAS:
+            raise MuError(f"unknown mu formula {formula!r}")
+        arity, fn = MU_FORMULAS[formula]
+        if len(params) != arity:
+            raise MuError(f"formula {formula!r} takes {arity} parameters")
+        if any(p < 0 for p in params) or fn(params, 1, Fraction(0)) < 1:
             raise MuError("mu values must stay at least 1")
         seen = set()
-        for code, value in self.table:
+        for code, value in table:
             if value < 1:
                 raise MuError("mu values must stay at least 1")
             if code in seen:
                 raise MuError("duplicate code in mu table")
             seen.add(code)
+        self._fill(table, formula, params)
 
     @staticmethod
     def from_dict(table: dict[bytes, int], formula: str = "linear",
@@ -221,8 +223,7 @@ def count_independent_copies(
     return best
 
 
-@dataclass(frozen=True)
-class MuReport:
+class MuReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[tuple[int, ...], bytes, int, int], ...]
 
@@ -289,8 +290,7 @@ def in_class_mu(
     return MuReport(ok=not v, violations=v)
 
 
-@dataclass(frozen=True)
-class ThriftyOutcome:
+class ThriftyOutcome(NamedTuple):
     """Result of one free-or-embed step.
 
     `free` tells which horn was taken; `struct` is the (possibly unchanged)

@@ -17,10 +17,9 @@ predimension).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .canonical import code_over_base
 from .predimension import LinearOracle, PredimensionSpec, SpecError, delta, is_embedding_compatible
@@ -32,8 +31,7 @@ from .strongsets import in_class, strong_verdict
 CANDIDATE_LIMIT = 22
 
 
-@dataclass(frozen=True)
-class ExtensionClass:
+class ExtensionClass(NamedTuple):
     """One isomorphism class of extensions of a fixed base."""
 
     base: FinStructure
@@ -75,8 +73,7 @@ class ExtensionClass:
         for i, e in enumerate(self.new_elements):
             mapping[e] = start + i
         ext = self.ext.relabel(mapping)
-        return replace(
-            self,
+        return self._replace(
             base=concrete_base,
             ext=ext,
             new_elements=tuple(mapping[e] for e in self.new_elements),

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .structures import Embedding, FinStructure, StructureError
+from .structures import Embedding, FinStructure, Record, StructureError
 
 
 class SpecError(ValueError):
@@ -72,15 +71,17 @@ class MatroidOracle(ABC):
         return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
-class FreeOracle(MatroidOracle):
+class FreeOracle(Record, MatroidOracle):
     """Free matroid: every set is independent, rank(X) = |X|.  Modular, so it
     may carry a negative coefficient.  `name` is "free" or "cardinality"; the
     latter is the usual spelling for putting -|X| into a predimension whose
     relational part is switched off.  The two compare unequal."""
 
-    name: str = "free"
+    __slots__ = __match_args__ = ("name",)
     modular = True
+
+    def __init__(self, name: str = "free"):
+        self._fill(name)
 
     def rank(self, struct, subset):
         return Fraction(len(subset))
@@ -194,8 +195,7 @@ def oracle_by_name(name: str) -> MatroidOracle:
     raise SpecError(f"unknown matroid oracle {name!r}")
 
 
-@dataclass(frozen=True)
-class PredimensionSpec:
+class PredimensionSpec(NamedTuple):
     """Which terms enter the predimension.
 
     `relational` toggles the |X| - sum(weight * instance count) part; the

@@ -17,8 +17,7 @@ n=80 with them, and 2.05 s and 15.4 s with the generic engines alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .canonical import canonical_code
 from .extensions import ExtensionClass
@@ -97,8 +96,7 @@ def _split_parts(cls: ExtensionClass, base: set[int]):
     return sorted(anchored), free
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """What checking a class needs, in the coordinates of the class it was
     made from (`cls`; plans are shared by code, and a transported class has
     the same code over other ids): the base plus the anchored part (None when

@@ -7,19 +7,10 @@ RNG state, so callers control reproducibility completely.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .structures import FinStructure, Signature
-
-GRAPH_SIG = Signature((("E", 2),))
-
-
-def graph_signature(weight: Fraction = Fraction(1)) -> Signature:
-    if weight == 1:
-        return GRAPH_SIG
-    return Signature((("E", 2),), (("E", weight),))
+from .structures import FinStructure, Signature, graph_signature
 
 
 def random_structure(
@@ -55,7 +46,7 @@ def random_sparse_graph(rng: random.Random, n: int, extra_edges: int = 2) -> Fin
             break
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
-    return FinStructure(GRAPH_SIG, range(n), {"E": sorted(edges)})
+    return FinStructure(graph_signature(), range(n), {"E": sorted(edges)})
 
 
 def random_subset(rng: random.Random, elems: Iterable[int], k: Optional[int] = None) -> tuple[int, ...]:

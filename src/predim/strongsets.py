@@ -39,14 +39,13 @@ All engines are exact; the brute oracle and the unrouted subset search
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .predimension import LATTICE_LIMIT, PredimensionSpec, SpecError, delta
-from .structures import FinStructure, StructureError
+from .structures import FinStructure, Record, StructureError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,8 +55,7 @@ if TYPE_CHECKING:
 BRUTE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class StrongReport:
+class StrongReport(NamedTuple):
     """Outcome of a strength check.
 
     `witness` is None on a positive verdict.  On a negative one it is the
@@ -531,16 +529,18 @@ def _greatest_minimizer(net: _Net) -> tuple[int, ...]:
     return tuple([e for v, e in enumerate(net.elems, 2) if v not in reach])
 
 
-@dataclass
-class _Session:
+class _Session(Record):
     """What a structure keeps per spec: for a modular spec, its network
     solved for the empty base over the whole universe (built at the second
     whole-universe query, so a one-shot query costs one cold solve), and
     the pregeometry verdict, "" when the spec and structure pass."""
 
-    root: Optional[_Net] = None
-    queried: bool = False
-    geometric: Optional[str] = None
+    __slots__ = __match_args__ = ("root", "queried", "geometric")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+
+    def __init__(self, root: Optional[_Net] = None, queried: bool = False, geometric: Optional[str] = None):
+        self._fill(root, queried, geometric)
 
 
 def _session(spec: PredimensionSpec, struct: FinStructure) -> _Session:

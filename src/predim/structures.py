@@ -1,8 +1,13 @@
-"""Finite relational structures: signatures, instances, annotations, embeddings."""
+"""Finite relational structures: signatures, instances, annotations, embeddings.
+
+predim's records are `typing.NamedTuple`s, or slotted `Record` subclasses
+where they derive state, validate, extend a base class or mutate; the
+stdlib's record decorator would cost every process the import of `inspect`
+and one `exec` per class.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -12,8 +17,39 @@ class StructureError(ValueError):
     """Malformed signature, structure, instance, or embedding."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Record:
+    """Equality, hash and repr over the fields named in `__match_args__`, for
+    slotted records; assignment is refused, and `__init__` sets the slots in
+    order through `_fill`.  A mutable record sets `__hash__ = None` and
+    `__setattr__ = object.__setattr__`."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other is self:  # as the field tuples would agree; hot in `find_embeddings`
+            return True
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+
+class Signature(Record):
     """A finite relational signature.
 
     `symbols` lists (name, arity) pairs.  `weights` optionally assigns a
@@ -23,26 +59,27 @@ class Signature:
     may repeat elements.
     """
 
-    symbols: tuple[tuple[str, int], ...] = ()
-    weights: tuple[tuple[str, Fraction], ...] = ()
-    ordered: bool = False
-    # lookups derived from the fields above; not part of equality, hash or repr
-    names: tuple[str, ...] = field(init=False, compare=False, hash=False, repr=False)
-    _arity: dict = field(init=False, compare=False, hash=False, repr=False)
-    _weight: dict = field(init=False, compare=False, hash=False, repr=False)
+    __match_args__ = ("symbols", "weights", "ordered")
+    # lookups derived from the fields; not part of equality, hash or repr
+    __slots__ = __match_args__ + ("names", "_arity", "_weight")
 
-    def __post_init__(self):
-        names = [name for name, _ in self.symbols]
+    def __init__(
+        self,
+        symbols: tuple[tuple[str, int], ...] = (),
+        weights: tuple[tuple[str, Fraction], ...] = (),
+        ordered: bool = False,
+    ):
+        names = [name for name, _ in symbols]
         if len(set(names)) != len(names):
             raise StructureError("duplicate relation symbol name")
-        for name, arity in self.symbols:
+        for name, arity in symbols:
             if not name or any(ch.isspace() for ch in name):
                 raise StructureError(f"bad relation symbol name: {name!r}")
             if arity < 1:
                 raise StructureError(f"relation {name} must have positive arity")
         seen = set()
-        for name, weight in self.weights:
-            if name not in dict(self.symbols):
+        for name, weight in weights:
+            if name not in dict(symbols):
                 raise StructureError(f"weight given for unknown symbol {name}")
             if name in seen:
                 raise StructureError(f"duplicate weight for symbol {name}")
@@ -51,13 +88,9 @@ class Signature:
                 raise StructureError(f"weight of {name} must be a positive Fraction")
         # weight 1 is the default; drop explicit entries so equal signatures
         # compare equal no matter how they were written down
-        if any(w == 1 for _, w in self.weights):
-            object.__setattr__(
-                self, "weights", tuple((n, w) for n, w in self.weights if w != 1)
-            )
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "_arity", dict(self.symbols))
-        object.__setattr__(self, "_weight", dict(self.weights))
+        if any(w == 1 for _, w in weights):
+            weights = tuple((n, w) for n, w in weights if w != 1)
+        self._fill(symbols, weights, ordered, tuple(names), dict(symbols), dict(weights))
 
     def arity(self, name: str) -> int:
         try:
@@ -70,6 +103,15 @@ class Signature:
             return self._weight[name]
         self.arity(name)  # raises on unknown symbol
         return Fraction(1)
+
+
+GRAPH_SIG = Signature((("E", 2),))
+
+
+def graph_signature(weight: Fraction = Fraction(1)) -> Signature:
+    if weight == 1:
+        return GRAPH_SIG
+    return Signature((("E", 2),), (("E", weight),))
 
 
 def _normalize_instance(sig: Signature, name: str, elems: Sequence[int]) -> tuple[int, ...]:
@@ -336,8 +378,7 @@ class FinStructure:
         return self._indexed()[1]
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """An induced embedding between structures over the same signature.
 
     Induced means instance preservation in both directions: the image of the
@@ -346,14 +387,12 @@ class Embedding:
     their own compatibility check on top.
     """
 
-    source: FinStructure
-    target: FinStructure
-    pairs: tuple[tuple[int, int], ...]
+    __match_args__ = ("source", "target", "pairs")
     # the pairs as a lookup; not part of equality, hash or repr
-    _map: dict = field(init=False, compare=False, hash=False, repr=False)
+    __slots__ = __match_args__ + ("_map",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.pairs))
+    def __init__(self, source: FinStructure, target: FinStructure, pairs: tuple[tuple[int, int], ...]):
+        self._fill(source, target, pairs, dict(pairs))
 
     @staticmethod
     def make(source: FinStructure, target: FinStructure, mapping: Mapping[int, int]) -> "Embedding":

@@ -7,7 +7,8 @@ from itertools import combinations, product
 
 from predim import Signature, FinStructure, canonical_code, code_over_base, pair_code
 from predim.canonical import certificate
-from predim.sampling import GRAPH_SIG, random_structure, random_vectors
+from predim.sampling import random_structure, random_vectors
+from predim.structures import GRAPH_SIG
 
 from conftest import graph, vectors
 

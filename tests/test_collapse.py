@@ -52,6 +52,8 @@ def test_mu_function_validation():
     with pytest.raises(MuError):
         MuFunction(params=(0, 0))  # cap of zero would empty the class
     with pytest.raises(MuError):
+        MuFunction(params=(-1, 2))
+    with pytest.raises(MuError):
         MuFunction(table=((b"x", 0),))
     with pytest.raises(MuError):
         MuFunction(table=((b"x", 1), (b"x", 2)))

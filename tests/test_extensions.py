@@ -108,6 +108,12 @@ def test_transport_moves_ids_only():
     assert moved.code == cls.code
     assert moved.delta_over_base == cls.delta_over_base
     assert min(moved.new_elements) > 3
+    # every other field is the class's own, and the new elements follow the base
+    assert type(moved) is type(cls) and moved.base is target
+    assert moved.new_elements == tuple(range(4, 4 + len(cls.new_elements)))
+    assert moved.ext == cls.ext.relabel({0: 1, 1: 3, **dict(zip(cls.new_elements, moved.new_elements))})
+    tags = ("base_strong", "ext_in_class", "minimal", "prealgebraic")
+    assert [getattr(moved, t) for t in tags] == [getattr(cls, t) for t in tags]
 
 
 def test_fusion_palette_classes_over_a_vector():

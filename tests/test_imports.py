@@ -1,6 +1,7 @@
 """How `predim` imports: every name a module imports is used in that
 module, the package's public names load from their submodules on first use,
-and each CLI verb loads only the layers it runs.
+each CLI verb loads only the layers it runs, and no module imports
+`dataclasses`.
 
 The unused-import check reads the sources with stdlib `ast`, imports inside
 functions included.  The package `__init__` imports no submodule; its public
@@ -101,15 +102,19 @@ def test_public_surface_is_pinned():
 UNUSED_BY_QUERIES = {
     f"predim.{m}" for m in "audits builder collapse extensions canonical richness amalgams sampling".split()
 }
-UNUSED_BY_BUILD = {"predim.audits", "predim.collapse", "predim.amalgams"}
+UNUSED_BY_BUILD = {"predim.audits", "predim.collapse", "predim.amalgams", "predim.sampling"}
+# Costly stdlib and third-party modules no verb here needs; `random` may come
+# with the interpreter's site set-up, so what counts is what the verb adds.
+UNUSED_BY_ALL = {"numpy", "dataclasses", "inspect", "random"}
 
 VERB_RUN = """\
 import sys
+before = set(sys.modules)
 import predim
 assert not [m for m in sys.modules if m.startswith("predim.")], "import predim loaded a submodule"
 from predim.cli import main
 rc = main(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m == "numpy" or m.startswith("predim."))))
+print(" ".join(sorted(set(sys.modules) - before)))
 sys.exit(rc)
 """
 
@@ -138,4 +143,22 @@ def test_each_verb_loads_only_its_layers(tmp_path, argv, unused):
     assert done.returncode in (0, 1) and not done.stderr, done.stderr
     loaded = set(done.stdout.splitlines()[-1].split())
     assert "predim.structures" in loaded
-    assert not loaded & (unused | {"numpy"}), sorted(loaded & (unused | {"numpy"}))
+    assert not loaded & (unused | UNUSED_BY_ALL), sorted(loaded & (unused | UNUSED_BY_ALL))
+
+
+def _modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules a source imports, inside functions too."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    # also covers the verbs not run above: check-mu, collapse-build, audit-all
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    found = [name for name, tree in trees.items() if "dataclasses" in _modules(tree)]
+    assert not found, found

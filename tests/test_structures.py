@@ -51,6 +51,14 @@ def test_signature_rejects_duplicates_and_bad_arities():
         Signature((("E", 2),), (("X", Fraction(1)),))
     with pytest.raises(StructureError):
         Signature((("E", 2),), (("E", Fraction(-1)),))
+    for symbols, weights in [
+        ((("", 2),), ()),  # empty name
+        ((("E F", 2),), ()),  # whitespace in the name
+        ((("E", 2),), (("E", Fraction(2)), ("E", Fraction(3)))),  # weight given twice
+        ((("E", 2),), (("E", 2),)),  # weight not a Fraction
+    ]:
+        with pytest.raises(StructureError):
+            Signature(symbols, weights)
 
 
 def test_structure_normalizes_instances():

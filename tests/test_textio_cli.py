@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from predim import (
     serialize_spec,
     serialize_structure,
 )
+from predim.audits import IN_CLASS_DRAWS
 from predim.cli import main
 from predim.textio import UNIVERSE_LIMIT
 
@@ -589,6 +591,28 @@ def test_cli_audit_all_skips_amalgamation_for_non_modular_components(tmp_path, c
     free.write_text(ALPHA_SPEC + "component matroid free 1/1\n")
     assert main(["audit-all", "--spec", str(free), "--samples", "20", "--seed", "1"]) == 0
     assert "audit.amalgamation.checked\t5\n" in capsys.readouterr().out
+
+
+def test_cli_audit_all_skips_amalgamation_when_no_draw_is_in_the_class(tmp_path, capsys):
+    # every nonempty set has delta < 0, so no drawn structure is in the class;
+    # the amalgamation audit gives up after a fixed number of draws
+    spec = tmp_path / "empty-class.spec"
+    spec.write_text(ALPHA_SPEC + "component matroid cardinality -3/1\n")
+
+    def timeout(signum, frame):
+        raise TimeoutError("audit-all did not finish in 60 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        rc = main(["audit-all", "--spec", str(spec), "--samples", "4", "--seed", "1"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"audit.amalgamation.note\tskipped: no structure in the class in {IN_CLASS_DRAWS} draws\n" in out
+    assert "ok\ttrue\n" in out
 
 
 # Every verb on small inputs, plus two refusals, run from the inputs'

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from itertools import combinations
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .canonical import code_over_base
 from .extensions import ExtensionClass, enumerate_extensions
-from .predimension import PredimensionSpec, is_embedding_compatible
+from .predimension import PredimensionSpec, rank_compat
 from .richness import Pseudoforest, met_fast
-from .structures import Embedding, FinStructure, find_embeddings
-from .strongsets import alpha_one_profile, in_class, strong_verdict
+from .structures import FinStructure, find_embeddings
+from .strongsets import alpha_one_profile, graph_strong, in_class, strong_verdict
 
 
 def _fast_engine(
@@ -43,31 +43,20 @@ def _fast_engine(
 def _strong_bases(
     spec: PredimensionSpec,
     struct: FinStructure,
-    pf: Optional[Pseudoforest],
     below: int,
     near: Optional[set[int]] = None,
 ) -> list[tuple[int, ...]]:
     """Strong subsets with fewer than `below` elements in (size, ids) order,
-    decided by `pf` (the structure's fast engine) when given; with `near`,
-    only the empty set and the subsets meeting `near`, each built from a
-    nonempty part inside `near` and a part outside it."""
-    strong = pf.set_strong if pf is not None else partial(strong_verdict, spec, struct)
-    if near is None:
-        combos: Iterable[tuple[int, ...]] = (
-            c for size in range(below) for c in combinations(struct.universe, size)
-        )
+    decided by `graph_strong` on weight-1 graph specs; with `near`, only the
+    empty set and the subsets meeting `near`."""
+    if alpha_one_profile(spec, struct):
+        strong = partial(graph_strong, struct)
     else:
-        inside = [e for e in struct.universe if e in near]
-        outside = [e for e in struct.universe if e not in near]
-        combos = chain([()], (
-            tuple(sorted(part + rest))
-            for size in range(1, below)
-            for j in range(1, min(size, len(inside)) + 1)
-            for part in combinations(inside, j)
-            for rest in combinations(outside, size - j)
-        ))
-    out = [c for c in combos if strong(c)]
-    return out if near is None else sorted(out, key=lambda t: (len(t), t))
+        strong = partial(strong_verdict, spec, struct)
+    return [
+        c for size in range(below) for c in combinations(struct.universe, size)
+        if (near is None or not c or not near.isdisjoint(c)) and strong(c)
+    ]
 
 
 class BuilderError(ValueError):
@@ -132,7 +121,7 @@ class GenericApprox:
         self._class_cache: dict[bytes, list[ExtensionClass]] = {}
         self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
         self._pf = _fast_engine(spec, start, self._plans)
-        self._strong = _strong_bases(spec, start, self._pf, k)
+        self._strong = _strong_bases(spec, start, k)
 
     def grow(self, struct: FinStructure, new_ids: tuple[int, ...]) -> None:
         """Move to `struct`, a free extension of the current structure by
@@ -142,7 +131,7 @@ class GenericApprox:
             self._pf = _fast_engine(self.spec, struct, self._plans)
         # Only subsets meeting the fresh elements can change strength status;
         # everything else keeps its verdict under free growth.
-        added = [c for c in _strong_bases(self.spec, struct, self._pf, self.k, set(new_ids)) if c]
+        added = [c for c in _strong_bases(self.spec, struct, self.k, set(new_ids)) if c]
         self._strong = sorted(self._strong + added, key=lambda t: (len(t), t))
 
 
@@ -192,13 +181,10 @@ def strong_embedding(
     """The first induced embedding of `ext` into `struct` extending `fixed`
     whose image is strong (and rank-compatible, with matroid components),
     or None."""
+    rank_ok = rank_compat(spec, ext, struct)
 
     def ok(mapping: dict[int, int]) -> bool:
-        if spec.components:
-            emb = Embedding(ext, struct, tuple(sorted(mapping.items())))
-            if not is_embedding_compatible(spec, emb):
-                return False
-        return strong_verdict(spec, struct, mapping.values())
+        return (rank_ok is None or rank_ok(mapping)) and strong_verdict(spec, struct, mapping.values())
 
     hits = find_embeddings(ext, struct, fixed=fixed, compat=ok, limit=1)
     return hits[0] if hits else None
@@ -350,7 +336,7 @@ def audit_richness(
     if not spec.valid:
         raise BuilderError("audit requires a valid spec")
     pf = _fast_engine(spec, struct)
-    strong_sets = _strong_bases(spec, struct, pf, k)
+    strong_sets = _strong_bases(spec, struct, k)
     cache: dict[bytes, list[ExtensionClass]] = {}
     total = 0
     satisfied = 0

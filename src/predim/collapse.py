@@ -17,18 +17,11 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .builder import (
-    GenericApprox,
-    _fast_engine,
-    _run,
-    _strong_bases,
-    free_extend,
-    strong_embedding,
-)
+from .builder import GenericApprox, _run, _strong_bases, free_extend, strong_embedding
 from .canonical import code_over_base
 from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
-from .predimension import PredimensionSpec, delta, is_embedding_compatible
-from .structures import Embedding, FinStructure, Record, find_embeddings
+from .predimension import PredimensionSpec, delta, rank_compat
+from .structures import FinStructure, Record, find_embeddings
 from .strongsets import closure, in_class, strong_verdict
 
 
@@ -94,9 +87,8 @@ class MuFunction(Record):
         self._fill(table, formula, params)
 
     @staticmethod
-    def from_dict(table: dict[bytes, int], formula: str = "linear",
-                  params: tuple[int, ...] = (8, 4)) -> "MuFunction":
-        return MuFunction(tuple(sorted(table.items())), formula, params)
+    def from_dict(table: dict[bytes, int], **default) -> "MuFunction":
+        return MuFunction(tuple(sorted(table.items())), **default)
 
     def lookup(self, code: bytes) -> Optional[int]:
         for c, v in self.table:
@@ -190,11 +182,7 @@ def count_independent_copies(
     if fixed is None or cls.base.relabel(fixed) != struct.restrict(base):
         raise MuError("base does not match the class's base shape")
 
-    def compat(mapping: dict[int, int]) -> bool:
-        emb = Embedding(cls.ext, struct, tuple(sorted(mapping.items())))
-        return is_embedding_compatible(spec, emb)
-
-    hits = find_embeddings(cls.ext, struct, fixed=fixed, compat=compat if spec.components else None)
+    hits = find_embeddings(cls.ext, struct, fixed=fixed, compat=rank_compat(spec, cls.ext, struct))
     images = sorted(
         {frozenset(m[e] for e in cls.new_elements) for m in hits},
         key=lambda s: tuple(sorted(s)),
@@ -260,13 +248,12 @@ def mu_violations(
     """
     if not in_class(spec, struct):
         raise MuError("structure outside the nonnegative class")
-    pf = _fast_engine(spec, struct)
     allowed: Optional[set[int]] = None
     if around is not None and not spec.components:
         allowed = _ball(struct, around, bound)
     cache = class_cache if class_cache is not None else {}
     violations = []
-    for base in _strong_bases(spec, struct, pf, bound, near=allowed):
+    for base in _strong_bases(spec, struct, bound, near=allowed):
         base_struct = struct.restrict(base)
         key = (code_over_base(base_struct, base), bound - len(base))
         if key not in cache:

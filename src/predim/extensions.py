@@ -22,8 +22,8 @@ from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .canonical import code_over_base
-from .predimension import LinearOracle, PredimensionSpec, SpecError, delta, is_embedding_compatible
-from .structures import Embedding, FinStructure, StructureError, find_embeddings
+from .predimension import LinearOracle, PredimensionSpec, SpecError, delta, rank_compat
+from .structures import FinStructure, StructureError, find_embeddings
 from .strongsets import in_class, strong_verdict
 
 # Candidate instances past which enumeration refuses: it walks all 2^n
@@ -196,11 +196,7 @@ def _same_rank_pattern(
 ) -> bool:
     """Some base-fixing induced isomorphism keeps every component's rank
     pattern (`find_embeddings` yields induced maps only)."""
-
-    def compat(mapping: dict[int, int]) -> bool:
-        return is_embedding_compatible(spec, Embedding(ext, other, tuple(sorted(mapping.items()))))
-
-    return bool(find_embeddings(ext, other, fixed=fixed, compat=compat, limit=1))
+    return bool(find_embeddings(ext, other, fixed=fixed, compat=rank_compat(spec, ext, other), limit=1))
 
 
 def classify_extension(

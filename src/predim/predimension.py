@@ -14,7 +14,7 @@ import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .structures import Embedding, FinStructure, Record, StructureError
 
@@ -90,16 +90,17 @@ class FreeOracle(Record, MatroidOracle):
         return True
 
 
-class UniformOracle(MatroidOracle):
+class UniformOracle(Record, MatroidOracle):
     """Uniform matroid U_k: rank(X) = min(|X|, k).  Not modular."""
 
+    __match_args__ = ("k",)
+    __slots__ = __match_args__ + ("name",)
     modular = False
 
     def __init__(self, k: int):
         if k < 1:
             raise SpecError("uniform matroid needs k >= 1")
-        self.k = k
-        self.name = f"uniform{k}"
+        self._fill(k, f"uniform{k}")
 
     def rank(self, struct, subset):
         return Fraction(min(len(subset), self.k))
@@ -108,14 +109,8 @@ class UniformOracle(MatroidOracle):
         # Rank only depends on cardinality, which embeddings preserve.
         return True
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.k == self.k
 
-    def __hash__(self):
-        return hash((self.name, self.k))
-
-
-class LinearOracle(MatroidOracle):
+class LinearOracle(Record, MatroidOracle):
     """Linear matroid over the prime field F_p, vectors read from annotations.
 
     An element's vector is its annotation token tuple, each token an integer
@@ -123,6 +118,8 @@ class LinearOracle(MatroidOracle):
     without an annotation are the zero vector.  Not modular.
     """
 
+    __match_args__ = ("p",)
+    __slots__ = __match_args__ + ("name",)
     modular = False
 
     def __init__(self, p: int):
@@ -130,8 +127,7 @@ class LinearOracle(MatroidOracle):
             raise SpecError(f"linear oracle modulus refused: it must be below {MODULUS_LIMIT}")
         if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise SpecError(f"linear oracle needs a prime modulus, got {p}")
-        self.p = p
-        self.name = f"linear{p}"
+        self._fill(p, f"linear{p}")
 
     def vector(self, struct: FinStructure, elem: int, width: int) -> tuple[int, ...]:
         toks = struct.annotation(elem)
@@ -147,12 +143,6 @@ class LinearOracle(MatroidOracle):
             return Fraction(0)
         rows = [list(self.vector(struct, e, width)) for e in sorted(subset)]
         return Fraction(_rank_mod_p(rows, self.p))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.p == self.p
-
-    def __hash__(self):
-        return hash((self.name, self.p))
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -258,3 +248,13 @@ def is_embedding_compatible(spec: PredimensionSpec, emb: Embedding) -> bool:
     """Embedding respects every matroid component's rank pattern."""
     return all(oracle.embedding_ok(emb) for oracle, _ in spec.components)
 
+
+def rank_compat(
+    spec: PredimensionSpec, source: FinStructure, target: FinStructure
+) -> Optional[Callable[[dict[int, int]], bool]]:
+    """The `find_embeddings` filter keeping the maps from `source` into
+    `target` that respect every matroid component's rank pattern, or None
+    when the spec has no components."""
+    if not spec.components:
+        return None
+    return lambda m: is_embedding_compatible(spec, Embedding(source, target, tuple(sorted(m.items()))))

@@ -2,12 +2,13 @@
 
 For a purely relational spec with all weights 1 and all arities 2, a member
 of the nonnegative class is a pseudoforest: every component is a tree or
-carries exactly one cycle.  Strength comes from the test shared with
-`strongsets.strong_verdict` (`graph_strong`), read off the structure's cached
-component table, and obligations decompose per component: the anchored part
-maps into the base's components, each free part into a component of its own.
-That turns obligation satisfaction into local checks, which is what makes
-level-4 audits on structures with dozens of elements tractable.
+carries exactly one cycle.  Strength is `strongsets.graph_strong`, the
+weight-1 engine, read off the structure's cached component table;
+`Pseudoforest` answers obligations only, which decompose per component: the
+anchored part maps into the base's components, each free part into a
+component of its own.  That turns obligation satisfaction into local checks,
+which is what makes level-4 audits on structures with dozens of elements
+tractable.
 
 Everything here is exact and is cross-checked against the generic engines in
 the test suite.  `Pseudoforest` and `met_fast` stay beside those engines
@@ -17,7 +18,7 @@ n=80 with them, and 2.05 s and 15.4 s with the generic engines alone.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .canonical import canonical_code
 from .extensions import ExtensionClass
@@ -46,10 +47,6 @@ class Pseudoforest:
         self._targets: dict[tuple[int, ...], FinStructure] = {}
         self._fits: dict[bytes, tuple[int, ...]] = {}
 
-    def set_strong(self, elems: Iterable[int]) -> bool:
-        """Is the set strong in the structure (`strongsets.graph_strong`)?"""
-        return graph_strong(self.struct, elems)
-
     def plan(self, cls: ExtensionClass) -> _Plan:
         """The class's obligation plan, computed once per class code."""
         plan = self.plans.get(cls.code)
@@ -75,7 +72,8 @@ class Pseudoforest:
                 # a connected image is strong in a tree component always,
                 # in a unicyclic one when it holds the cycle
                 hits = find_embeddings(
-                    part, self.target((root,)), compat=lambda m: self.set_strong(m.values()), limit=1
+                    part, self.target((root,)), limit=1,
+                    compat=lambda m: graph_strong(self.struct, m.values()),
                 )
                 if hits:
                     fits.append(root)
@@ -137,7 +135,7 @@ def met_fast(
         fixed = plan.cls.base_map(base_ids)
 
         def chunk_ok(mapping: dict[int, int]) -> bool:
-            return pf.set_strong(mapping.values())
+            return graph_strong(struct, mapping.values())
 
         if not find_embeddings(plan.anchored, target, fixed=fixed, compat=chunk_ok, limit=1):
             return False

@@ -154,9 +154,6 @@ class FinStructure:
         uset = set(uni)
         if len(uset) != len(uni):
             raise StructureError("duplicate element in universe")
-        self.sig = sig
-        self.universe: tuple[int, ...] = tuple(sorted(uset))
-        self._uset = frozenset(uset)
         inst: dict[str, frozenset[tuple[int, ...]]] = {name: frozenset() for name in sig.names}
         for name, tuples in (instances or {}).items():
             if name not in inst:
@@ -167,7 +164,6 @@ class FinStructure:
                 if missing:
                     raise StructureError(f"instance {t} of {name} uses non-elements {sorted(missing)}")
             inst[name] = normed
-        self.instances = inst
         ann: dict[int, tuple[str, ...]] = {}
         for elem, tokens in (annotations or {}).items():
             e = int(elem)
@@ -180,12 +176,7 @@ class FinStructure:
                 if not tok or any(ch.isspace() for ch in tok):
                     raise StructureError(f"bad annotation token {tok!r} on element {e}")
             ann[e] = toks
-        self.annotations = ann
-        self._codes: dict = {}
-        self._index = None
-        self._comps = None
-        self._width: Optional[int] = None
-        self._sessions: Optional[dict] = None  # strength sessions per spec, see strongsets
+        self._set_slots(sig, tuple(sorted(uset)), frozenset(uset), inst, ann)
 
     @classmethod
     def _trusted(
@@ -202,17 +193,28 @@ class FinStructure:
         annotations on its elements.
         """
         self = object.__new__(cls)
+        self._set_slots(sig, universe, frozenset(universe), instances, annotations)
+        return self
+
+    def _set_slots(
+        self,
+        sig: Signature,
+        universe: tuple[int, ...],
+        uset: frozenset[int],
+        instances: dict[str, frozenset[tuple[int, ...]]],
+        annotations: dict[int, tuple[str, ...]],
+    ) -> None:
+        """Set every slot: the checked parts, and empty caches."""
         self.sig = sig
         self.universe = universe
-        self._uset = frozenset(universe)
+        self._uset = uset
         self.instances = instances
         self.annotations = annotations
-        self._codes = {}
+        self._codes: dict = {}
         self._index = None
         self._comps = None
-        self._width = None
-        self._sessions = None
-        return self
+        self._width: Optional[int] = None
+        self._sessions: Optional[dict] = None  # strength sessions per spec, see strongsets
 
     # -- basic views ------------------------------------------------------
 

@@ -213,9 +213,7 @@ def parse_mu(text: str) -> MuFunction:
     from .collapse import MU_FORMULAS, MuError, MuFunction
 
     table: dict[bytes, int] = {}
-    formula = "linear"
-    params: tuple[int, ...] = (8, 4)
-    saw_default = False
+    default: tuple = ()  # (formula, params) once a mu-default line sets them
     for lineno, parts in _content_lines(text):
         if parts[0] == "mu":
             if len(parts) != 3:
@@ -228,19 +226,18 @@ def parse_mu(text: str) -> MuFunction:
                 raise ParseError(lineno, "duplicate mu code")
             table[code] = _parse_int(lineno, parts[2], "mu value")
         elif parts[0] == "mu-default":
-            if saw_default:
+            if default:
                 raise ParseError(lineno, "duplicate mu-default line")
             if len(parts) < 2:
                 raise ParseError(lineno, "mu-default takes a formula id and parameters")
             formula = parts[1]
             if formula not in MU_FORMULAS:
                 raise ParseError(lineno, f"unknown mu formula {formula!r}")
-            params = tuple(_parse_int(lineno, t, "formula parameter") for t in parts[2:])
-            saw_default = True
+            default = (formula, tuple(_parse_int(lineno, t, "formula parameter") for t in parts[2:]))
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
     try:
-        return MuFunction(tuple(sorted(table.items())), formula, params)
+        return MuFunction(tuple(sorted(table.items())), *default)
     except MuError as exc:
         raise ParseError(1, str(exc))
 

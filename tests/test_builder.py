@@ -23,6 +23,7 @@ from predim import (
 )
 from predim.builder import classes_over
 from predim.richness import Pseudoforest
+from predim.strongsets import graph_strong
 from predim.sampling import random_sparse_graph, random_subset
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
@@ -168,7 +169,7 @@ def _assert_fast_matches_generic(spec, g, max_base, level):
     checked = 0
     for size in range(0, max_base + 1):
         for base in combinations(g.universe, size):
-            if base and not pf.set_strong(base):
+            if base and not graph_strong(g, base):
                 continue
             for cls in classes_over(spec, g, base, max(level, size + 1), cache):
                 fast = obligation_met(spec, g, base, cls, pf=pf)
@@ -231,7 +232,7 @@ def test_pseudoforest_matches_brute_with_parallel_edges(alpha1):
         members += 1
         for size in (1, 2, 3):
             for s in combinations(g.universe, size):
-                assert pf.set_strong(s) == brute_force_is_strong(alpha1, g, s).verdict, s
+                assert graph_strong(g, s) == brute_force_is_strong(alpha1, g, s).verdict, s
     assert members >= 20 and outside >= 10
 
 

@@ -1,7 +1,7 @@
 """How `predim` imports: every name a module imports is used in that
 module, the package's public names load from their submodules on first use,
-each CLI verb loads only the layers it runs, and no module imports
-`dataclasses`.
+each CLI verb loads only the layers it runs, no module imports
+`dataclasses`, and private names cross modules only where listed.
 
 The unused-import check reads the sources with stdlib `ast`, imports inside
 functions included.  The package `__init__` imports no submodule; its public
@@ -162,3 +162,26 @@ def test_no_module_imports_dataclasses():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     found = [name for name, tree in trees.items() if "dataclasses" in _modules(tree)]
     assert not found, found
+
+
+# Every private name one module imports from another, as (importer, source,
+# name); a new crossing needs an entry here.
+PRIVATE_CROSSINGS = {
+    ("cli", "textio", "_ascii_int"),
+    ("collapse", "builder", "_run"),
+    ("collapse", "builder", "_strong_bases"),
+    ("geometry", "strongsets", "_check_sets"),
+    ("geometry", "strongsets", "_greatest_minimizer"),
+    ("geometry", "strongsets", "_session"),
+    ("geometry", "strongsets", "_solved"),
+}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module != "__future__":
+                source = node.module.split(".")[-1]
+                found |= {(path.stem, source, a.name) for a in node.names if a.name.startswith("_")}
+    assert found == PRIVATE_CROSSINGS

@@ -14,6 +14,7 @@ from predim import (
     FinStructure,
     PredimensionSpec,
     Signature,
+    SpecError,
     StrongReport,
     brute_closure,
     brute_force_is_strong,
@@ -27,7 +28,7 @@ from predim import (
 )
 from predim.cli import main
 from predim.sampling import graph_signature, random_sparse_graph, random_subset, random_vectors
-from predim.strongsets import _dfs_min, _flow_nonempty_min, graph_strong, subset_tables
+from predim.strongsets import _dfs_min, _flow_nonempty_min, closure_delta, graph_strong, subset_tables
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
 
@@ -321,6 +322,7 @@ def test_closure_matches_brute_on_random_graphs(alpha1):
             fast = closure(alpha1, g, base)
             slow = brute_closure(alpha1, g, base, tables=tables)
             assert fast == slow
+        assert brute_closure(alpha1, g, base) == slow  # tables built on the spot
 
 
 def test_closure_is_a_closure_operator(alpha1):
@@ -345,6 +347,38 @@ def test_brute_refuses_oversized_lattices(alpha1, fusion):
     # matroid components cap at 16 free elements regardless of the bound
     with pytest.raises(Exception):
         brute_force_is_strong(fusion, big, frozenset(), frozenset(big.universe))
+
+
+def _bent() -> PredimensionSpec:
+    """Relational part minus a uniform rank: not submodular, so invalid."""
+    return PredimensionSpec.make(components=((oracle_by_name("uniform2"), F(-1)),), allow_invalid=True)
+
+
+def test_invalid_spec_strength_is_the_brute_oracle():
+    spec = _bent()
+    rng = random.Random(26)
+    for _ in range(80):
+        g = random_sparse_graph(rng, rng.randrange(1, 8), extra_edges=rng.randrange(4))
+        within = set(random_subset(rng, g.universe)) or set(g.universe)
+        base = random_subset(rng, sorted(within))
+        for ambient in (None, within):
+            brute = brute_force_is_strong(spec, g, base, ambient)
+            assert is_strong(spec, g, base, ambient) == brute
+            assert strong_verdict(spec, g, base, ambient) == brute.verdict
+    with pytest.raises(SpecError, match="submodular"):
+        closure(spec, g, base)
+    with pytest.raises(SpecError, match="submodular"):
+        closure_delta(spec, g, base)
+
+
+def test_brute_closure_refuses_without_a_least_strong_superset():
+    # the path 1-0-2 under the bent spec: {0, 1} and {0, 2} are strong over
+    # the empty base (delta -1 each, like the whole path), but their meet
+    # {0} has delta 0; the smallest such case a seeded search over random
+    # sparse graphs turned up
+    path = graph(3, [(0, 1), (0, 2)])
+    with pytest.raises(SpecError, match="no least strong superset"):
+        brute_closure(_bent(), path, ())
 
 
 def test_brute_report_matches_definition(alpha1, k4):

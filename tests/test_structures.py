@@ -130,6 +130,9 @@ def test_extended_adds_elements_and_instances():
     assert h.annotation(2) == ("1",)
     with pytest.raises(StructureError):
         g.extended([1], {})  # already present
+    assert h.extended([3], {}, {2: ("1",)}).annotation(2) == ("1",)  # a repeated annotation is fine
+    with pytest.raises(StructureError, match="conflicting annotation"):
+        h.extended([3], {}, {2: ("0",)})
 
 
 def test_adjacency_and_instances_meeting():
@@ -162,6 +165,10 @@ def test_embedding_rejects_partial_or_noninjective_maps():
         Embedding.make(g, h, {0: 0})
     with pytest.raises(StructureError):
         Embedding.make(g, h, {0: 1, 1: 1})
+    with pytest.raises(StructureError, match="different signatures"):
+        Embedding.make(g, vectors((1,), (0,)), {0: 0, 1: 1})
+    with pytest.raises(StructureError, match="non-elements of the target"):
+        Embedding.make(g, h, {0: 2, 1: 3})
 
 
 def test_identity_embedding_of_substructure():
@@ -179,6 +186,19 @@ def test_find_embeddings_counts():
     fixed = find_embeddings(edge, tri, fixed={0: 1})
     assert {m[1] for m in fixed} == {0, 2}
     assert len(find_embeddings(edge, tri, limit=2)) == 2
+
+
+@pytest.mark.parametrize("target, fixed, message", [
+    (vectors((1,), (0,)), None, "different signatures"),
+    (None, {5: 0}, "not a source element"),
+    (None, {0: 5}, "not a target element"),
+    (None, {0: 1, 1: 1}, "not injective"),
+])
+def test_find_embeddings_refuses_bad_arguments(target, fixed, message):
+    edge = graph(2, [(0, 1)])
+    tri = graph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(StructureError, match=message):
+        find_embeddings(edge, tri if target is None else target, fixed=fixed)
 
 
 def test_find_embeddings_compat():

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .structures import Embedding, FinStructure, Record, StructureError
+from .structures import FinStructure, Record, StructureError
 
 
 class SpecError(ValueError):
@@ -49,23 +49,13 @@ class MatroidOracle(ABC):
     def rank(self, struct: FinStructure, subset: frozenset[int]) -> Fraction:
         ...
 
-    def embedding_ok(self, emb: Embedding) -> bool:
-        """Whether the embedding preserves this component's rank pattern.
-
-        Checks rank equality on every subset of the source universe, so it is
-        meant for small sources (the exact contract, not a heuristic).
-        """
-        src = emb.source
-        if src.n > LATTICE_LIMIT:
+    def pattern_subsets(self, struct: FinStructure) -> list[tuple[int, ...]]:
+        """The subsets of the universe whose ranks an embedding of `struct`
+        must keep: all of them, by size, refused beyond LATTICE_LIMIT
+        elements (the exact contract, not a heuristic)."""
+        if struct.n > LATTICE_LIMIT:
             raise SpecError(f"embedding rank check refused beyond {LATTICE_LIMIT} source elements")
-        m = emb.mapping
-        for r in range(src.n + 1):
-            for combo in combinations(src.universe, r):
-                sub = frozenset(combo)
-                img = frozenset(m[e] for e in combo)
-                if self.rank(src, sub) != self.rank(emb.target, img):
-                    return False
-        return True
+        return [c for r in range(struct.n + 1) for c in combinations(struct.universe, r)]
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -86,8 +76,8 @@ class FreeOracle(Record, MatroidOracle):
     def rank(self, struct, subset):
         return Fraction(len(subset))
 
-    def embedding_ok(self, emb):
-        return True
+    def pattern_subsets(self, struct):
+        return []
 
 
 class UniformOracle(Record, MatroidOracle):
@@ -105,9 +95,9 @@ class UniformOracle(Record, MatroidOracle):
     def rank(self, struct, subset):
         return Fraction(min(len(subset), self.k))
 
-    def embedding_ok(self, emb):
+    def pattern_subsets(self, struct):
         # Rank only depends on cardinality, which embeddings preserve.
-        return True
+        return []
 
 
 class LinearOracle(Record, MatroidOracle):
@@ -115,7 +105,10 @@ class LinearOracle(Record, MatroidOracle):
 
     An element's vector is its annotation token tuple, each token an integer
     mod p; shorter vectors are padded with zeros on the right.  Elements
-    without an annotation are the zero vector.  Not modular.
+    without an annotation are the zero vector.  Each element's tokens are
+    parsed once per structure and p, when a rank first needs them, and kept
+    in the structure's `_rows`; a non-integer token raises on every subset
+    holding its element.  Not modular.
     """
 
     __match_args__ = ("p",)
@@ -129,45 +122,41 @@ class LinearOracle(Record, MatroidOracle):
             raise SpecError(f"linear oracle needs a prime modulus, got {p}")
         self._fill(p, f"linear{p}")
 
-    def vector(self, struct: FinStructure, elem: int, width: int) -> tuple[int, ...]:
-        toks = struct.annotation(elem)
-        try:
-            vals = tuple(int(t) % self.p for t in toks)
-        except ValueError:
-            raise SpecError(f"non-integer annotation token on element {elem}: {toks}")
-        return vals + (0,) * (width - len(vals))
+    def vector(self, struct: FinStructure, elem: int) -> tuple[int, ...]:
+        """The element's vector mod p, padded to the annotation width (kept)."""
+        rows = struct._rows.setdefault(self.p, {})
+        if elem not in rows:
+            toks = struct.annotation(elem)
+            try:
+                vals = tuple(int(t) % self.p for t in toks)
+            except ValueError:
+                raise SpecError(f"non-integer annotation token on element {elem}: {toks}")
+            rows[elem] = vals + (0,) * (struct.annotation_width() - len(vals))
+        return rows[elem]
 
     def rank(self, struct, subset):
         width = struct.annotation_width()
         if width == 0 or not subset:
             return Fraction(0)
-        rows = [list(self.vector(struct, e, width)) for e in sorted(subset)]
-        return Fraction(_rank_mod_p(rows, self.p))
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination over F_p."""
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    col = 0
-    rows = [r[:] for r in rows]
-    while rank < len(rows) and col < width:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        p = self.p
+        rows = struct._rows.get(p, {})
+        vecs = [rows.get(e) or self.vector(struct, e) for e in subset]
+        # Clear each vector at the pivot columns so far, scaling instead of
+        # dividing (a pivot row is 0 at the earlier pivots' columns); a
+        # nonzero remainder is a new pivot row.  Full rank ends the search.
+        pivots: list = []  # (column, entry there, row)
+        for v in vecs:
+            for c, g, row in pivots:
+                f = v[c]
+                if f:
+                    v = [(x * g - f * y) % p for x, y in zip(v, row)]
+            for c, x in enumerate(v):
+                if x:
+                    pivots.append((c, x, v))
+                    break
+            if len(pivots) == width:
+                break
+        return Fraction(len(pivots))
 
 
 def oracle_by_name(name: str) -> MatroidOracle:
@@ -244,17 +233,27 @@ def delta(spec: PredimensionSpec, struct: FinStructure, subset: Optional[Iterabl
     return value
 
 
-def is_embedding_compatible(spec: PredimensionSpec, emb: Embedding) -> bool:
-    """Embedding respects every matroid component's rank pattern."""
-    return all(oracle.embedding_ok(emb) for oracle, _ in spec.components)
-
-
 def rank_compat(
     spec: PredimensionSpec, source: FinStructure, target: FinStructure
 ) -> Optional[Callable[[dict[int, int]], bool]]:
     """The `find_embeddings` filter keeping the maps from `source` into
     `target` that respect every matroid component's rank pattern, or None
-    when the spec has no components."""
+    when the spec has no components.  Each map stops at its first unequal
+    rank; each source rank is taken once, when a map first needs it."""
     if not spec.components:
         return None
-    return lambda m: is_embedding_compatible(spec, Embedding(source, target, tuple(sorted(m.items()))))
+    checks = None
+    ranks: list[Fraction] = []
+
+    def compat(m: dict[int, int]) -> bool:
+        nonlocal checks
+        if checks is None:
+            checks = [(o, c) for o, _ in spec.components for c in o.pattern_subsets(source)]
+        for i, (o, c) in enumerate(checks):
+            if i == len(ranks):
+                ranks.append(o.rank(source, frozenset(c)))
+            if o.rank(target, frozenset([m[e] for e in c])) != ranks[i]:
+                return False
+        return True
+
+    return compat

@@ -439,9 +439,9 @@ def _network(
             continue
 
         @cache
-        def independent(nodes: frozenset[int], o=oracle, r=r_base) -> bool:
-            # in the matroid contracted by the base; node 2 + i is free[i]
-            return o.rank(struct, base.union(free[v - 2] for v in nodes)) - r == len(nodes)
+        def independent(nodes: frozenset[int], o=oracle, r=int(r_base)) -> bool:
+            # in the matroid contracted by the base (ranks are integers); node 2 + i is free[i]
+            return o.rank(struct, base.union(free[v - 2] for v in nodes)) == r + len(nodes)
 
         tests += [independent] * int(q * coef)
     insts += [(frozenset({e}), -c) for e, c in zip(free, cap) if c < 0]
@@ -546,9 +546,7 @@ class _Session(Record):
 def _session(spec: PredimensionSpec, struct: FinStructure) -> _Session:
     if struct._sessions is None:
         struct._sessions = {}
-    if spec not in struct._sessions:
-        struct._sessions[spec] = _Session()
-    return struct._sessions[spec]
+    return struct._sessions.get(spec) or struct._sessions.setdefault(spec, _Session())
 
 
 def _solved(

@@ -140,7 +140,7 @@ class FinStructure:
 
     __slots__ = (
         "sig", "universe", "instances", "annotations", "_uset", "_codes", "_index", "_comps", "_width",
-        "_sessions",
+        "_rows", "_sessions",
     )
 
     def __init__(
@@ -214,6 +214,7 @@ class FinStructure:
         self._index = None
         self._comps = None
         self._width: Optional[int] = None
+        self._rows: dict = {}  # p -> {element: its vector mod p}, filled by LinearOracle.vector
         self._sessions: Optional[dict] = None  # strength sessions per spec, see strongsets
 
     # -- basic views ------------------------------------------------------

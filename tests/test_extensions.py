@@ -19,7 +19,6 @@ from predim import (
     find_embeddings,
     linear_extension_palette,
 )
-from predim.predimension import is_embedding_compatible
 from predim.sampling import graph_signature, random_structure
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
@@ -230,9 +229,13 @@ def test_one_class_per_base_fixing_isomorphism_type():
 def test_palette_classes_are_rank_pattern_types():
     spec = PredimensionSpec.make(relational=True, components=((LinearOracle(5), F(1, 2)),))
     base = FinStructure(graph_signature(), (0, 1), {"E": [(0, 1)]}, {0: ("1", "0"), 1: ("0", "1")})
+    oracle = spec.components[0][0]
 
     def rank_compatible(a, b, mapping):
-        return is_embedding_compatible(spec, Embedding.make(a, b, mapping))
+        # every subset keeps its rank, checked here without `rank_compat`
+        Embedding.make(a, b, mapping)
+        subsets = [c for r in range(a.n + 1) for c in combinations(a.universe, r)]
+        return all(oracle.rank(a, frozenset(c)) == oracle.rank(b, frozenset(mapping[e] for e in c)) for c in subsets)
 
     for b, max_new in ((base, 1), (base.restrict([0]), 2)):
         _check_one_class_per_type(spec, b, max_new, _fixing_base(b, rank_compatible), linear_extension_palette(5))

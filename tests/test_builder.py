@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -277,3 +278,29 @@ def test_build_deterministic_across_calls(alpha1):
     b = build_generic(alpha1, _empty_graph(), k=3, budget=18)
     assert a.current == b.current
     assert canonical_code(a.current) == canonical_code(b.current)
+
+
+# SHA-256 over the byte-exact schedules of three runs: the k=3 free build to
+# 40 elements resumed by 20, the collapsed k=3 build to 30 elements with the
+# pendant class capped at 3, and the level-4 audit's unmet list at n=40.
+# The counts of these runs are pinned elsewhere; this pins their order and
+# bytes, including the class codes in every history record.
+SCHEDULE_SHA256 = "10c6ec897cfc463180de5a52af8074d357b0149627c771097686276fe362b5a7"
+
+
+def test_schedules_are_pinned(alpha1):
+    from predim import MuFunction, build_collapsed, serialize_structure
+
+    edge = graph(2, [(0, 1)])
+    digest = hashlib.sha256()
+    ga = build_generic(alpha1, edge, k=3, budget=40)
+    level4 = audit_richness(alpha1, ga.current, 4)
+    resume(ga, 20)
+    digest.update(repr(ga.history).encode() + serialize_structure(ga.current).encode())
+    pendant = classify_extension(alpha1, edge, [0])
+    mu = MuFunction.from_dict({pendant.code: 3})
+    capped = build_collapsed(alpha1, mu, edge, k=3, budget=30, cross_check=True)
+    digest.update(repr(capped.history).encode() + serialize_structure(capped.current).encode())
+    digest.update(repr(level4.unmet).encode())
+    assert (ga.current.n, capped.current.n, len(level4.unmet)) == (60, 30, 23451 - 22148)
+    assert digest.hexdigest() == SCHEDULE_SHA256

@@ -664,3 +664,38 @@ def test_cli_surface_is_pinned(tmp_path, monkeypatch, capsys):
         rc = main(argv)
         digest.update(repr((argv, rc, capsys.readouterr().out)).encode())
     assert digest.hexdigest() == CLI_SURFACE_SHA256
+
+
+VERB_NAMES = (
+    "delta strong closure check-class dim gcl amalgamate build audit exchange-audit enumerate-min "
+    "check-mu count-copies collapse-build audit-all"
+).split()
+# Help and usage errors: the bare program, the top-level help, an unknown
+# verb, each verb's help, and each verb with a required flag left out.  One
+# SHA-256 over (argv, exit code, stdout, stderr) of all cases pins argparse's
+# output at a fixed terminal width.
+CLI_USAGE = [[], ["--help"], ["nope"]] + [[verb, "--help"] for verb in VERB_NAMES] + [
+    ["strong", "k3.structure"],
+    ["closure", "k3.structure", "--within", "0"],
+    ["dim", "k3.structure"],
+    ["amalgamate", "k3.structure", "k3.structure", "k3.structure", "--left-map", "l.map"],
+    ["build", "--k", "2"],
+    ["audit", "k3.structure"],
+    ["enumerate-min", "k3.structure"],
+    ["check-mu", "k3.structure"],
+    ["count-copies", "k3.structure", "--base", "0"],
+    ["collapse-build", "--budget", "8"],
+]
+CLI_USAGE_SHA256 = "9bfcd6631b33f20467929e91b966189f3d26cab6c686f307430567675973b630"
+
+
+def test_cli_help_and_usage_errors_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for argv in CLI_USAGE:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        digest.update(repr((argv, info.value.code, out, err)).encode())
+    assert digest.hexdigest() == CLI_USAGE_SHA256

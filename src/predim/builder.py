@@ -23,7 +23,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .canonical import code_over_base
+from .canonical import pinned_shape
 from .extensions import ExtensionClass, enumerate_extensions
 from .predimension import PredimensionSpec, rank_compat
 from .richness import Pseudoforest, met_fast
@@ -118,7 +118,7 @@ class GenericApprox:
         self.history: list[DischargeRecord] = []
         self.blocked: Optional[BlockedRecord] = None
         self._satisfied: set[tuple[tuple[int, ...], bytes]] = set()
-        self._class_cache: dict[bytes, list[ExtensionClass]] = {}
+        self._class_cache: dict[tuple, list[ExtensionClass]] = {}
         self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
         self._pf = _fast_engine(spec, start, self._plans)
         self._strong = _strong_bases(spec, start, k)
@@ -140,18 +140,17 @@ def classes_over(
     struct: FinStructure,
     base_ids: tuple[int, ...],
     k: int,
-    cache: dict[bytes, list[ExtensionClass]],
+    cache: dict[tuple, list[ExtensionClass]],
 ) -> list[ExtensionClass]:
-    """Obligation classes over a concrete base, via a per-shape cache.
+    """Obligation classes over a concrete base, via a cache keyed by the
+    base's `pinned_shape`; the base is restricted only on a miss.
 
     The classes are the cached templates, over the first base of this shape
     that was seen; `ExtensionClass.base_map` pins one onto `base_ids`.
     """
-    base_struct = struct.restrict(base_ids)
-    key = code_over_base(base_struct, base_ids)
+    key = pinned_shape(struct, base_ids)
     if key not in cache:
-        max_new = k - len(base_ids)
-        classes = enumerate_extensions(spec, base_struct, max_new)
+        classes = enumerate_extensions(spec, struct.restrict(base_ids), k - len(base_ids))
         cache[key] = [c for c in classes if c.base_strong and c.ext_in_class]
     return cache[key]
 
@@ -195,7 +194,7 @@ def _obligations(
     struct: FinStructure,
     strong_sets: list[tuple[int, ...]],
     k: int,
-    cache: dict[bytes, list[ExtensionClass]],
+    cache: dict[tuple, list[ExtensionClass]],
 ) -> Iterator[tuple[tuple[int, ...], ExtensionClass]]:
     """All obligations in (|A|, |B|, class code, A) order."""
     for asize in range(0, k):
@@ -337,7 +336,7 @@ def audit_richness(
         raise BuilderError("audit requires a valid spec")
     pf = _fast_engine(spec, struct)
     strong_sets = _strong_bases(spec, struct, k)
-    cache: dict[bytes, list[ExtensionClass]] = {}
+    cache: dict[tuple, list[ExtensionClass]] = {}
     total = 0
     satisfied = 0
     unmet = []

@@ -44,22 +44,23 @@ def _refine(struct: FinStructure, colors: Colors) -> Colors:
         ncolors = len(order)
 
 
+def _shape(struct: FinStructure, order: list[int]) -> tuple:
+    """The annotations along `order`, then per symbol in signature order the
+    sorted instances inside `order`, each element renamed to its place."""
+    place = {v: p for p, v in enumerate(order)}.__getitem__
+    norm = tuple if struct.sig.ordered else sorted
+    inside = struct.inside(set(order))
+    return (
+        tuple([struct.annotation(v) for v in order]),
+        tuple(tuple(sorted([tuple(norm(map(place, t))) for t in inside[name]])) for name in struct.sig.names),
+    )
+
+
 def _serialize(struct: FinStructure, init_colors: Colors, colors: Colors) -> tuple[bytes, Colors]:
     """Certificate bytes for a discrete colouring, plus element->position map."""
     order = sorted(struct.universe, key=colors.__getitem__)
-    pos = {v: p for p, v in enumerate(order)}
-    place = pos.__getitem__
-    norm = tuple if struct.sig.ordered else sorted
-    body = (
-        len(order),
-        tuple([init_colors[v] for v in order]),
-        tuple([struct.annotation(v) for v in order]),
-        tuple(
-            tuple(sorted([tuple(norm(map(place, t))) for t in struct.instances[name]]))
-            for name in struct.sig.names
-        ),
-    )
-    return repr(body).encode(), pos
+    body = (len(order), tuple([init_colors[v] for v in order]), *_shape(struct, order))
+    return repr(body).encode(), {v: p for p, v in enumerate(order)}
 
 
 def _canon(struct: FinStructure, init_colors: Colors, colors: Colors) -> tuple[bytes, Colors]:
@@ -155,6 +156,14 @@ def code_over_base(struct: FinStructure, base: Iterable[int]) -> bytes:
     """
     base_sorted = tuple(sorted(set(base)))
     return _cached(struct, ("over", base_sorted), {e: i + 1 for i, e in enumerate(base_sorted)})
+
+
+def pinned_shape(struct: FinStructure, base: Iterable[int]) -> tuple:
+    """The induced structure on the base as a hashable key, its elements
+    renamed to their places in sorted order.  With every base element pinned,
+    `code_over_base(struct.restrict(base), base)` is the `repr` of this body
+    behind the places, so two bases get equal shapes exactly when equal codes."""
+    return _shape(struct, sorted(set(base)))
 
 
 def pair_code(struct: FinStructure, base: Iterable[int]) -> bytes:

@@ -33,10 +33,7 @@ from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 import predim
 
-from .geometry import GeometryError, dim, gcl
 from .predimension import PredimensionSpec, SpecError, delta
-from .strongsets import in_class, is_strong
-from .strongsets import closure as strong_closure
 from .structures import Embedding, FinStructure, Signature, StructureError, graph_signature
 from .textio import (
     ParseError,
@@ -140,6 +137,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_strong(args) -> int:
+    from .strongsets import is_strong
+
     rep = is_strong(args.spec, args.structure, _ids(args, "base"), _ids(args, "within"))
     facts = {"verdict": rep.verdict, "deficiency": rep.deficiency}
     if rep.witness is not None:
@@ -149,12 +148,15 @@ def _cmd_strong(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    closure = strong_closure(args.spec, args.structure, _ids(args, "base"), _ids(args, "within"))
-    _emit({"closure": format_ids(closure)})
+    from .strongsets import closure
+
+    _emit({"closure": format_ids(closure(args.spec, args.structure, _ids(args, "base"), _ids(args, "within")))})
     return 0
 
 
 def _cmd_check_class(args) -> int:
+    from .strongsets import in_class, is_strong
+
     ok = in_class(args.spec, args.structure)
     facts = {"in-class": ok}
     if not ok:
@@ -166,11 +168,15 @@ def _cmd_check_class(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    from .geometry import dim
+
     _emit({"dim": dim(args.spec, args.structure, _ids(args, "of"), _ids(args, "over", ()))})
     return 0
 
 
 def _cmd_gcl(args) -> int:
+    from .geometry import gcl
+
     _emit({"gcl": format_ids(gcl(args.spec, args.structure, _ids(args, "of", ())))})
     return 0
 
@@ -408,7 +414,7 @@ def _cmd_audit_all(args) -> int:
         try:
             results.append(audit_exchange(spec, source, rng, n // 2))
             results.append(audit_dim_additivity(spec, source, rng, n // 2))
-        except GeometryError as e:
+        except predim.GeometryError as e:
             skip("exchange", str(e))
             skip("dim-additivity", str(e))
         if spec.relational:
@@ -447,7 +453,9 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with only `verb`'s sub-parser, or with every verb's when
+    `verb` is None or names none (help, a typo, an empty command line)."""
     parser = argparse.ArgumentParser(
         prog="predim",
         description="Predimension toolkit: strength, closures, amalgams, generic builds, audits.",
@@ -455,19 +463,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
     def add(name: str, func, help: str, *, spec=True, structure=True, need=None, ids=""):
-        """A verb's parser: `--spec` unless `spec` is false, `--threads`, the
-        `structure` argument unless `structure` is false, then the required
-        id flag `need` and the optional id flags in `ids`."""
+        """A verb's parser, or None when only another verb's is declared:
+        `--spec` unless `spec` is false, `--threads`, `structure` unless
+        `structure` is false, the required id flag `need`, the id flags `ids`."""
+        if verb not in (None, name):
+            return None
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if spec:
             p.add_argument("--spec", metavar="FILE", help="predimension spec file (default: pure relational)")
-        p.add_argument(
-            "--threads",
-            type=_uint,
-            default=1,
-            help="accepted and ignored (nothing runs in parallel)",
-        )
+        p.add_argument("--threads", type=_uint, default=1, help="accepted and ignored (nothing runs in parallel)")
         if structure:
             p.add_argument("structure")
         if need:
@@ -477,16 +482,16 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def grow(name: str, func, help: str, *, capped=False):
-        """A growth verb's parser; `capped` adds `--mu` and `--bound`."""
-        p = add(name, func, help, structure=False)
-        p.add_argument("--k", type=_uint, required=True)
-        p.add_argument("--budget", type=_uint, required=True)
-        p.add_argument("--seed", type=_seed_value, default=0, help="accepted; the schedule is deterministic")
-        if capped:
-            p.add_argument("--mu", metavar="FILE")
-            p.add_argument("--bound", type=_uint)
-        p.add_argument("--start", metavar="FILE")
-        p.add_argument("--out", metavar="FILE")
+        """A growth verb's parser, or None like `add`; `capped` adds `--mu` and `--bound`."""
+        if p := add(name, func, help, structure=False):
+            p.add_argument("--k", type=_uint, required=True)
+            p.add_argument("--budget", type=_uint, required=True)
+            p.add_argument("--seed", type=_seed_value, default=0, help="accepted; the schedule is deterministic")
+            if capped:
+                p.add_argument("--mu", metavar="FILE")
+                p.add_argument("--bound", type=_uint)
+            p.add_argument("--start", metavar="FILE")
+            p.add_argument("--out", metavar="FILE")
         return p
 
     add("delta", _cmd_delta, "predimension of a structure or subset", ids="--subset")
@@ -496,55 +501,56 @@ def _build_parser() -> argparse.ArgumentParser:
     add("dim", _cmd_dim, "geometric dimension of a subset over another", need="--of", ids="--over")
     add("gcl", _cmd_gcl, "geometric closure of a subset", ids="--of")
 
-    p = add("amalgamate", _cmd_amalgamate, "free amalgam of two factors over a base", spec=False, structure=False)
-    p.add_argument("base")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--left-map", required=True, metavar="FILE")
-    p.add_argument("--right-map", required=True, metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
+    if p := add("amalgamate", _cmd_amalgamate, "free amalgam of two factors over a base",
+                spec=False, structure=False):
+        p.add_argument("base")
+        p.add_argument("left")
+        p.add_argument("right")
+        p.add_argument("--left-map", required=True, metavar="FILE")
+        p.add_argument("--right-map", required=True, metavar="FILE")
+        p.add_argument("--out", metavar="FILE")
 
     grow("build", _cmd_build, "grow a generic approximation by free extensions")
 
-    p = add("audit", _cmd_audit, "count satisfied extension obligations at level k")
-    p.add_argument("--k", type=_uint, required=True)
-    p.add_argument("--out", metavar="FILE")
+    if p := add("audit", _cmd_audit, "count satisfied extension obligations at level k"):
+        p.add_argument("--k", type=_uint, required=True)
+        p.add_argument("--out", metavar="FILE")
 
-    p = add("exchange-audit", _cmd_exchange_audit, "exchange and additivity laws on sampled triples")
-    p.add_argument("--samples", type=_uint, default=200)
-    p.add_argument("--seed", type=_seed_value, default=0)
+    if p := add("exchange-audit", _cmd_exchange_audit, "exchange and additivity laws on sampled triples"):
+        p.add_argument("--samples", type=_uint, default=200)
+        p.add_argument("--seed", type=_seed_value, default=0)
 
-    p = add("enumerate-min", _cmd_enumerate_min, "minimal extension classes of a base structure")
-    p.add_argument("--max-new", type=_uint, required=True)
-    p.add_argument("--biminimal", action="store_true", help="prealgebraic classes least over this base")
-    p.add_argument("--out-dir", metavar="DIR")
+    if p := add("enumerate-min", _cmd_enumerate_min, "minimal extension classes of a base structure"):
+        p.add_argument("--max-new", type=_uint, required=True)
+        p.add_argument("--biminimal", action="store_true", help="prealgebraic classes least over this base")
+        p.add_argument("--out-dir", metavar="DIR")
 
-    p = add("check-mu", _cmd_check_mu, "copy-count caps hold everywhere")
-    p.add_argument("--mu", metavar="FILE")
-    p.add_argument("--bound", type=_uint, required=True)
+    if p := add("check-mu", _cmd_check_mu, "copy-count caps hold everywhere"):
+        p.add_argument("--mu", metavar="FILE")
+        p.add_argument("--bound", type=_uint, required=True)
 
-    p = add("count-copies", _cmd_count_copies, "independent strong copies of an extension over a base")
-    p.add_argument("--ext", required=True, metavar="FILE")
-    p.add_argument("--base", required=True, metavar="IDS")
-    p.add_argument("--cap", type=_uint)
+    if p := add("count-copies", _cmd_count_copies, "independent strong copies of an extension over a base"):
+        p.add_argument("--ext", required=True, metavar="FILE")
+        p.add_argument("--base", required=True, metavar="IDS")
+        p.add_argument("--cap", type=_uint)
 
-    p = grow(
+    if p := grow(
         "collapse-build", _cmd_collapse_build, "grow inside the capped class via free-or-embed steps", capped=True
-    )
-    p.add_argument("--cross-check", action="store_true", help="recount caps from scratch at every step")
+    ):
+        p.add_argument("--cross-check", action="store_true", help="recount caps from scratch at every step")
 
-    p = add("audit-all", _cmd_audit_all, "seeded property audits, consolidated", structure=False)
-    p.add_argument("--samples", type=_uint, default=200)
-    p.add_argument("--seed", type=_seed_value, default=0)
-    p.add_argument("--weight", default="1", help="relation weight for sampled structures (p/q)")
-    p.add_argument("--max-n", type=_uint, default=10)
+    if p := add("audit-all", _cmd_audit_all, "seeded property audits, consolidated", structure=False):
+        p.add_argument("--samples", type=_uint, default=200)
+        p.add_argument("--seed", type=_seed_value, default=0)
+        p.add_argument("--weight", default="1", help="relation weight for sampled structures (p/q)")
+        p.add_argument("--max-n", type=_uint, default=10)
 
-    return parser
+    return parser if sub.choices else _build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
@@ -555,7 +561,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if hasattr(args, "structure"):
             args.structure = _load(parse_structure, args.structure)
         return args.func(args)
-    except (UsageError, ParseError, StructureError, SpecError, GeometryError, OSError) as e:
+    except (UsageError, ParseError, StructureError, SpecError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as e:
@@ -568,7 +574,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except predim.ThriftyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (predim.BuilderError, predim.MuError, predim.BiminimalError, predim.AmalgamError) as e:
+    except (predim.BuilderError, predim.MuError, predim.BiminimalError, predim.AmalgamError,
+            predim.GeometryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

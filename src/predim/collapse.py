@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .builder import GenericApprox, _run, _strong_bases, free_extend, strong_embedding
-from .canonical import code_over_base
+from .canonical import pinned_shape
 from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
 from .predimension import PredimensionSpec, delta, rank_compat
 from .structures import FinStructure, Record, find_embeddings
@@ -244,7 +244,8 @@ def mu_violations(
     a copy is instance-connected to its base, so any new copy's base meets
     the given elements' adjacency ball of radius `bound` (the empty base is
     always rechecked).  Exact for relational specs; matroid components force
-    the full scan.
+    the full scan.  `class_cache` keys the classes by the base's
+    `pinned_shape` and the size left; a base is restricted only on a miss.
     """
     if not in_class(spec, struct):
         raise MuError("structure outside the nonnegative class")
@@ -254,10 +255,9 @@ def mu_violations(
     cache = class_cache if class_cache is not None else {}
     violations = []
     for base in _strong_bases(spec, struct, bound, near=allowed):
-        base_struct = struct.restrict(base)
-        key = (code_over_base(base_struct, base), bound - len(base))
+        key = (pinned_shape(struct, base), bound - len(base))
         if key not in cache:
-            cache[key] = enumerate_minimal_extensions(spec, base_struct, bound - len(base))
+            cache[key] = enumerate_minimal_extensions(spec, struct.restrict(base), bound - len(base))
         for cls in cache[key]:
             limit = mu.value(cls)
             count = count_independent_copies(spec, struct, base, cls)

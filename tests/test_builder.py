@@ -10,9 +10,11 @@ import pytest
 from predim import (
     BuilderError,
     FinStructure,
+    MuFunction,
     Signature,
     audit_richness,
     brute_force_is_strong,
+    build_collapsed,
     build_generic,
     canonical_code,
     classify_extension,
@@ -20,6 +22,7 @@ from predim import (
     in_class,
     obligation_met,
     resume,
+    serialize_structure,
     strong_verdict,
 )
 from predim.builder import classes_over
@@ -289,8 +292,6 @@ SCHEDULE_SHA256 = "10c6ec897cfc463180de5a52af8074d357b0149627c771097686276fe362b
 
 
 def test_schedules_are_pinned(alpha1):
-    from predim import MuFunction, build_collapsed, serialize_structure
-
     edge = graph(2, [(0, 1)])
     digest = hashlib.sha256()
     ga = build_generic(alpha1, edge, k=3, budget=40)

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+from hypothesis import example, given, settings, strategies as st
+
 from predim import Signature, FinStructure, canonical_code, code_over_base, pair_code
-from predim.canonical import certificate
+from predim.canonical import certificate, pinned_shape
 from predim.sampling import random_structure, random_vectors
 from predim.structures import GRAPH_SIG
 
@@ -150,3 +152,61 @@ def test_code_invariant_under_relabeling_ordered_and_ternary():
         assert canonical_code(t) == canonical_code(s)
         assert code_over_base(t, image) == code_over_base(s, base)
         assert pair_code(t, image) == pair_code(s, base)
+
+
+@st.composite
+def _small_structures(draw, sig):
+    """A structure over `sig` on 0-8 elements, each possible instance drawn
+    at one density, with annotations from a two-token alphabet on about half
+    of the structures, so that shapes collide."""
+    elems = sorted(draw(st.sets(st.integers(0, 20), max_size=8)))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from((0.2, 0.5)))
+    insts = {}
+    for name, arity in sig.symbols:
+        pool = product(elems, repeat=arity) if sig.ordered else combinations(elems, arity)
+        insts[name] = [t for t in pool if rng.random() < density]
+    ann = {}
+    if elems and draw(st.booleans()):
+        tokens = st.lists(st.sampled_from("01"), min_size=1, max_size=2).map(tuple)
+        ann = draw(st.dictionaries(st.sampled_from(elems), tokens))
+    return FinStructure(sig, elems, insts, ann)
+
+
+@st.composite
+def _shape_cases(draw):
+    """A structure `s`, a base `a` of it, and two more bases: one of `s`, and
+    one of `t`, another structure over the same signature or a relabelled
+    copy of `s` with the image of `a`.  Bases are distinct elements in no
+    particular order, all of one size up to 4 where the structures allow
+    it, so that equal shapes are common."""
+    sig = draw(st.sampled_from(SIGNATURES))
+    s, t = draw(_small_structures(sig)), draw(_small_structures(sig))
+    size = draw(st.sampled_from((2, 3, 1, 4, 0)))
+    a, b, c = (draw(st.permutations(x.universe))[:size] for x in (s, s, t))
+    if draw(st.booleans()):
+        moved = dict(zip(s.universe, draw(st.permutations(s.universe))))
+        t, c = s.relabel(moved), [moved[e] for e in a]
+    return s, a, ((s, b), (t, c))
+
+
+_ORD = SIGNATURES[4]
+_FE = SIGNATURES[1]
+_one_arc = FinStructure(_ORD, (0, 1), {"R": [(0, 1)]})
+_one_f_edge = FinStructure(_FE, (0, 1), {"F": [(0, 1)]})
+
+
+# an arc against its reverse, and an edge of one symbol against the other's
+@example((_one_arc, [0, 1], ((_one_arc.relabel({0: 1, 1: 0}), [1, 0]),)))
+@example((_one_f_edge, [1, 0], ((FinStructure(_FE, (0, 1), {"E": [(0, 1)]}), [0, 1]),)))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_shape_cases())
+def test_pinned_shape_keys_bases_exactly_as_their_pinned_codes(case):
+    s, a, others = case
+    shape = pinned_shape(s, a)
+    code = code_over_base(s.restrict(a), a)
+    hash(shape)
+    assert pinned_shape(s, sorted(a)) == shape
+    for t, b in others:
+        same_code = code_over_base(t.restrict(b), b) == code
+        assert (pinned_shape(t, b) == shape) == same_code, (a, b)

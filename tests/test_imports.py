@@ -102,7 +102,10 @@ def test_public_surface_is_pinned():
 UNUSED_BY_QUERIES = {
     f"predim.{m}" for m in "audits builder collapse extensions canonical richness amalgams sampling".split()
 }
-UNUSED_BY_BUILD = {"predim.audits", "predim.collapse", "predim.amalgams", "predim.sampling"}
+UNUSED_BY_BUILD = {"predim.audits", "predim.collapse", "predim.amalgams", "predim.sampling", "predim.geometry"}
+# Only `dim` and `gcl` run the geometry layer, and `delta` runs no strength search.
+UNUSED_BY_STRENGTH = UNUSED_BY_QUERIES | {"predim.geometry"}
+UNUSED_BY_DELTA = UNUSED_BY_STRENGTH | {"predim.strongsets"}
 # Costly stdlib and third-party modules no verb here needs; `random` may come
 # with the interpreter's site set-up, so what counts is what the verb adds.
 UNUSED_BY_ALL = {"numpy", "dataclasses", "inspect", "random"}
@@ -119,10 +122,10 @@ sys.exit(rc)
 """
 
 VERBS = [
-    (["delta", "star.structure"], UNUSED_BY_QUERIES),
-    (["strong", "star.structure", "--base", "0"], UNUSED_BY_QUERIES),
-    (["closure", "star.structure", "--base", "1"], UNUSED_BY_QUERIES),
-    (["check-class", "k4.structure"], UNUSED_BY_QUERIES),
+    (["delta", "star.structure"], UNUSED_BY_DELTA),
+    (["strong", "star.structure", "--base", "0"], UNUSED_BY_STRENGTH),
+    (["closure", "star.structure", "--base", "1"], UNUSED_BY_STRENGTH),
+    (["check-class", "k4.structure"], UNUSED_BY_STRENGTH),
     (["dim", "star.structure", "--of", "1,2", "--over", "0"], UNUSED_BY_QUERIES),
     (["gcl", "star.structure", "--of", "0"], UNUSED_BY_QUERIES),
     (["build", "--k", "2", "--budget", "8", "--out", "built.structure"], UNUSED_BY_BUILD),

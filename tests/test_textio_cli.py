@@ -436,6 +436,17 @@ def test_cli_gcl_and_dim(files, capsys):
     assert "gcl\t[0 1 2]" in capsys.readouterr().out
 
 
+def test_cli_geometry_refusal_is_a_usage_error(tmp_path, capsys):
+    # a half-weight edge gives no integer delta, so no pregeometry
+    half = tmp_path / "half.structure"
+    half.write_text("universe 2\nrel E 2 1/2\ntup E 0 1\n")
+    for verb in ("dim", "gcl"):
+        assert main([verb, str(half), "--of", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weight of E is not an integer\n"
+
+
 def test_cli_enumerate_min(files, tmp_path, capsys):
     point = tmp_path / "point.structure"
     point.write_text("universe 1\nrel E 2 1/1\n")

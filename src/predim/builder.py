@@ -165,9 +165,11 @@ def obligation_met(
     """Does some strong embedding of the class exist over this base?
 
     The class may sit over any base of the same shape (see `classes_over`).
+    With `pf`, the base must be strong, as every base the builder and the
+    audit walk is (see `richness.met_fast`).
     """
     if pf is not None:
-        return met_fast(pf, struct, base_ids, cls)
+        return met_fast(pf, base_ids, cls)
     return strong_embedding(spec, struct, cls.ext, cls.base_map(base_ids)) is not None
 
 
@@ -199,13 +201,15 @@ def _obligations(
     """All obligations in (|A|, |B|, class code, A) order."""
     for asize in range(0, k):
         bases = [A for A in strong_sets if len(A) == asize]
-        per_bsize: dict[int, list[tuple[bytes, tuple[int, ...], ExtensionClass]]] = {}
+        per_bsize: dict[int, list[tuple[bytes, tuple[int, ...]]]] = {}
+        by_code: dict[bytes, ExtensionClass] = {}  # one template per code: a code fixes its base's shape
         for A in bases:
             for cls in classes_over(spec, struct, A, k, cache):
-                per_bsize.setdefault(cls.size, []).append((cls.code, A, cls))
+                per_bsize.setdefault(cls.size, []).append((cls.code, A))
+                by_code[cls.code] = cls
         for bsize in sorted(per_bsize):
-            for code, A, cls in sorted(per_bsize[bsize], key=lambda t: (t[0], t[1])):
-                yield A, cls
+            for code, A in sorted(per_bsize[bsize]):
+                yield A, by_code[code]
 
 
 def _first_unmet(ga: GenericApprox) -> Optional[tuple[tuple[int, ...], ExtensionClass]]:

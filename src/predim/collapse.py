@@ -178,9 +178,14 @@ def count_independent_copies(
     the count provably exceeds it.
     """
     base = sorted(base_ids)
-    fixed = cls.base_map(base) if len(base) == cls.base.n else None
-    if fixed is None or cls.base.relabel(fixed) != struct.restrict(base):
+    if (
+        len(base) != cls.base.n
+        or cls.base.sig != struct.sig
+        or not struct._uset.issuperset(base)
+        or pinned_shape(cls.base, cls.base.universe) != pinned_shape(struct, base)
+    ):
         raise MuError("base does not match the class's base shape")
+    fixed = cls.base_map(base)
 
     hits = find_embeddings(cls.ext, struct, fixed=fixed, compat=rank_compat(spec, cls.ext, struct))
     images = sorted(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from predim import (
     build_generic,
     canonical_code,
     classify_extension,
+    find_embeddings,
     free_extend,
     in_class,
     obligation_met,
@@ -25,6 +27,7 @@ from predim import (
     serialize_structure,
     strong_verdict,
 )
+from predim import richness
 from predim.builder import classes_over
 from predim.richness import Pseudoforest
 from predim.strongsets import graph_strong
@@ -240,6 +243,51 @@ def test_pseudoforest_matches_brute_with_parallel_edges(alpha1):
     assert members >= 20 and outside >= 10
 
 
+def test_anchored_images_over_strong_bases_are_strong(alpha1):
+    # `met_fast` searches the anchored part with no strength test on the
+    # completed maps: over a strong base every induced image is strong
+    sig = Signature((("E", 2), ("F", 2)))
+    rng = random.Random(54)
+    cache, plans = {}, {}
+    structures = parallel = cyclic = images = 0
+    for _ in range(80):
+        n = rng.randrange(3, 11)
+        e_pairs = sorted(_random_pseudoforest(rng, n).instances["E"])
+        f_pairs = [t for t in e_pairs if rng.random() < 0.2]
+        g = FinStructure(sig, range(n), {"E": e_pairs, "F": f_pairs})
+        pf = Pseudoforest(g, plans)
+        if not pf.valid:
+            continue
+        structures += 1
+        parallel += bool(f_pairs)
+        cyclic += 0 in g.components()[2].values()  # some component has one cycle
+        for size in (0, 1, 2):
+            for base in combinations(g.universe, size):
+                if not graph_strong(g, base):
+                    continue
+                roots = tuple(sorted({pf.comp_of[a] for a in base}))
+                for cls in classes_over(alpha1, g, base, 3, cache):
+                    plan = pf.plan(cls)
+                    if plan.anchored is None:
+                        continue
+                    fixed = plan.cls.base_map(base)
+                    for m in find_embeddings(plan.anchored, pf.target(roots), fixed=fixed):
+                        assert graph_strong(g, m.values()), (base, cls.code, m)
+                        images += 1
+    assert structures >= 40 and parallel >= 10 and cyclic >= 20 and images >= 500
+
+
+def test_anchored_image_over_a_base_on_a_cycle_is_not_strong(alpha1):
+    # the strong base is needed: the point 0 on the triangle is not strong,
+    # and the pendant over it has an image, {0, 3}, that misses the cycle
+    g = graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    plan = Pseudoforest(g).plan(classify_extension(alpha1, graph(2, [(0, 1)]), [0]))
+    images = [set(m.values()) for m in find_embeddings(plan.anchored, g, fixed=plan.cls.base_map((0,)))]
+    assert not graph_strong(g, (0,))
+    assert {0, 3} in images
+    assert not graph_strong(g, (0, 3))
+
+
 def test_free_extend_targets_and_fresh_ids():
     host = graph(3, [(0, 1)])
     ext = graph(2, [(0, 1)])  # pendant over base element 0
@@ -290,6 +338,11 @@ def test_build_deterministic_across_calls(alpha1):
 # bytes, including the class codes in every history record.
 SCHEDULE_SHA256 = "10c6ec897cfc463180de5a52af8074d357b0149627c771097686276fe362b5a7"
 
+# SHA-256 of the level-3 audit's unmet list at n=60 (the k=3 build from the
+# edge to 40 elements resumed by 20), computed before `met_fast` dropped its
+# per-map strength test and kept the free parts' verdict per component set.
+UNMET60_SHA256 = "1917ab18a1bad65497fa2e15a4630d0ee33b14a7a74a55e0b4fa5f779a573804"
+
 
 def test_schedules_are_pinned(alpha1):
     edge = graph(2, [(0, 1)])
@@ -305,3 +358,26 @@ def test_schedules_are_pinned(alpha1):
     digest.update(repr(level4.unmet).encode())
     assert (ga.current.n, capped.current.n, len(level4.unmet)) == (60, 30, 23451 - 22148)
     assert digest.hexdigest() == SCHEDULE_SHA256
+
+
+def test_level3_unmet_at_n60_is_pinned(alpha1):
+    ga = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40)
+    resume(ga, 20)
+    rep = audit_richness(alpha1, ga.current, 3)
+    assert (ga.current.n, rep.satisfied, rep.total) == (60, 4113, 4171)
+    assert hashlib.sha256(repr(rep.unmet).encode()).hexdigest() == UNMET60_SHA256
+
+
+def test_level4_audit_decides_free_parts_once_per_component_set(alpha1, monkeypatch):
+    g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
+    searches = Counter()
+    search = richness._free_parts_fit
+
+    def counted(pf, plan, roots):
+        searches[plan.cls.code, roots] += 1
+        return search(pf, plan, roots)
+
+    monkeypatch.setattr(richness, "_free_parts_fit", counted)
+    rep = audit_richness(alpha1, g, 4)
+    assert (rep.satisfied, rep.total) == (22148, 23451)
+    assert searches and max(searches.values()) == 1

@@ -113,6 +113,15 @@ def test_copy_count_rejects_foreign_base(alpha1, k3):
         count_independent_copies(alpha1, k3, [0], over_edge)
 
 
+def test_copy_count_rejects_a_base_outside_the_class_signature_or_the_structure(alpha1):
+    pend = _pendant_class(alpha1)
+    # the same one-point shape, over a signature with another edge weight
+    with pytest.raises(MuError):
+        count_independent_copies(alpha1, graph(2, [(0, 1)], F(1, 2)), [0], pend)
+    with pytest.raises(MuError):
+        count_independent_copies(alpha1, graph(2, [(0, 1)]), [5], pend)
+
+
 def _brute_copy_count(spec, struct, base, cls):
     fixed = {a: a for a in base}
     hits = find_embeddings(cls.ext, struct, fixed=fixed)

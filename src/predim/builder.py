@@ -165,10 +165,11 @@ def obligation_met(
     """Does some strong embedding of the class exist over this base?
 
     The class may sit over any base of the same shape (see `classes_over`).
-    With `pf`, the base must be strong, as every base the builder and the
-    audit walk is (see `richness.met_fast`).
+    With `pf`, a strong base is decided by `richness.met_fast` and any other
+    on the generic route.  The builder and the audit walk strong bases only,
+    so they call `met_fast` directly.
     """
-    if pf is not None:
+    if pf is not None and graph_strong(pf.struct, base_ids):
         return met_fast(pf, base_ids, cls)
     return strong_embedding(spec, struct, cls.ext, cls.base_map(base_ids)) is not None
 
@@ -217,7 +218,7 @@ def _first_unmet(ga: GenericApprox) -> Optional[tuple[tuple[int, ...], Extension
         key = (A, cls.code)
         if key in ga._satisfied:
             continue
-        if obligation_met(ga.spec, ga.current, A, cls, pf=ga._pf):
+        if met_fast(ga._pf, A, cls) if ga._pf is not None else obligation_met(ga.spec, ga.current, A, cls):
             ga._satisfied.add(key)
             continue
         return A, cls
@@ -346,7 +347,7 @@ def audit_richness(
     unmet = []
     for A, cls in _obligations(spec, struct, strong_sets, k, cache):
         total += 1
-        if obligation_met(spec, struct, A, cls, pf=pf):
+        if met_fast(pf, A, cls) if pf is not None else obligation_met(spec, struct, A, cls):
             satisfied += 1
         else:
             unmet.append((A, cls.code))

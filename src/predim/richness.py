@@ -5,16 +5,16 @@ of the nonnegative class is a pseudoforest: every component is a tree or
 carries exactly one cycle.  Strength is `strongsets.graph_strong`, the
 weight-1 engine, read off the structure's cached component table;
 `Pseudoforest` answers obligations only, which decompose per component: the
-anchored part maps into the base's components, each free part into a
-component of its own.  That turns obligation satisfaction into local checks,
-which is what makes level-4 audits on structures with dozens of elements
-tractable.
+anchored part hangs off the base as pendant trees, each free part goes into
+a component of its own.  That turns obligation satisfaction into local
+checks, which is what makes level-4 audits on structures with dozens of
+elements tractable.
 
 Everything here is exact and is cross-checked against the generic engines in
 the test suite.  `Pseudoforest` and `met_fast` stay beside those engines
 because they still pay: on a 2-core machine with Python 3.11, the level-4
-audits of the k=3 builds took 0.37-0.51 s at n=40 and 2.6-2.9 s at n=80
-with them, and 1.15-1.66 s and 10.3-11.5 s with the generic engines alone
+audits of the k=3 builds took 0.21-0.29 s at n=40 and 1.1-1.5 s at n=80
+with them, and 1.07-1.85 s and 11.0-12.2 s with the generic engines alone
 (three runs each).
 """
 
@@ -26,6 +26,11 @@ from .canonical import canonical_code
 from .extensions import ExtensionClass
 from .structures import FinStructure, find_embeddings
 from .strongsets import graph_strong
+
+# A rooted tree with labelled edges: its root's children, each as (the
+# symbol of the instance joining it to the root, the subtree below it), in
+# sorted order.  Equal rooted trees have equal tuples.
+Tree = tuple[tuple[str, "Tree"], ...]
 
 
 class Pseudoforest:
@@ -42,8 +47,12 @@ class Pseudoforest:
     So does the free parts' verdict, kept in `_free` by the components the
     base meets and then by class code.  That is sound because the code fixes
     the plan and so its free parts, and whether they fit into distinct
-    components outside the base's reads nothing else of the base.  No state
-    is kept per base.
+    components outside the base's reads nothing else of the base.  The
+    anchored part's verdict is kept per base element in `_branches`, keyed
+    by (the element, its neighbours outside the base, the trees the plan
+    hangs there): over a strong base those neighbours are the roots of the
+    element's branches, and each branch is fixed by its root and the element
+    (see `met_fast`).  No state is kept per base.
     """
 
     def __init__(self, struct: FinStructure, plans: Optional[dict[bytes, _Plan]] = None):
@@ -54,6 +63,7 @@ class Pseudoforest:
         self._targets: dict[tuple[int, ...], FinStructure] = {}
         self._fits: dict[bytes, tuple[int, ...]] = {}
         self._free: dict[tuple[int, ...], dict[bytes, bool]] = {}
+        self._branches: dict[tuple[int, frozenset[int], Tree], bool] = {}
 
     def plan(self, cls: ExtensionClass) -> _Plan:
         """The class's obligation plan, computed once per class code."""
@@ -88,87 +98,23 @@ class Pseudoforest:
             self._fits[part_code] = tuple(fits)
         return self._fits[part_code]
 
-
-def _split_parts(cls: ExtensionClass, base: set[int]):
-    """Connected components of the new part; anchored means joined to the base."""
-    adj = cls.ext.adjacency()
-    anchored: list[int] = []
-    free: list[list[int]] = []
-    for comp in cls.ext.restrict(cls.new_elements).components()[1].values():
-        if any(not base.isdisjoint(adj[x]) for x in comp):
-            anchored.extend(comp)
-        else:
-            free.append(comp)
-    return sorted(anchored), free
-
-
-class _Plan(NamedTuple):
-    """What checking a class needs, in the coordinates of the class it was
-    made from (`cls`; plans are shared by code, and a transported class has
-    the same code over other ids): the base plus the anchored part (None when
-    no new element touches the base), and each free part with its canonical
-    code."""
-
-    cls: ExtensionClass
-    anchored: Optional[FinStructure]
-    free_parts: tuple[tuple[FinStructure, bytes], ...]
-
-    @staticmethod
-    def of(cls: ExtensionClass) -> _Plan:
-        base = set(cls.base.universe)
-        anchored, free = _split_parts(cls, base)
-        parts = tuple((part, canonical_code(part)) for part in map(cls.ext.restrict, free))
-        return _Plan(cls, cls.ext.restrict(base | set(anchored)) if anchored else None, parts)
+    def hangs(self, trees: Tree, u: int, nbrs: frozenset[int]) -> bool:
+        """Do the rooted trees go below u into distinct elements of `nbrs`,
+        neighbours of u, each along an instance of its symbol and with its
+        subtree fitting below that neighbour, away from u?  Exact when the
+        part of the structure below `nbrs` is a tree."""
+        adj, inc = self.struct.adjacency(), self.struct.incidence()
+        options = [
+            [v for name, t in inc[u] if name == sym for v in t
+             if v in nbrs and (not sub or self.hangs(sub, v, adj[v] - {u}))]
+            for sym, sub in trees
+        ]
+        return _distinct(options)
 
 
-def met_fast(pf: Pseudoforest, base_ids: tuple[int, ...], cls: ExtensionClass) -> bool:
-    """Exact obligation satisfaction via the chunk decomposition, for a
-    strong base.
-
-    `base_ids` must be strong in `pf.struct`.  The class may sit over any
-    base of the same shape: its sorted base is pinned onto the sorted
-    `base_ids`.  The image of the anchored part lives in the base's
-    components; each free part needs its own base-free component (a
-    disconnected trace is never strong), so the two searches are
-    independent, and the free parts' verdict is kept per component set.
-
-    Every induced image X of the anchored part over the base A is strong, so
-    the anchored search tests no map.  Take a component C that A meets.  A
-    is strong, so e(A & C) - |A & C| = e(C) - |C|.  For a graph, e - |.| is
-    its cyclomatic number less its number of components, and a subgraph of
-    C has at most C's cyclomatic number; so A & C is connected and has C's.
-    Each element of X is joined to A inside X, since the part is anchored
-    and the embedding induced, so X & C is connected, and its cyclomatic
-    number lies between that of A & C and that of C: it equals both, and
-    X & C passes the same test.  X meets only A's components (the target is
-    their union), and no component is crowded (`pf.valid`), so
-    `graph_strong` holds of X.  Over a base that is not strong this fails: a
-    point on a cycle has a pendant image that misses the cycle.
-    """
-    plan = pf.plan(cls)
-    roots = tuple(sorted({pf.comp_of[a] for a in base_ids}))
-    if plan.free_parts:
-        verdicts = pf._free.get(roots)
-        if verdicts is None:
-            verdicts = pf._free[roots] = {}
-        if cls.code not in verdicts:
-            verdicts[cls.code] = _free_parts_fit(pf, plan, roots)
-        if not verdicts[cls.code]:
-            return False
-    if plan.anchored is None:
-        return True
-    fixed = plan.cls.base_map(base_ids)
-    return bool(find_embeddings(plan.anchored, pf.target(roots), fixed=fixed, limit=1))
-
-
-def _free_parts_fit(pf: Pseudoforest, plan: _Plan, roots: tuple[int, ...]) -> bool:
-    """Do the plan's free parts go into distinct components outside `roots`,
-    the components the base meets?"""
-    cand_lists = [
-        [r for r in pf.fitting_roots(part, code) if r not in roots]
-        for part, code in plan.free_parts
-    ]
-    order = sorted(cand_lists, key=len)
+def _distinct(options: list[list[int]]) -> bool:
+    """Can one pick a different element from each list?"""
+    order = sorted(options, key=len)
     used: set[int] = set()
 
     def assign(i: int) -> bool:
@@ -183,3 +129,135 @@ def _free_parts_fit(pf: Pseudoforest, plan: _Plan, roots: tuple[int, ...]) -> bo
         return False
 
     return assign(0)
+
+
+def _split_parts(cls: ExtensionClass, base: set[int]):
+    """Connected components of the new part, anchored (joined to the base)
+    and free."""
+    adj = cls.ext.adjacency()
+    anchored: list[list[int]] = []
+    free: list[list[int]] = []
+    for comp in cls.ext.restrict(cls.new_elements).components()[1].values():
+        joined = any(not base.isdisjoint(adj[x]) for x in comp)
+        (anchored if joined else free).append(comp)
+    return anchored, free
+
+
+def _pendant_places(cls: ExtensionClass, anchored: list[list[int]]):
+    """Per place of the sorted base that anchored trees hang at, (the place,
+    the trees); None unless each anchored component is a tree joined to the
+    base by exactly one instance."""
+    inc = cls.ext.incidence()
+    hung: dict[int, list[tuple[str, Tree]]] = {}
+    for comp in anchored:
+        members = set(comp)
+        inner, joins = set(), []
+        for x in comp:
+            for name, t in inc[x]:
+                if members.issuperset(t):
+                    inner.add((name, t))
+                else:
+                    joins.append((name, t, x))
+        # connected with one instance fewer than elements: a tree, and no
+        # pair in it carries two symbols
+        if len(inner) != len(comp) - 1 or len(joins) != 1:
+            return None
+        name, t, root = joins[0]
+        (b,) = set(t) - members
+        hung.setdefault(cls.base.universe.index(b), []).append((name, _rooted(inc, inner, root, None)))
+    return tuple((place, tuple(sorted(trees))) for place, trees in sorted(hung.items()))
+
+
+def _rooted(inc, inner: set, u: int, parent: Optional[int]) -> Tree:
+    """The tree of `inner` instances below u, away from `parent`."""
+    return tuple(sorted(
+        (name, _rooted(inc, inner, v, u)) for name, t in inc[u] if (name, t) in inner
+        for v in t if v != u and v != parent
+    ))
+
+
+class _Plan(NamedTuple):
+    """What checking a class needs: the trees its anchored part hangs at each
+    place of the sorted base, as (place, trees) pairs over the places that
+    have some (None when that part is not a pendant forest, see
+    `_pendant_places`), and each free part with its canonical code.  Plans
+    are shared by code, and nothing in one names an id of the class's base,
+    so a transported class (same code, other ids) reads the same plan."""
+
+    places: Optional[tuple[tuple[int, Tree], ...]]
+    free_parts: tuple[tuple[FinStructure, bytes], ...]
+
+    @staticmethod
+    def of(cls: ExtensionClass) -> _Plan:
+        anchored, free = _split_parts(cls, set(cls.base.universe))
+        parts = tuple((part, canonical_code(part)) for part in map(cls.ext.restrict, free))
+        return _Plan(_pendant_places(cls, anchored), parts)
+
+
+def met_fast(pf: Pseudoforest, base_ids: tuple[int, ...], cls: ExtensionClass) -> bool:
+    """Exact obligation satisfaction via the chunk decomposition, for a
+    strong base.
+
+    `base_ids` must be strong in `pf.struct`.  The class may sit over any
+    base of the same shape: its sorted base is pinned onto the sorted
+    `base_ids`.  The image of the anchored part lives in the base's
+    components; each free part needs its own base-free component (a
+    disconnected trace is never strong), so the two checks are independent,
+    and the free parts' verdict is kept per component set.
+
+    The anchored part is decided on the base's pendant branches, with no
+    search.  Lemma: let A be strong and C a component that A meets.  A is
+    strong, so e(A & C) - |A & C| = e(C) - |C|.  For a graph, e - |.| is
+    its cyclomatic number less its number of components, and a subgraph of
+    C has at most C's cyclomatic number; so A & C is connected and holds
+    C's cycle.  Contracting it leaves a tree, so every element of C outside
+    A lies in exactly one branch: a tree joined to A by exactly one
+    instance, at one base element a, through the branch's root r.  The
+    branch is r's side of that instance in C, so a and r fix it.
+
+    An induced image over A puts each new component K of the anchored part,
+    being connected, inside one branch, which meets A by one instance; so K
+    is a tree joined to the base by one instance (else the plan has no
+    places), the trees hanging at one base element go into distinct
+    branches there, and each enters its branch by the branch's root, along
+    an instance of its own symbol, as a rooted subtree (`Pseudoforest.hangs`).
+    Conversely such a placement is induced, since a tree induces nothing
+    more on a subtree and different branches are not joined, and its image
+    X is strong: X & C is A & C with subtrees hung on it, connected and
+    with C's cyclomatic number, X meets only A's components, and none is
+    crowded (`pf.valid`).  Over a base that is not strong the lemma fails:
+    a point on a cycle has a pendant image that misses the cycle.
+    """
+    plan = pf.plan(cls)
+    if plan.places is None:
+        return False
+    if plan.free_parts:
+        roots = tuple(sorted({pf.comp_of[a] for a in base_ids}))
+        verdicts = pf._free.get(roots)
+        if verdicts is None:
+            verdicts = pf._free[roots] = {}
+        if cls.code not in verdicts:
+            verdicts[cls.code] = _free_parts_fit(pf, plan, roots)
+        if not verdicts[cls.code]:
+            return False
+    if plan.places:
+        base = sorted(base_ids)
+        adj = pf.struct.adjacency()
+        for place, trees in plan.places:
+            a = base[place]
+            key = (a, adj[a].difference(base), trees)
+            verdict = pf._branches.get(key)
+            if verdict is None:
+                verdict = pf._branches[key] = pf.hangs(trees, a, key[1])
+            if not verdict:
+                return False
+    return True
+
+
+def _free_parts_fit(pf: Pseudoforest, plan: _Plan, roots: tuple[int, ...]) -> bool:
+    """Do the plan's free parts go into distinct components outside `roots`,
+    the components the base meets?"""
+    return _distinct([
+        [r for r in pf.fitting_roots(part, code) if r not in roots]
+        for part, code in plan.free_parts
+    ])

@@ -166,13 +166,13 @@ def _random_pseudoforest(rng: random.Random, n: int):
     return graph(n, sorted(edges))
 
 
-def _assert_fast_matches_generic(spec, g, max_base, level):
+def _assert_fast_matches_generic(spec, g, max_base, level, cache=None):
     """Fast and generic verdicts on the untransported template classes over
     every strong base, with one Pseudoforest and one class cache shared by
-    all bases."""
+    all bases (and by the caller's structures, given `cache`)."""
     pf = Pseudoforest(g)
     assert pf.valid
-    cache = {}
+    cache = {} if cache is None else cache
     checked = 0
     for size in range(0, max_base + 1):
         for base in combinations(g.universe, size):
@@ -243,49 +243,135 @@ def test_pseudoforest_matches_brute_with_parallel_edges(alpha1):
     assert members >= 20 and outside >= 10
 
 
-def test_anchored_images_over_strong_bases_are_strong(alpha1):
-    # `met_fast` searches the anchored part with no strength test on the
-    # completed maps: over a strong base every induced image is strong
+def _pieces(elems, edges):
+    """Components of the graph on `elems` with the edges inside it."""
+    comps = [{e} for e in elems]
+    for u, v in edges:
+        cu = next((c for c in comps if u in c), None)
+        cv = next((c for c in comps if v in c), None)
+        if cu is not None and cv is not None and cu is not cv:
+            comps.remove(cv)
+            cu |= cv
+    return comps
+
+
+def test_strong_bases_meet_components_in_pendant_branches(alpha1):
+    # the lemma behind `met_fast`: over a strong base A, each component C
+    # that A meets has A & C connected with C's cyclomatic number, and every
+    # element of C outside A lies in a branch, a tree joined to A by exactly
+    # one instance; straight from the instance lists
     sig = Signature((("E", 2), ("F", 2)))
     rng = random.Random(54)
-    cache, plans = {}, {}
-    structures = parallel = cyclic = images = 0
+    structures = parallel = cyclic = branches = 0
     for _ in range(80):
         n = rng.randrange(3, 11)
         e_pairs = sorted(_random_pseudoforest(rng, n).instances["E"])
         f_pairs = [t for t in e_pairs if rng.random() < 0.2]
         g = FinStructure(sig, range(n), {"E": e_pairs, "F": f_pairs})
-        pf = Pseudoforest(g, plans)
-        if not pf.valid:
+        valid, comps = _brute_pseudoforest(g)
+        if not valid:
             continue
         structures += 1
         parallel += bool(f_pairs)
         cyclic += 0 in g.components()[2].values()  # some component has one cycle
+        edges = e_pairs + f_pairs
+
+        def inner(elems):
+            return sum(1 for t in edges if elems.issuperset(t))
+
         for size in (0, 1, 2):
             for base in combinations(g.universe, size):
                 if not graph_strong(g, base):
                     continue
-                roots = tuple(sorted({pf.comp_of[a] for a in base}))
-                for cls in classes_over(alpha1, g, base, 3, cache):
-                    plan = pf.plan(cls)
-                    if plan.anchored is None:
+                for comp in map(set, comps.values()):
+                    met = comp.intersection(base)
+                    if not met:
                         continue
-                    fixed = plan.cls.base_map(base)
-                    for m in find_embeddings(plan.anchored, pf.target(roots), fixed=fixed):
-                        assert graph_strong(g, m.values()), (base, cls.code, m)
-                        images += 1
-    assert structures >= 40 and parallel >= 10 and cyclic >= 20 and images >= 500
+                    assert len(_pieces(met, edges)) == 1, (base, comp)
+                    assert inner(met) - len(met) == inner(comp) - len(comp), (base, comp)
+                    for branch in _pieces(comp - met, edges):
+                        joins = [t for t in edges if len(branch.intersection(t)) == 1]
+                        assert len(joins) == 1 and inner(branch) == len(branch) - 1, (base, branch)
+                        branches += 1
+    assert structures >= 40 and parallel >= 10 and cyclic >= 20 and branches >= 400
 
 
 def test_anchored_image_over_a_base_on_a_cycle_is_not_strong(alpha1):
     # the strong base is needed: the point 0 on the triangle is not strong,
     # and the pendant over it has an image, {0, 3}, that misses the cycle
     g = graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-    plan = Pseudoforest(g).plan(classify_extension(alpha1, graph(2, [(0, 1)]), [0]))
-    images = [set(m.values()) for m in find_embeddings(plan.anchored, g, fixed=plan.cls.base_map((0,)))]
+    pendant = classify_extension(alpha1, graph(2, [(0, 1)]), [0])
+    images = [set(m.values()) for m in find_embeddings(pendant.ext, g, fixed=pendant.base_map((0,)))]
     assert not graph_strong(g, (0,))
     assert {0, 3} in images
     assert not graph_strong(g, (0, 3))
+
+
+def test_obligation_met_decides_a_base_that_is_not_strong_generically(alpha1):
+    # the pendant over the point 0 of the triangle 0-1-2 (with a pendant 3
+    # at 0): every pendant image misses the cycle or takes it whole
+    g = graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    pendant = classify_extension(alpha1, graph(2, [(0, 1)]), [0])
+    assert not obligation_met(alpha1, g, (0,), pendant)
+    assert not obligation_met(alpha1, g, (0,), pendant, pf=Pseudoforest(g))
+
+
+def test_fast_matches_generic_at_level4_on_two_symbol_pseudoforests(alpha1):
+    # F repeats some E pairs and replaces E on others; bases of up to 3
+    # elements, classes of up to 4
+    sig = Signature((("E", 2), ("F", 2)))
+    rng = random.Random(55)
+    cache = {}
+    checked = parallel = cyclic = 0
+    for _ in range(16):
+        n = rng.randrange(4, 9)
+        pairs = sorted(_random_pseudoforest(rng, n).instances["E"])
+        rolls = [rng.random() for _ in pairs]
+        e_pairs = [t for t, r in zip(pairs, rolls) if r < 0.2 or r >= 0.45]
+        f_pairs = [t for t, r in zip(pairs, rolls) if r < 0.45]
+        g = FinStructure(sig, range(n), {"E": e_pairs, "F": f_pairs})
+        if not Pseudoforest(g).valid:
+            continue
+        parallel += not set(e_pairs).isdisjoint(f_pairs)
+        cyclic += 0 in g.components()[2].values()
+        checked += _assert_fast_matches_generic(alpha1, g, 3, 4, cache)
+    assert parallel >= 3 and cyclic >= 3 and checked >= 3000
+
+
+EF = Signature((("E", 2), ("F", 2)))
+
+
+@pytest.mark.parametrize("host, ext, base", [
+    # a new element joined to two base elements
+    (graph(4, [(0, 2), (1, 3)]), graph(3, [(0, 2), (1, 2)]), (0, 1)),
+    # a new part that closes a cycle through the base
+    (graph(3, [(0, 1), (1, 2)]), graph(3, [(0, 1), (0, 2), (1, 2)]), (0, 1)),
+    # a new part that closes a cycle of its own
+    (graph(4, [(0, 1), (1, 2), (2, 3)]), graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)]), (0,)),
+], ids=["two-base-elements", "cycle-through-base", "cycle-of-its-own"])
+def test_anchored_part_that_is_not_a_pendant_forest_is_unmet(alpha1, host, ext, base):
+    cls = classify_extension(alpha1, ext, base)
+    pf = Pseudoforest(host)
+    assert graph_strong(host, base)
+    assert pf.plan(cls).places is None
+    assert not obligation_met(alpha1, host, base, cls, pf=pf)
+    assert not obligation_met(alpha1, host, base, cls)
+
+
+@pytest.mark.parametrize("host, ext", [
+    # two trees at a base element that has one branch, the path 0-1-2
+    (graph(3, [(0, 1), (1, 2)]), graph(3, [(0, 1), (0, 2)])),
+    # an F-attached tree where the one branch hangs by E (with F below it)
+    (FinStructure(EF, range(3), {"E": [(0, 1)], "F": [(1, 2)]}),
+     FinStructure(EF, range(2), {"F": [(0, 1)]})),
+], ids=["two-trees-one-branch", "symbol-mismatch"])
+def test_pendant_trees_that_do_not_fit_the_branches_are_unmet(alpha1, host, ext):
+    cls = classify_extension(alpha1, ext, [0])
+    pf = Pseudoforest(host)
+    assert graph_strong(host, (0,))
+    assert pf.plan(cls).places
+    assert not obligation_met(alpha1, host, (0,), cls, pf=pf)
+    assert not obligation_met(alpha1, host, (0,), cls)
 
 
 def test_free_extend_targets_and_fresh_ids():
@@ -343,6 +429,11 @@ SCHEDULE_SHA256 = "10c6ec897cfc463180de5a52af8074d357b0149627c771097686276fe362b
 # per-map strength test and kept the free parts' verdict per component set.
 UNMET60_SHA256 = "1917ab18a1bad65497fa2e15a4630d0ee33b14a7a74a55e0b4fa5f779a573804"
 
+# SHA-256 of the level-5 audit's unmet list at n=40 (the k=3 build from the
+# edge to 40 elements), computed before `met_fast` decided anchored parts on
+# pendant branches instead of by an embedding search.
+UNMET5_SHA256 = "a10dfa598866271b657d895e676415c97ced46decba714a068fe9c52933090fc"
+
 
 def test_schedules_are_pinned(alpha1):
     edge = graph(2, [(0, 1)])
@@ -360,6 +451,14 @@ def test_schedules_are_pinned(alpha1):
     assert digest.hexdigest() == SCHEDULE_SHA256
 
 
+def test_level5_audit_at_n40_is_pinned(alpha1):
+    # trees of up to 4 nodes, and several trees at one base element
+    g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
+    rep = audit_richness(alpha1, g, 5)
+    assert (rep.satisfied, rep.total) == (148775, 179486)
+    assert hashlib.sha256(repr(rep.unmet).encode()).hexdigest() == UNMET5_SHA256
+
+
 def test_level3_unmet_at_n60_is_pinned(alpha1):
     ga = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40)
     resume(ga, 20)
@@ -374,7 +473,7 @@ def test_level4_audit_decides_free_parts_once_per_component_set(alpha1, monkeypa
     search = richness._free_parts_fit
 
     def counted(pf, plan, roots):
-        searches[plan.cls.code, roots] += 1
+        searches[id(plan), roots] += 1
         return search(pf, plan, roots)
 
     monkeypatch.setattr(richness, "_free_parts_fit", counted)

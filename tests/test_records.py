@@ -47,8 +47,8 @@ RECORDS = [
      (S, T, (2,), F(1), True, True, False, False, b"\x01"), (), b"\x02",
      f"ExtensionClass(base={S_R}, ext={T_R}, new_elements=(2,), delta_over_base=Fraction(1, 1),"
      " base_strong=True, ext_in_class=True, minimal=False, prealgebraic=False, code=b'\\x01')", True),
-    (_Plan, "cls anchored free_parts", ("c", None, ((S, b"\x02"),)), (), (),
-     f"_Plan(cls='c', anchored=None, free_parts=(({S_R}, b'\\x02'),))", True),
+    (_Plan, "places free_parts", (((0, (("E", ()),)),), ((S, b"\x02"),)), (), (),
+     f"_Plan(places=((0, (('E', ()),)),), free_parts=(({S_R}, b'\\x02'),))", True),
     (DischargeRecord, "step base code new_elements", (3, (0, 1), b"\x01", (2,)), (), (),
      "DischargeRecord(step=3, base=(0, 1), code=b'\\x01', new_elements=(2,))", True),
     (BlockedRecord, "base code needed", ((0,), b"\x01", 2), (), 3,

@@ -9,7 +9,9 @@ approximation's discharge step, and stops the moment the first unmet
 obligation does not fit the element budget.  That stopping rule makes
 resume(n) twice identical to resume(2n).  The generic build discharges by a
 free extension; the collapsed build (`collapse.build_collapsed`) runs the
-same loop with a free-or-embed step.
+same loop with a free-or-embed step.  Each obligation is decided by the one
+test `_obligation_test` picks per structure: `richness.met_fast` on a valid
+weight-1 pseudoforest, the generic `obligation_met` otherwise.
 
 Satisfaction is monotone under free growth over strong bases (strong sets
 stay strong, embeddings survive), so previously satisfied obligations are
@@ -31,13 +33,17 @@ from .structures import FinStructure, find_embeddings
 from .strongsets import alpha_one_profile, graph_strong, in_class, strong_verdict
 
 
-def _fast_engine(
+def _obligation_test(
     spec: PredimensionSpec, struct: FinStructure, plans: Optional[dict] = None
-) -> Optional[Pseudoforest]:
-    if not alpha_one_profile(spec, struct):
-        return None
-    pf = Pseudoforest(struct, plans)
-    return pf if pf.valid else None
+) -> Callable[[tuple[int, ...], ExtensionClass], bool]:
+    """The one obligation test for `struct`, over strong bases: `met_fast`
+    on a valid weight-1 pseudoforest (its plans kept in `plans`), else the
+    generic `obligation_met`."""
+    if alpha_one_profile(spec, struct):
+        pf = Pseudoforest(struct, plans)
+        if pf.valid:
+            return partial(met_fast, pf)
+    return partial(obligation_met, spec, struct)
 
 
 def _strong_bases(
@@ -120,15 +126,14 @@ class GenericApprox:
         self._satisfied: set[tuple[tuple[int, ...], bytes]] = set()
         self._class_cache: dict[tuple, list[ExtensionClass]] = {}
         self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
-        self._pf = _fast_engine(spec, start, self._plans)
+        self._met = _obligation_test(spec, start, self._plans)
         self._strong = _strong_bases(spec, start, k)
 
     def grow(self, struct: FinStructure, new_ids: tuple[int, ...]) -> None:
         """Move to `struct`, a free extension of the current structure by
         the elements `new_ids`."""
         self.current = struct
-        if self._pf is not None:
-            self._pf = _fast_engine(self.spec, struct, self._plans)
+        self._met = _obligation_test(self.spec, struct, self._plans)
         # Only subsets meeting the fresh elements can change strength status;
         # everything else keeps its verdict under free growth.
         added = [c for c in _strong_bases(self.spec, struct, self.k, set(new_ids)) if c]
@@ -160,17 +165,14 @@ def obligation_met(
     struct: FinStructure,
     base_ids: tuple[int, ...],
     cls: ExtensionClass,
-    pf: Optional[Pseudoforest] = None,
 ) -> bool:
     """Does some strong embedding of the class exist over this base?
 
-    The class may sit over any base of the same shape (see `classes_over`).
-    With `pf`, a strong base is decided by `richness.met_fast` and any other
-    on the generic route.  The builder and the audit walk strong bases only,
-    so they call `met_fast` directly.
+    The generic route, exact on any spec and any base; the class may sit
+    over any base of the same shape (see `classes_over`).  The builder and
+    the audit reach it through `_obligation_test`, which sends weight-1
+    pseudoforests to `richness.met_fast` instead.
     """
-    if pf is not None and graph_strong(pf.struct, base_ids):
-        return met_fast(pf, base_ids, cls)
     return strong_embedding(spec, struct, cls.ext, cls.base_map(base_ids)) is not None
 
 
@@ -218,7 +220,7 @@ def _first_unmet(ga: GenericApprox) -> Optional[tuple[tuple[int, ...], Extension
         key = (A, cls.code)
         if key in ga._satisfied:
             continue
-        if met_fast(ga._pf, A, cls) if ga._pf is not None else obligation_met(ga.spec, ga.current, A, cls):
+        if ga._met(A, cls):
             ga._satisfied.add(key)
             continue
         return A, cls
@@ -339,7 +341,7 @@ def audit_richness(
     """Count satisfied obligations at level k on a fixed structure."""
     if not spec.valid:
         raise BuilderError("audit requires a valid spec")
-    pf = _fast_engine(spec, struct)
+    met = _obligation_test(spec, struct)
     strong_sets = _strong_bases(spec, struct, k)
     cache: dict[tuple, list[ExtensionClass]] = {}
     total = 0
@@ -347,7 +349,7 @@ def audit_richness(
     unmet = []
     for A, cls in _obligations(spec, struct, strong_sets, k, cache):
         total += 1
-        if met_fast(pf, A, cls) if pf is not None else obligation_met(spec, struct, A, cls):
+        if met(A, cls):
             satisfied += 1
         else:
             unmet.append((A, cls.code))

@@ -78,8 +78,7 @@ def _canon(struct: FinStructure, init_colors: Colors, colors: Colors) -> tuple[b
     cell = cells[branch]
     best: Optional[tuple[bytes, Colors]] = None
     explored: list[int] = []
-    certs: dict[int, bytes] = {}
-    labs: dict[int, Colors] = {}
+    first: dict[bytes, Colors] = {}  # leaf certificate -> its first labelling
     gens: list[Colors] = []
 
     def orbit(seed: list[int]) -> set[int]:
@@ -100,17 +99,15 @@ def _canon(struct: FinStructure, init_colors: Colors, colors: Colors) -> tuple[b
         child = dict(colors)
         child[v] = -1  # fresh colour; refinement re-indexes
         cert, lab = _canon(struct, init_colors, child)
-        for u in explored:
-            if certs[u] == cert:
-                # Equal leaf certificates expose an automorphism.
-                inv = {p: x for x, p in labs[u].items()}
-                gens.append({x: inv[p] for x, p in lab.items()})
-                break
+        if cert in first:
+            # Equal leaf certificates expose an automorphism.
+            inv = {p: x for x, p in first[cert].items()}
+            gens.append({x: inv[p] for x, p in lab.items()})
+        else:
+            first[cert] = lab
         if best is None or cert < best[0]:
             best = (cert, lab)
         explored.append(v)
-        certs[v] = cert
-        labs[v] = lab
     assert best is not None
     return best
 
@@ -135,16 +132,9 @@ def certificate(struct: FinStructure, init_colors: Optional[Mapping[int, int]] =
     return cert
 
 
-def _cached(struct: FinStructure, key: tuple, colors: Optional[Mapping[int, int]] = None) -> bytes:
-    """`certificate(struct, colors)`, kept on the structure under `key`."""
-    if key not in struct._codes:
-        struct._codes[key] = certificate(struct, colors)
-    return struct._codes[key]
-
-
 def canonical_code(struct: FinStructure) -> bytes:
-    """Plain canonical code; cached on the structure."""
-    return _cached(struct, ("plain",))
+    """Plain canonical code."""
+    return certificate(struct)
 
 
 def code_over_base(struct: FinStructure, base: Iterable[int]) -> bytes:
@@ -155,7 +145,7 @@ def code_over_base(struct: FinStructure, base: Iterable[int]) -> bytes:
     fixes the base pointwise.
     """
     base_sorted = tuple(sorted(set(base)))
-    return _cached(struct, ("over", base_sorted), {e: i + 1 for i, e in enumerate(base_sorted)})
+    return certificate(struct, {e: i + 1 for i, e in enumerate(base_sorted)})
 
 
 def pinned_shape(struct: FinStructure, base: Iterable[int]) -> tuple:
@@ -169,4 +159,4 @@ def pinned_shape(struct: FinStructure, base: Iterable[int]) -> tuple:
 def pair_code(struct: FinStructure, base: Iterable[int]) -> bytes:
     """Code of the pair (base, struct) up to isomorphisms preserving the split."""
     base_sorted = tuple(sorted(set(base)))
-    return _cached(struct, ("pair", base_sorted), dict.fromkeys(base_sorted, 1))
+    return certificate(struct, dict.fromkeys(base_sorted, 1))

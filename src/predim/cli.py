@@ -391,6 +391,8 @@ def _cmd_audit_all(args) -> int:
         weight = Fraction(args.weight)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad --weight {args.weight!r}")
+    if args.max_n < 1:
+        raise UsageError("--max-n must be at least 1")
     rng = random.Random(args.seed)
     n = args.samples
     facts: dict = {}

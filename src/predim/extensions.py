@@ -173,16 +173,17 @@ def enumerate_extensions(
                 if mask >> i & 1:
                     chosen.setdefault(name, []).append(t)
             plain = base.extended(new, chosen)
+            plain_code = code_over_base(plain, base.universe)
             if spec.components:
                 # a rank-compatible isomorphism is a relational one too
-                mates = shapes.setdefault(code_over_base(plain, base.universe), [])
+                mates = shapes.setdefault(plain_code, [])
             for ann in ann_options:
                 ext = base.extended(new, chosen, ann) if ann else plain
                 if spec.components:
                     if any(_same_rank_pattern(spec, ext, other, fixed) for other in mates):
                         continue
                     mates.append(ext)
-                reps.setdefault(code_over_base(ext, base.universe), ext)
+                reps.setdefault(plain_code if ext is plain else code_over_base(ext, base.universe), ext)
         kept = [_classify(spec, base, ext, new, code) for code, ext in reps.items()]
         out.extend(sorted(kept, key=lambda c: c.code))
     return out

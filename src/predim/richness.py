@@ -38,8 +38,8 @@ class Pseudoforest:
     structure's cached component table (`FinStructure.components`).
 
     `valid` is False when some component has more edges than vertices, i.e.
-    the structure is outside the nonnegative class; callers must fall back to
-    the generic engines then.
+    the structure is outside the nonnegative class; `builder._obligation_test`
+    takes the generic route then.
 
     Obligation plans are kept by class code in `plans`, which a builder
     passes from one approximation's Pseudoforest to the next (plans depend on
@@ -60,7 +60,7 @@ class Pseudoforest:
         self.comp_of, self.comp_elems, _, crowded = struct.components()
         self.valid = not crowded
         self.plans: dict[bytes, _Plan] = {} if plans is None else plans
-        self._targets: dict[tuple[int, ...], FinStructure] = {}
+        self._targets: dict[int, FinStructure] = {}
         self._fits: dict[bytes, tuple[int, ...]] = {}
         self._free: dict[tuple[int, ...], dict[bytes, bool]] = {}
         self._branches: dict[tuple[int, frozenset[int], Tree], bool] = {}
@@ -72,14 +72,12 @@ class Pseudoforest:
             plan = self.plans[cls.code] = _Plan.of(cls)
         return plan
 
-    def target(self, roots: tuple[int, ...]) -> FinStructure:
-        """The induced structure on the union of the given components."""
-        if roots not in self._targets:
-            elems = [e for r in roots for e in self.comp_elems[r]]
-            self._targets[roots] = (
-                self.struct.restrict(elems) if len(elems) < self.struct.n else self.struct
-            )
-        return self._targets[roots]
+    def target(self, root: int) -> FinStructure:
+        """The induced structure on the component of `root`."""
+        if root not in self._targets:
+            elems = self.comp_elems[root]
+            self._targets[root] = self.struct.restrict(elems) if len(elems) < self.struct.n else self.struct
+        return self._targets[root]
 
     def fitting_roots(self, part: FinStructure, part_code: bytes) -> tuple[int, ...]:
         """Components, in order, holding an induced copy of the (connected)
@@ -90,7 +88,7 @@ class Pseudoforest:
                 # a connected image is strong in a tree component always,
                 # in a unicyclic one when it holds the cycle
                 hits = find_embeddings(
-                    part, self.target((root,)), limit=1,
+                    part, self.target(root), limit=1,
                     compat=lambda m: graph_strong(self.struct, m.values()),
                 )
                 if hits:

@@ -22,9 +22,9 @@ the brute oracle and `graph_strong`).  The routes:
 
 Sessions.  For a modular spec (no non-modular matroid component) a
 structure keeps the network over its whole universe, solved for the empty
-base at its second whole-universe query and cached like its canonical
-codes.  A query with base B copies the solved capacities, raises the source
-arc of each element of B to infinity and augments: raising capacities keeps
+base at its second whole-universe query and kept in its `_sessions`.  A
+query with base B copies the solved capacities, raises the source arc of
+each element of B to infinity and augments: raising capacities keeps
 the flow feasible (parametric flow, Gallo, Grigoriadis & Tarjan 1989), and
 the flow value is delta of the closure, which `geometry` reads.  Queries
 inside a smaller ambient set, and specs with non-modular matroid terms,
@@ -71,9 +71,12 @@ class StrongReport(NamedTuple):
 
 def _check_sets(struct: FinStructure, base, within):
     b = frozenset([int(e) for e in base])
-    w = struct._uset if within is None else frozenset([int(e) for e in within])
-    if not w.issubset(struct._uset):
-        raise StructureError("within-set contains non-elements")
+    if within is None:
+        w = struct._uset
+    else:
+        w = frozenset([int(e) for e in within])
+        if not w.issubset(struct._uset):
+            raise StructureError("within-set contains non-elements")
     if not b.issubset(w):
         raise StructureError("base must be contained in the ambient set")
     return b, w

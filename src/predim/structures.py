@@ -139,7 +139,7 @@ class FinStructure:
     """
 
     __slots__ = (
-        "sig", "universe", "instances", "annotations", "_uset", "_codes", "_index", "_comps", "_width",
+        "sig", "universe", "instances", "annotations", "_uset", "_index", "_comps", "_width",
         "_rows", "_sessions",
     )
 
@@ -210,7 +210,6 @@ class FinStructure:
         self._uset = uset
         self.instances = instances
         self.annotations = annotations
-        self._codes: dict = {}
         self._index = None
         self._comps = None
         self._width: Optional[int] = None

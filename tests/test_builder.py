@@ -130,7 +130,7 @@ def test_obligation_met_fast_matches_generic(alpha1):
         if not strong_verdict(alpha1, g, base):
             continue
         for cls in classes_over(alpha1, g, base, len(base) + 2, {}):
-            fast = obligation_met(alpha1, g, base, cls, pf=pf)
+            fast = richness.met_fast(pf, base, cls)
             slow = obligation_met(alpha1, g, base, cls)
             assert fast == slow
 
@@ -142,9 +142,9 @@ def test_met_fast_shares_plans_with_transported_classes(alpha1):
     g = graph(4, [(0, 1), (2, 3)])
     pf = Pseudoforest(g)
     moved = pend.transport(g.restrict([2]))
-    assert obligation_met(alpha1, g, (0,), pend, pf=pf)
+    assert richness.met_fast(pf, (0,), pend)
     assert obligation_met(alpha1, g, (2,), moved)
-    assert obligation_met(alpha1, g, (2,), moved, pf=pf)
+    assert richness.met_fast(pf, (2,), moved)
 
 
 def _random_pseudoforest(rng: random.Random, n: int):
@@ -179,7 +179,7 @@ def _assert_fast_matches_generic(spec, g, max_base, level, cache=None):
             if base and not graph_strong(g, base):
                 continue
             for cls in classes_over(spec, g, base, max(level, size + 1), cache):
-                fast = obligation_met(spec, g, base, cls, pf=pf)
+                fast = richness.met_fast(pf, base, cls)
                 assert fast == obligation_met(spec, g, base, cls), (base, cls.code)
                 checked += 1
     return checked
@@ -313,7 +313,6 @@ def test_obligation_met_decides_a_base_that_is_not_strong_generically(alpha1):
     g = graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     pendant = classify_extension(alpha1, graph(2, [(0, 1)]), [0])
     assert not obligation_met(alpha1, g, (0,), pendant)
-    assert not obligation_met(alpha1, g, (0,), pendant, pf=Pseudoforest(g))
 
 
 def test_fast_matches_generic_at_level4_on_two_symbol_pseudoforests(alpha1):
@@ -354,7 +353,7 @@ def test_anchored_part_that_is_not_a_pendant_forest_is_unmet(alpha1, host, ext, 
     pf = Pseudoforest(host)
     assert graph_strong(host, base)
     assert pf.plan(cls).places is None
-    assert not obligation_met(alpha1, host, base, cls, pf=pf)
+    assert not richness.met_fast(pf, base, cls)
     assert not obligation_met(alpha1, host, base, cls)
 
 
@@ -370,7 +369,7 @@ def test_pendant_trees_that_do_not_fit_the_branches_are_unmet(alpha1, host, ext)
     pf = Pseudoforest(host)
     assert graph_strong(host, (0,))
     assert pf.plan(cls).places
-    assert not obligation_met(alpha1, host, (0,), cls, pf=pf)
+    assert not richness.met_fast(pf, (0,), cls)
     assert not obligation_met(alpha1, host, (0,), cls)
 
 

@@ -295,13 +295,13 @@ def test_resume_after_collapsed_build_matches_single_run(alpha1):
     edge = graph(2, [(0, 1)])
     mu2 = MuFunction.from_dict({_pendant_class(alpha1).code: 2})
     staged = build_collapsed(alpha1, mu2, edge, k=3, budget=12)
-    assert staged._pf.plans is staged._plans
+    assert staged._met.args[0].plans is staged._plans
     resume(staged, 18)
     one_shot = build_collapsed(alpha1, mu2, edge, k=3, budget=30)
     assert staged.current == one_shot.current
     assert [r.code for r in staged.history] == [r.code for r in one_shot.history]
     assert in_class_mu(alpha1, mu2, staged.current, 3).ok
-    assert staged._pf.plans is staged._plans
+    assert staged._met.args[0].plans is staged._plans
 
 
 def test_build_collapsed_rejects_bad_start(alpha1):

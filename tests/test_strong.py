@@ -16,6 +16,7 @@ from predim import (
     Signature,
     SpecError,
     StrongReport,
+    StructureError,
     brute_closure,
     brute_force_is_strong,
     closure,
@@ -60,6 +61,15 @@ def test_strength_within_restricts_ambient(alpha1, k4):
         is_strong(alpha1, k4, [0], within=[0, 9])
     with pytest.raises(Exception):
         is_strong(alpha1, k4, [0, 1], within=[1])  # base outside ambient
+
+
+@pytest.mark.parametrize("query", [is_strong, strong_verdict, closure])
+def test_sets_with_non_elements_are_refused(alpha1, k4, query):
+    with pytest.raises(StructureError, match="within-set contains non-elements"):
+        query(alpha1, k4, [0], within=[0, 9])
+    # over the whole universe a stray base id is outside the ambient set
+    with pytest.raises(StructureError, match="base must be contained in the ambient set"):
+        query(alpha1, k4, [0, 9])
 
 
 def test_strength_monotone_spec_shortcut(fusion):

@@ -411,6 +411,14 @@ def test_cli_audit_all_zero_samples_warns(files, capsys):
     assert "vacuous" in captured.err
 
 
+def test_cli_audit_all_refuses_max_n_zero(files, capsys):
+    # the sampled structures need at least one element
+    rc = main(["audit-all", "--spec", str(files / "alpha.spec"), "--max-n", "0", "--samples", "4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: --max-n must be at least 1\n"
+
+
 def test_cli_threads_do_not_change_output(files, capsys, monkeypatch):
     argv = ["audit-all", "--spec", str(files / "alpha.spec"), "--samples", "80", "--seed", "7"]
     assert main(argv + ["--threads", "1"]) == 0

@@ -155,8 +155,7 @@ def classes_over(
     """
     key = pinned_shape(struct, base_ids)
     if key not in cache:
-        classes = enumerate_extensions(spec, struct.restrict(base_ids), k - len(base_ids))
-        cache[key] = [c for c in classes if c.base_strong and c.ext_in_class]
+        cache[key] = enumerate_extensions(spec, struct.restrict(base_ids), k - len(base_ids))
     return cache[key]
 
 

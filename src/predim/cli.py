@@ -267,11 +267,7 @@ def _cmd_enumerate_min(args) -> int:
     if args.biminimal:
         classes = enumerate_minimal_extensions(args.spec, base, args.max_new)
     else:
-        classes = [
-            c
-            for c in enumerate_extensions(args.spec, base, args.max_new)
-            if c.minimal and c.ext_in_class
-        ]
+        classes = [c for c in enumerate_extensions(args.spec, base, args.max_new) if c.minimal]
     facts = {"classes": len(classes)}
     for i, c in enumerate(classes):
         p = f"class.{i:05d}."

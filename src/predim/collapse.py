@@ -153,11 +153,8 @@ def enumerate_minimal_extensions(
     sub-base is the whole base."""
     out = []
     for cls in enumerate_extensions(spec, base, max_new):
-        if not (cls.base_strong and cls.ext_in_class and cls.prealgebraic and cls.minimal):
-            continue
-        if biminimal_base(spec, cls.ext, base.universe) != base.universe:
-            continue
-        out.append(cls)
+        if cls.prealgebraic and cls.minimal and biminimal_base(spec, cls.ext, base.universe) == base.universe:
+            out.append(cls)
     return out
 
 

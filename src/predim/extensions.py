@@ -9,16 +9,22 @@ rank patterns compared: candidates with the same relational shape are one
 class when some base-fixing isomorphism keeps every component's rank
 pattern, so annotation variants with the same rank behaviour collapse.
 
-A class records its representative structure, the relative predimension of
-the extension, and the tags every consumer filters on (base strong in the
-extension, extension in the nonnegative class, minimal, zero relative
-predimension).
+Enumeration lists only the classes with a strong base.  Dropping a
+candidate instance (positive weight, touching a new element) never lowers δ
+of a set and leaves δ(base) alone, so the candidate sets over which the base
+is strong are closed under subsets, and a walk stops below the first that
+fails.  For a submodular spec and A in the class, strong in the extension,
+δ(X) ≥ δ(X∩A) + δ(X∪A) − δ(A) ≥ 0 for every X: the extension is in the
+class.  A class records its representative structure, the relative
+predimension, and whether it is minimal and prealgebraic (relative
+predimension zero).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Callable, NamedTuple, Sequence
 
 from .canonical import code_over_base
@@ -26,20 +32,18 @@ from .predimension import LinearOracle, PredimensionSpec, SpecError, delta, rank
 from .structures import FinStructure, StructureError, find_embeddings
 from .strongsets import in_class, strong_verdict
 
-# Candidate instances past which enumeration refuses: it walks all 2^n
-# subsets of them.
+# Candidate instances past which enumeration refuses: its walk may visit
+# all 2^n subsets of them.
 CANDIDATE_LIMIT = 22
 
 
 class ExtensionClass(NamedTuple):
-    """One isomorphism class of extensions of a fixed base."""
+    """One isomorphism class of extensions of a fixed base (enumerated ones have a strong base)."""
 
     base: FinStructure
     ext: FinStructure
     new_elements: tuple[int, ...]
     delta_over_base: Fraction
-    base_strong: bool
-    ext_in_class: bool
     minimal: bool
     prealgebraic: bool
     code: bytes
@@ -142,7 +146,9 @@ def enumerate_extensions(
     base: FinStructure,
     max_new: int,
 ) -> list[ExtensionClass]:
-    """All extension classes of `base` by 1..max_new fresh elements.
+    """The extension classes of `base` by 1..max_new fresh elements with a
+    strong base, so with an in-class extension; none over a base outside the
+    class.
 
     New elements' annotations come from the spec.  With a linear matroid
     component, each new element takes every vector `linear_extension_palette`
@@ -150,8 +156,19 @@ def enumerate_extensions(
     vector, zero); without one, new elements carry no annotation.
     Deterministic: classes come out sorted by (number of new elements, code),
     each represented by its first candidate in (instance mask, annotation
-    option) order.
+    option) order.  `SpecError` refuses an invalid spec (the in-class lemma
+    needs submodularity) and, before any walk, more than `CANDIDATE_LIMIT`
+    candidate instances for some size.
     """
+    if not spec.valid:
+        raise SpecError("extension enumeration requires a submodular spec")
+    sig, n = base.sig, base.n
+    for m in range(1, max_new + 1):
+        count = sum((n + m) ** a - n**a if sig.ordered else comb(n + m, a) - comb(n, a) for _, a in sig.symbols)
+        if count > CANDIDATE_LIMIT:
+            raise SpecError(f"extension enumeration refused: {count} candidate instances > {CANDIDATE_LIMIT}")
+    if not in_class(spec, base):
+        return []
     primes = [o.p for o, _ in spec.components if isinstance(o, LinearOracle)]
     palette = linear_extension_palette(primes[0]) if primes else None
     out: list[ExtensionClass] = []
@@ -159,45 +176,40 @@ def enumerate_extensions(
     fixed = {e: e for e in base.universe}
     for m in range(1, max_new + 1):
         new = tuple(range(start, start + m))
-        cands = _candidate_instances(base.sig, list(base.universe) + list(new), new)
-        if len(cands) > CANDIDATE_LIMIT:
-            raise SpecError(
-                f"extension enumeration refused: {len(cands)} candidate instances > {CANDIDATE_LIMIT}"
-            )
-        ann_options = palette(base, new) if palette else [{}]
+        cands = _candidate_instances(sig, list(base.universe) + list(new), new)
+        passing: dict[int, tuple[dict, list[FinStructure]]] = {}  # mask -> (its instances, strong extensions)
+        for ann in palette(base, new) if palette else [{}]:
+            # down-closure: add candidates in index order, stop below a failure
+            stack = [(0, 0, {})]  # (mask, first candidate it may add, its instances)
+            while stack:
+                mask, i, chosen = stack.pop()
+                ext = base.extended(new, chosen, ann)
+                if strong_verdict(spec, ext, base.universe):
+                    passing.setdefault(mask, (chosen, []))[1].append(ext)
+                    for j, (name, t) in enumerate(cands[i:], i):
+                        stack.append((mask | 1 << j, j + 1, {**chosen, name: chosen.get(name, []) + [t]}))
         reps: dict[bytes, FinStructure] = {}
         shapes: dict[bytes, list[FinStructure]] = {}
-        for mask in range(1 << len(cands)):
-            chosen: dict[str, list] = {}
-            for i, (name, t) in enumerate(cands):
-                if mask >> i & 1:
-                    chosen.setdefault(name, []).append(t)
-            plain = base.extended(new, chosen)
+        for mask in sorted(passing):
+            chosen, exts = passing[mask]
+            plain = base.extended(new, chosen) if palette else exts[0]
             plain_code = code_over_base(plain, base.universe)
             if spec.components:
                 # a rank-compatible isomorphism is a relational one too
                 mates = shapes.setdefault(plain_code, [])
-            for ann in ann_options:
-                ext = base.extended(new, chosen, ann) if ann else plain
+            for ext in exts:
                 if spec.components:
-                    if any(_same_rank_pattern(spec, ext, other, fixed) for other in mates):
+                    # some base-fixing induced isomorphism keeps every rank pattern
+                    if any(
+                        find_embeddings(ext, other, fixed=fixed, compat=rank_compat(spec, ext, other), limit=1)
+                        for other in mates
+                    ):
                         continue
                     mates.append(ext)
                 reps.setdefault(plain_code if ext is plain else code_over_base(ext, base.universe), ext)
         kept = [_classify(spec, base, ext, new, code) for code, ext in reps.items()]
         out.extend(sorted(kept, key=lambda c: c.code))
     return out
-
-
-def _same_rank_pattern(
-    spec: PredimensionSpec,
-    ext: FinStructure,
-    other: FinStructure,
-    fixed: dict[int, int],
-) -> bool:
-    """Some base-fixing induced isomorphism keeps every component's rank
-    pattern (`find_embeddings` yields induced maps only)."""
-    return bool(find_embeddings(ext, other, fixed=fixed, compat=rank_compat(spec, ext, other), limit=1))
 
 
 def classify_extension(
@@ -224,18 +236,12 @@ def _classify(
     code: bytes,
 ) -> ExtensionClass:
     d = delta(spec, ext) - delta(spec, ext, base.universe)
-    minimal = is_minimal_extension(spec, ext, base.universe)
-    # a minimal extension has a strong base
-    base_strong = minimal or strong_verdict(spec, ext, base.universe)
-    cls_member = in_class(spec, ext)
     return ExtensionClass(
         base=base,
         ext=ext,
         new_elements=new,
         delta_over_base=d,
-        base_strong=base_strong,
-        ext_in_class=cls_member,
-        minimal=minimal,
+        minimal=is_minimal_extension(spec, ext, base.universe),
         prealgebraic=(d == 0),
         code=code,
     )

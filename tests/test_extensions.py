@@ -12,16 +12,19 @@ from predim import (
     LinearOracle,
     PredimensionSpec,
     Signature,
+    SpecError,
     StructureError,
     classify_extension,
     code_over_base,
     enumerate_extensions,
     find_embeddings,
     linear_extension_palette,
+    oracle_by_name,
 )
 from predim.sampling import graph_signature, random_structure
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
+from extension_oracle import oracle_extensions
 
 F = Fraction
 
@@ -29,7 +32,7 @@ F = Fraction
 def test_extension_classes_over_a_point():
     spec = spec_alpha()
     point = graph(1, [])
-    classes = enumerate_extensions(spec, point, 2)
+    classes = oracle_extensions(spec, point, 2)
     # by hand: 1 new element gives edge / non-edge; 2 new elements give the
     # six graphs on {base, a, b} up to swapping a and b
     assert len(classes) == 8
@@ -60,7 +63,7 @@ def test_enumeration_is_deterministic_and_sorted():
 def test_class_tags_on_triangle_base():
     spec = spec_alpha()
     k3 = graph(3, [(0, 1), (1, 2), (0, 2)])
-    classes = enumerate_extensions(spec, k3, 1)
+    classes = oracle_extensions(spec, k3, 1)
     # base elements are pinned pointwise, so the classes are exactly the
     # edge subsets of {0,1,2} for the one new vertex
     assert len(classes) == 8
@@ -111,7 +114,7 @@ def test_transport_moves_ids_only():
     assert type(moved) is type(cls) and moved.base is target
     assert moved.new_elements == tuple(range(4, 4 + len(cls.new_elements)))
     assert moved.ext == cls.ext.relabel({0: 1, 1: 3, **dict(zip(cls.new_elements, moved.new_elements))})
-    tags = ("base_strong", "ext_in_class", "minimal", "prealgebraic")
+    tags = ("minimal", "prealgebraic")
     assert [getattr(moved, t) for t in tags] == [getattr(cls, t) for t in tags]
 
 
@@ -183,7 +186,7 @@ def _types(structs, same):
 
 
 def _check_one_class_per_type(spec, base, max_new, same, palette=None):
-    classes = enumerate_extensions(spec, base, max_new)
+    classes = oracle_extensions(spec, base, max_new)
     for m, cands in _all_candidates(base, max_new, palette).items():
         exts = [c.ext for c in classes if len(c.new_elements) == m]
         types = _types(cands, same)
@@ -239,3 +242,92 @@ def test_palette_classes_are_rank_pattern_types():
 
     for b, max_new in ((base, 1), (base.restrict([0]), 2)):
         _check_one_class_per_type(spec, b, max_new, _fixing_base(b, rank_compatible), linear_extension_palette(5))
+
+
+def _view(c):
+    """What a class pins: code, representative, new elements and tags."""
+    return (c.code, c.ext.universe, c.ext.instances, sorted(c.ext.annotations.items()),
+            c.new_elements, c.delta_over_base, c.minimal, c.prealgebraic)
+
+
+def _oracle_cost(spec, base, m):
+    """The oracle's work for m new elements: instance sets times the squared
+    annotation options, which its rank-pattern merge compares pairwise."""
+    new, insts = _new_instances(base, m)
+    primes = [o.p for o, _ in spec.components if isinstance(o, LinearOracle)]
+    return (1 << len(insts)) * (len(linear_extension_palette(primes[0])(base, new)) if primes else 1) ** 2
+
+
+def test_enumeration_is_the_oracle_filtered_to_strong_in_class():
+    rng = random.Random(26)
+    linear5 = PredimensionSpec.make(relational=True, components=((LinearOracle(5), F(1, 2)),))
+    mixed = PredimensionSpec.make(
+        relational=True, components=((LinearOracle(3), F(1, 2)), (oracle_by_name("uniform2"), F(1, 2)))
+    )
+    sigs = [
+        graph_signature(),
+        graph_signature(F(1, 2)),
+        Signature((("E", 2), ("F", 2))),
+        Signature((("R", 2),), ordered=True),
+        Signature((("R", 3),)),
+    ]
+    cases = [(spec_alpha(), sig, None) for sig in sigs]
+    cases += [(linear5, graph_signature(), 5), (mixed, graph_signature(), 3), (spec_fusion(), Signature(()), 5)]
+    seen = {"kept": 0, "dropped": 0, "max_new": 0}
+    done = set()
+    for i in range(80):
+        spec, sig, p = cases[i % len(cases)]
+        base = random_structure(rng, sig, rng.randint(0, 4), density=rng.choice((0.2, 0.5)))
+        if p:
+            width = rng.randint(1, 2)
+            ann = {e: tuple(str(rng.randrange(p)) for _ in range(width)) for e in base.universe}
+            base = FinStructure(sig, base.universe, base.instances, ann)
+        if (spec, base) in done:
+            continue
+        done.add((spec, base))
+        max_new = 0  # the most new elements, up to 4, that keep the oracle's work in a fixed budget
+        while max_new < 4 and sum(_oracle_cost(spec, base, m) for m in range(1, max_new + 2)) <= 1100:
+            max_new += 1
+        if not max_new:
+            continue
+        oracle = oracle_extensions(spec, base, max_new)
+        want = [c for c in oracle if c.base_strong and c.ext_in_class]
+        got = enumerate_extensions(spec, base, max_new)
+        assert [_view(c) for c in got] == [_view(c) for c in want], (i, base)
+        assert all(c.base is base for c in got)
+        seen["kept"] += len(want)
+        seen["dropped"] += len(oracle) - len(want)
+        seen["max_new"] = max(seen["max_new"], max_new)
+    # the suite is not vacuous: both sides of the filter and four new elements occur
+    assert seen["kept"] and seen["dropped"] and seen["max_new"] == 4, seen
+
+
+def test_no_classes_over_a_base_outside_the_class(k4):
+    spec = spec_alpha()
+    oracle = oracle_extensions(spec, k4, 1)
+    assert oracle and not any(c.ext_in_class for c in oracle)
+    assert enumerate_extensions(spec, k4, 1) == []
+
+
+def test_enumeration_refuses_an_invalid_spec():
+    # the in-class lemma needs submodularity, so no list is given for a spec
+    # that lacks it
+    bent = PredimensionSpec.make(
+        relational=True, components=((oracle_by_name("uniform2"), F(-1)),), allow_invalid=True
+    )
+    with pytest.raises(SpecError, match="requires a submodular spec"):
+        enumerate_extensions(bent, graph(1, []), 1)
+
+
+def test_enumeration_refuses_before_walking(monkeypatch):
+    from predim import extensions
+
+    def walked(*args, **kwargs):
+        raise AssertionError("walked before refusing")
+
+    monkeypatch.setattr(extensions, "strong_verdict", walked)
+    monkeypatch.setattr(extensions, "in_class", walked)
+    tree = graph(8, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (6, 7)])
+    # 8, 17 and 27 candidate edges for 1, 2 and 3 new elements
+    with pytest.raises(SpecError, match=r"^extension enumeration refused: 27 candidate instances > 22$"):
+        enumerate_extensions(spec_alpha(), tree, 6)

@@ -25,15 +25,15 @@ from predim import (
     brute_closure,
     brute_force_is_strong,
     closure,
-    enumerate_extensions,
     find_embeddings,
     in_class,
     is_strong,
     oracle_by_name,
 )
-from predim import extensions
 from predim.predimension import rank_compat
 from predim.sampling import graph_signature, random_sparse_graph, random_subset, random_vectors
+
+import extension_oracle
 
 F = Fraction
 PRIMES = (2, 3, 5, 7, 2**31 - 1)
@@ -176,8 +176,9 @@ def _per_map_filter(spec, source, target):
 
 
 def _enumerate_counting(monkeypatch, spec, base, make_filter):
-    """The extension classes of `base`, and per embedding filter built in the
-    search, the source subsets it ranked."""
+    """The full walk's extension classes of `base` (every class, whatever
+    its tags), and per embedding filter built in the search, the source
+    subsets it ranked."""
     active = []  # (source, its ranked subsets) of the filter running now
     ranked = []
     rank = LinearOracle.rank
@@ -203,8 +204,8 @@ def _enumerate_counting(monkeypatch, spec, base, make_filter):
 
     with monkeypatch.context() as mp:
         mp.setattr(LinearOracle, "rank", counted)
-        mp.setattr(extensions, "rank_compat", tracked)
-        return enumerate_extensions(spec, base, 2), ranked
+        mp.setattr(extension_oracle, "rank_compat", tracked)
+        return extension_oracle.oracle_extensions(spec, base, 2), ranked
 
 
 def test_rank_filter_ranks_each_source_subset_once(monkeypatch):

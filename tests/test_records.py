@@ -43,10 +43,10 @@ RECORDS = [
     (_Session, "root queried geometric", ("net", True, ""), (None, False, None), None,
      "_Session(root='net', queried=True, geometric='')", False),
     (ExtensionClass,
-     "base ext new_elements delta_over_base base_strong ext_in_class minimal prealgebraic code",
-     (S, T, (2,), F(1), True, True, False, False, b"\x01"), (), b"\x02",
+     "base ext new_elements delta_over_base minimal prealgebraic code",
+     (S, T, (2,), F(1), False, False, b"\x01"), (), b"\x02",
      f"ExtensionClass(base={S_R}, ext={T_R}, new_elements=(2,), delta_over_base=Fraction(1, 1),"
-     " base_strong=True, ext_in_class=True, minimal=False, prealgebraic=False, code=b'\\x01')", True),
+     " minimal=False, prealgebraic=False, code=b'\\x01')", True),
     (_Plan, "places free_parts", (((0, (("E", ()),)),), ((S, b"\x02"),)), (), (),
      f"_Plan(places=((0, (('E', ()),)),), free_parts=(({S_R}, b'\\x02'),))", True),
     (DischargeRecord, "step base code new_elements", (3, (0, 1), b"\x01", (2,)), (), (),

@@ -586,15 +586,56 @@ def test_cli_refusals_in_a_fresh_interpreter(tmp_path, argv, rc, message):
     (tmp_path / "left.structure").write_text("universe 1\nrel E 2 1/1\nann 0 1 0\n")
     (tmp_path / "right.structure").write_text("universe 1\nrel E 2 1/1\nann 0 0 1\n")
     (tmp_path / "l.map").write_text("0 0\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run(
-        [sys.executable, "-m", "predim.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = _fresh_cli(tmp_path, argv, 120)
     assert done.returncode == rc, done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), done.stderr
+
+
+def _fresh_cli(cwd, argv, timeout):
+    """`python -m predim.cli argv` in a fresh interpreter, killed after
+    `timeout` seconds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "predim.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+# An 8-element tree.  Its outputs were captured from the enumeration that
+# walked and coded every candidate-instance mask and then filtered the
+# classes; the pruned walk must give them byte for byte.  The full walk took
+# over 30 s for each `enumerate-min` case.
+TREE_TEXT = "universe 8\nrel E 2 1/1\n" + "".join(
+    f"tup E {a} {b}\n" for a, b in ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (6, 7))
+)
+TREE_PINS = [
+    (["audit", "tree.structure", "--k", "5"], 1, 108157,
+     "9d8bbe86c51f096462d043cbd80d1c82b393539de04eed7d7cc3f6e584ade538", 60),
+    (["enumerate-min", "tree.structure", "--max-new", "2"], 0, 3514,
+     "57b7544db6ee69bcee556bd0e558855cc52729fdac07f7914e9ad1f82c383666", 10),
+    (["enumerate-min", "tree.structure", "--max-new", "2", "--biminimal"], 0, 10,
+     "d711822a479f2a097e470c33a5663739b7cbad00d0a7c616be6996c416c24e7b", 10),
+]
+
+
+@pytest.mark.parametrize("argv, rc, size, sha, timeout", TREE_PINS, ids=["audit", "enumerate-min", "biminimal"])
+def test_cli_tree_outputs_are_pinned(tmp_path, argv, rc, size, sha, timeout):
+    (tmp_path / "tree.structure").write_text(TREE_TEXT)
+    done = _fresh_cli(tmp_path, argv, timeout)
+    assert (done.returncode, done.stderr) == (rc, "")
+    out = done.stdout.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, sha)
+
+
+def test_cli_enumerate_min_refuses_before_walking(tmp_path):
+    # 27 candidate edges for 3 new elements over the tree; the refusal comes
+    # before the smaller sizes are walked
+    (tmp_path / "tree.structure").write_text(TREE_TEXT)
+    done = _fresh_cli(tmp_path, ["enumerate-min", "tree.structure", "--max-new", "6"], 10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: extension enumeration refused: 27 candidate instances > 22\n"
 
 
 def test_cli_audit_all_skips_amalgamation_for_non_modular_components(tmp_path, capsys):

@@ -7,11 +7,11 @@ exist.  The builder walks obligations in lexicographic order of
 (|A|, |B|, class code, A), passes the first unmet one to the
 approximation's discharge step, and stops the moment the first unmet
 obligation does not fit the element budget.  That stopping rule makes
-resume(n) twice identical to resume(2n).  The generic build discharges by a
-free extension; the collapsed build (`collapse.build_collapsed`) runs the
-same loop with a free-or-embed step.  Each obligation is decided by the one
-test `_obligation_test` picks per structure: `richness.met_fast` on a valid
-weight-1 pseudoforest, the generic `obligation_met` otherwise.
+resume(n) twice identical to resume(2n).  `resume` is the one loop: the
+generic build runs it with a free extension as its step, the collapsed build
+(`collapse.build_collapsed`) with a free-or-embed step.  Each obligation is
+decided by the one test `_obligation_test` picks per structure:
+`richness.met_fast` on a valid weight-1 pseudoforest, else `obligation_met`.
 
 Satisfaction is monotone under free growth over strong bases (strong sets
 stay strong, embeddings survive), so previously satisfied obligations are
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .canonical import pinned_shape
@@ -30,7 +29,7 @@ from .extensions import ExtensionClass, enumerate_extensions
 from .predimension import PredimensionSpec, rank_compat
 from .richness import Pseudoforest, met_fast
 from .structures import FinStructure, find_embeddings
-from .strongsets import alpha_one_profile, graph_strong, in_class, strong_verdict
+from .strongsets import alpha_one_profile, in_class, strong_subsets, strong_verdict
 
 
 def _obligation_test(
@@ -44,25 +43,6 @@ def _obligation_test(
         if pf.valid:
             return partial(met_fast, pf)
     return partial(obligation_met, spec, struct)
-
-
-def _strong_bases(
-    spec: PredimensionSpec,
-    struct: FinStructure,
-    below: int,
-    near: Optional[set[int]] = None,
-) -> list[tuple[int, ...]]:
-    """Strong subsets with fewer than `below` elements in (size, ids) order,
-    decided by `graph_strong` on weight-1 graph specs; with `near`, only the
-    empty set and the subsets meeting `near`."""
-    if alpha_one_profile(spec, struct):
-        strong = partial(graph_strong, struct)
-    else:
-        strong = partial(strong_verdict, spec, struct)
-    return [
-        c for size in range(below) for c in combinations(struct.universe, size)
-        if (near is None or not c or not near.isdisjoint(c)) and strong(c)
-    ]
 
 
 class BuilderError(ValueError):
@@ -93,51 +73,6 @@ class RichnessReport(NamedTuple):
         if self.total == 0:
             return Fraction(1)
         return Fraction(self.satisfied, self.total)
-
-
-class GenericApprox:
-    """Mutable build state: the structure so far plus scheduling caches.
-
-    `step(ga, base_ids, cls)` realizes one unmet obligation, with the class
-    already over `base_ids`, and returns the fresh element ids; the default
-    is the free `discharge`.
-    """
-
-    def __init__(
-        self,
-        spec: PredimensionSpec,
-        start: FinStructure,
-        k: int,
-        allowance: int,
-    ):
-        if k < 1:
-            raise BuilderError("level k must be at least 1")
-        if not spec.valid:
-            raise BuilderError("builder requires a valid spec")
-        if not in_class(spec, start):
-            raise BuilderError("start structure is outside the nonnegative class")
-        self.spec = spec
-        self.k = k
-        self.allowance = allowance
-        self.step: Callable[..., tuple[int, ...]] = discharge
-        self.current = start
-        self.history: list[DischargeRecord] = []
-        self.blocked: Optional[BlockedRecord] = None
-        self._satisfied: set[tuple[tuple[int, ...], bytes]] = set()
-        self._class_cache: dict[tuple, list[ExtensionClass]] = {}
-        self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
-        self._met = _obligation_test(spec, start, self._plans)
-        self._strong = _strong_bases(spec, start, k)
-
-    def grow(self, struct: FinStructure, new_ids: tuple[int, ...]) -> None:
-        """Move to `struct`, a free extension of the current structure by
-        the elements `new_ids`."""
-        self.current = struct
-        self._met = _obligation_test(self.spec, struct, self._plans)
-        # Only subsets meeting the fresh elements can change strength status;
-        # everything else keeps its verdict under free growth.
-        added = [c for c in _strong_bases(self.spec, struct, self.k, set(new_ids)) if c]
-        self._strong = sorted(self._strong + added, key=lambda t: (len(t), t))
 
 
 def classes_over(
@@ -214,18 +149,6 @@ def _obligations(
                 yield A, by_code[code]
 
 
-def _first_unmet(ga: GenericApprox) -> Optional[tuple[tuple[int, ...], ExtensionClass]]:
-    for A, cls in _obligations(ga.spec, ga.current, ga._strong, ga.k, ga._class_cache):
-        key = (A, cls.code)
-        if key in ga._satisfied:
-            continue
-        if ga._met(A, cls):
-            ga._satisfied.add(key)
-            continue
-        return A, cls
-    return None
-
-
 def _annotation_shift(
     struct: FinStructure,
     ext: FinStructure,
@@ -289,24 +212,50 @@ def discharge(ga: GenericApprox, base_ids: tuple[int, ...], cls: ExtensionClass)
     return new_ids
 
 
-def _run(ga: GenericApprox) -> None:
-    """Discharge unmet obligations through `ga.step` until none is left or
-    the first one does not fit the allowance."""
-    ga.blocked = None
-    while True:
-        nxt = _first_unmet(ga)
-        if nxt is None:
-            return
-        A, cls = nxt
-        need = len(cls.new_elements)
-        if ga.current.n + need > ga.allowance:
-            ga.blocked = BlockedRecord(A, cls.code, need)
-            return
-        if cls.base.universe != A:
-            cls = cls.transport(ga.current.restrict(A))
-        new_ids = ga.step(ga, A, cls)
-        ga.history.append(DischargeRecord(len(ga.history), A, cls.code, new_ids))
-        ga._satisfied.add((A, cls.code))
+class GenericApprox:
+    """Mutable build state: the structure so far plus scheduling caches.
+
+    `step(ga, base_ids, cls)` realizes one unmet obligation, with the class
+    already over `base_ids`, and returns the fresh element ids; the default
+    is the free `discharge`.
+    """
+
+    def __init__(
+        self,
+        spec: PredimensionSpec,
+        start: FinStructure,
+        k: int,
+        allowance: int,
+        step: Callable[..., tuple[int, ...]] = discharge,
+    ):
+        if k < 1:
+            raise BuilderError("level k must be at least 1")
+        if not spec.valid:
+            raise BuilderError("builder requires a valid spec")
+        if not in_class(spec, start):
+            raise BuilderError("start structure is outside the nonnegative class")
+        self.spec = spec
+        self.k = k
+        self.allowance = allowance
+        self.step = step
+        self.current = start
+        self.history: list[DischargeRecord] = []
+        self.blocked: Optional[BlockedRecord] = None
+        self._satisfied: set[tuple[tuple[int, ...], bytes]] = set()
+        self._class_cache: dict[tuple, list[ExtensionClass]] = {}
+        self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
+        self._met = _obligation_test(spec, start, self._plans)
+        self._strong = strong_subsets(spec, start, k)
+
+    def grow(self, struct: FinStructure, new_ids: tuple[int, ...]) -> None:
+        """Move to `struct`, a free extension of the current structure by
+        the elements `new_ids`."""
+        self.current = struct
+        self._met = _obligation_test(self.spec, struct, self._plans)
+        # Only subsets meeting the fresh elements can change strength status;
+        # everything else keeps its verdict under free growth.
+        added = [c for c in strong_subsets(self.spec, struct, self.k, set(new_ids)) if c]
+        self._strong = sorted(self._strong + added, key=lambda t: (len(t), t))
 
 
 def build_generic(
@@ -317,19 +266,34 @@ def build_generic(
 ) -> GenericApprox:
     """Grow `start` by free extensions until every obligation at level k is
     met or the next discharge would push past `budget` elements."""
-    ga = GenericApprox(spec, start, k, budget)
-    _run(ga)
-    return ga
+    return resume(GenericApprox(spec, start, k, budget), 0)
 
 
 def resume(ga: GenericApprox, extra_budget: int) -> GenericApprox:
-    """Raise the element allowance and continue the same schedule, with the
-    same discharge step."""
+    """Raise the element allowance and pass the first unmet obligation to
+    `ga.step` until none is left or the first one does not fit the
+    allowance.  The one build loop: the builds run it with no extra budget."""
     if extra_budget < 0:
         raise BuilderError("extra budget must be nonnegative")
     ga.allowance += extra_budget
-    _run(ga)
-    return ga
+    ga.blocked = None
+    while True:
+        for A, cls in _obligations(ga.spec, ga.current, ga._strong, ga.k, ga._class_cache):
+            if (A, cls.code) not in ga._satisfied:
+                if not ga._met(A, cls):
+                    break
+                ga._satisfied.add((A, cls.code))
+        else:
+            return ga
+        need = len(cls.new_elements)
+        if ga.current.n + need > ga.allowance:
+            ga.blocked = BlockedRecord(A, cls.code, need)
+            return ga
+        if cls.base.universe != A:
+            cls = cls.transport(ga.current.restrict(A))
+        new_ids = ga.step(ga, A, cls)
+        ga.history.append(DischargeRecord(len(ga.history), A, cls.code, new_ids))
+        ga._satisfied.add((A, cls.code))
 
 
 def audit_richness(
@@ -338,10 +302,12 @@ def audit_richness(
     k: int,
 ) -> RichnessReport:
     """Count satisfied obligations at level k on a fixed structure."""
+    if k < 1:
+        raise BuilderError("level k must be at least 1")
     if not spec.valid:
         raise BuilderError("audit requires a valid spec")
     met = _obligation_test(spec, struct)
-    strong_sets = _strong_bases(spec, struct, k)
+    strong_sets = strong_subsets(spec, struct, k)
     cache: dict[tuple, list[ExtensionClass]] = {}
     total = 0
     satisfied = 0

@@ -236,11 +236,17 @@ def _cmd_audit(args) -> int:
     return 0 if facts["satisfied"] == facts["total"] else 1
 
 
-def _audit_facts(facts: dict, res: AuditResult, prefix: str = "") -> None:
-    facts[f"{prefix}{res.name}.checked"] = res.checked
-    facts[f"{prefix}{res.name}.violations"] = res.violations
-    if res.witness:
-        facts[f"{prefix}{res.name}.witness"] = res.witness
+def _audit_facts(facts: dict, results: list[AuditResult], prefix: str = "") -> None:
+    """Each audit's counts and witness, flagged vacuous (with a warning)
+    when none of them checked anything."""
+    for res in results:
+        facts[f"{prefix}{res.name}.checked"] = res.checked
+        facts[f"{prefix}{res.name}.violations"] = res.violations
+        if res.witness:
+            facts[f"{prefix}{res.name}.witness"] = res.witness
+    if not any(res.checked for res in results):
+        facts["vacuous"] = True
+        print("warning: zero sample budgets, every audit is vacuous", file=sys.stderr)
 
 
 def _cmd_exchange_audit(args) -> int:
@@ -252,9 +258,8 @@ def _cmd_exchange_audit(args) -> int:
     source = lambda _rng: args.structure
     ex = audit_exchange(args.spec, source, rng, args.samples)
     ad = audit_dim_additivity(args.spec, source, rng, args.samples)
-    facts = {}
-    for res in (ex, ad):
-        _audit_facts(facts, res)
+    facts: dict = {}
+    _audit_facts(facts, [ex, ad])
     _emit(facts)
     return 1 if ex.violations or ad.violations else 0
 
@@ -419,13 +424,9 @@ def _cmd_audit_all(args) -> int:
             results.append(_mu_build_audit(spec, weight, n))
         else:
             skip("mu", "needs a relational spec")
-    for res in results:
-        _audit_facts(facts, res, "audit.")
+    _audit_facts(facts, results, "audit.")
     failed = any(res.violations for res in results)
     facts["ok"] = not failed
-    if not any(res.checked for res in results):
-        facts["vacuous"] = True
-        print("warning: zero sample budgets, every audit is vacuous", file=sys.stderr)
     _emit(facts)
     return 1 if failed else 0
 

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .builder import GenericApprox, _run, _strong_bases, free_extend, strong_embedding
+from .builder import GenericApprox, free_extend, resume, strong_embedding
 from .canonical import pinned_shape
 from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
 from .predimension import PredimensionSpec, delta, rank_compat
 from .structures import FinStructure, Record, find_embeddings
-from .strongsets import closure, in_class, strong_verdict
+from .strongsets import closure, in_class, strong_subsets, strong_verdict
 
 
 class MuError(ValueError):
@@ -119,19 +118,13 @@ def biminimal_base(
     specs; ambiguity raises."""
     base = tuple(sorted(base_ids))
     new = tuple(sorted(set(ext.universe).difference(base)))
-    base_struct = ext.restrict(base)
     qualifying = []
-    for r in range(0, len(base) + 1):
-        for sub in combinations(base, r):
-            if not strong_verdict(spec, base_struct, sub):
-                continue
-            # the new part must be prealgebraic and minimal over `sub` in
-            # the induced structure on their union
-            union = ext.restrict(sorted(set(sub) | set(new)))
-            if delta(spec, union) != delta(spec, union, sub):
-                continue
-            if is_minimal_extension(spec, union, sub):
-                qualifying.append(frozenset(sub))
+    for sub in strong_subsets(spec, ext.restrict(base), len(base) + 1):
+        # the new part must be prealgebraic and minimal over `sub` in the
+        # induced structure on their union
+        union = ext.restrict(sorted(set(sub) | set(new)))
+        if delta(spec, union) == delta(spec, union, sub) and is_minimal_extension(spec, union, sub):
+            qualifying.append(frozenset(sub))
     if not qualifying:
         raise BiminimalError(
             "no strong sub-base admits the new part as a minimal prealgebraic extension"
@@ -256,7 +249,7 @@ def mu_violations(
         allowed = _ball(struct, around, bound)
     cache = class_cache if class_cache is not None else {}
     violations = []
-    for base in _strong_bases(spec, struct, bound, near=allowed):
+    for base in strong_subsets(spec, struct, bound, near=allowed):
         key = (pinned_shape(struct, base), bound - len(base))
         if key not in cache:
             cache[key] = enumerate_minimal_extensions(spec, struct.restrict(base), bound - len(base))
@@ -376,12 +369,8 @@ def build_collapsed(
     report = in_class_mu(spec, mu, start, bound)
     if not report.ok:
         raise MuError(f"start structure violates copy caps: {report.violations}")
-    ga = GenericApprox(spec, start, k, budget)
-    ga.step = partial(
-        _discharge_collapsed, mu=mu, bound=bound, cross_check=cross_check, mu_cache={}
-    )
-    _run(ga)
-    return ga
+    step = partial(_discharge_collapsed, mu=mu, bound=bound, cross_check=cross_check, mu_cache={})
+    return resume(GenericApprox(spec, start, k, budget, step), 0)
 
 
 def _discharge_collapsed(

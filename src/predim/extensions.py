@@ -2,12 +2,13 @@
 isomorphism fixing the base pointwise.
 
 A class is named by its pinned code (`code_over_base`): two candidates
-without matroid components are the same class exactly when their codes are
+without a linear component are the same class exactly when their codes are
 equal, that is, when an isomorphism fixes the base pointwise and keeps
-annotations verbatim.  Only when the spec carries matroid components are
-rank patterns compared: candidates with the same relational shape are one
-class when some base-fixing isomorphism keeps every component's rank
-pattern, so annotation variants with the same rank behaviour collapse.
+annotations verbatim (free, cardinality and uniform ranks depend only on
+size).  Only when the spec carries a linear component are rank patterns
+compared: candidates with the same relational shape are one class when some
+base-fixing isomorphism keeps every component's rank pattern, so annotation
+variants with the same rank behaviour collapse.
 
 Enumeration lists only the classes with a strong base.  Dropping a
 candidate instance (positive weight, touching a new element) never lowers δ
@@ -192,13 +193,11 @@ def enumerate_extensions(
         shapes: dict[bytes, list[FinStructure]] = {}
         for mask in sorted(passing):
             chosen, exts = passing[mask]
-            plain = base.extended(new, chosen) if palette else exts[0]
-            plain_code = code_over_base(plain, base.universe)
-            if spec.components:
+            if palette:
                 # a rank-compatible isomorphism is a relational one too
-                mates = shapes.setdefault(plain_code, [])
+                mates = shapes.setdefault(code_over_base(base.extended(new, chosen), base.universe), [])
             for ext in exts:
-                if spec.components:
+                if palette:
                     # some base-fixing induced isomorphism keeps every rank pattern
                     if any(
                         find_embeddings(ext, other, fixed=fixed, compat=rank_compat(spec, ext, other), limit=1)
@@ -206,7 +205,7 @@ def enumerate_extensions(
                     ):
                         continue
                     mates.append(ext)
-                reps.setdefault(plain_code if ext is plain else code_over_base(ext, base.universe), ext)
+                reps.setdefault(code_over_base(ext, base.universe), ext)
         kept = [_classify(spec, base, ext, new, code) for code, ext in reps.items()]
         out.extend(sorted(kept, key=lambda c: c.code))
     return out

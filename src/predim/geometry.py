@@ -4,9 +4,9 @@ Dimension of A over C is delta of the closure of A union C minus delta of the
 closure of C, each read from the strength kernel's flow value
 (`closure_delta`), not recounted.  The geometric closure gcl(B), the
 elements of dimension zero over B, is the greatest minimizer of delta over
-the supersets of B, read off the sink side of B's solved network.  Both
-notions need an integer-valued predimension that gives single elements at
-most one unit, so validity is checked up front, once per spec and structure.
+the supersets of B (`greatest_closure`).  Both notions need an
+integer-valued predimension that gives single elements at most one unit, so
+validity is checked up front on every query.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .predimension import PredimensionSpec, delta
-from .strongsets import _check_sets, _greatest_minimizer, _session, _solved, closure_delta
+from .strongsets import closure_delta, greatest_closure
 from .structures import FinStructure
 
 
@@ -26,30 +26,22 @@ class GeometryError(ValueError):
 def require_geometric(spec: PredimensionSpec, struct: FinStructure) -> None:
     """Integer-valued delta with singletons worth at most 1, on a valid spec.
 
-    Checked once per (spec, structure); the verdict is kept with the
-    structure's strength session."""
+    A singleton's rank is 0 or 1 in every component, so its delta is at most
+    [relational] + sum of max(coef, 0); elements are checked one by one only
+    when that bound is above 1."""
     if not spec.valid:
         raise GeometryError("pregeometry needs a valid (submodular) spec")
-    sess = _session(spec, struct)
-    if sess.geometric is None:
-        sess.geometric = _geometry_problem(spec, struct)
-    if sess.geometric:
-        raise GeometryError(sess.geometric)
-
-
-def _geometry_problem(spec: PredimensionSpec, struct: FinStructure) -> str:
-    """Why delta induces no pregeometry on `struct`, or "" when it does."""
     for name in struct.sig.names:
         if struct.sig.weight(name).denominator != 1:
-            return f"weight of {name} is not an integer"
+            raise GeometryError(f"weight of {name} is not an integer")
     for _, coef in spec.components:
         if coef.denominator != 1:
-            return f"component coefficient {coef} is not an integer"
-    for e in struct.universe:
-        v = delta(spec, struct, (e,))
-        if v > 1:
-            return f"element {e} has predimension {v} > 1"
-    return ""
+            raise GeometryError(f"component coefficient {coef} is not an integer")
+    if spec.relational + sum(max(coef, 0) for _, coef in spec.components) > 1:
+        for e in struct.universe:
+            v = delta(spec, struct, (e,))
+            if v > 1:
+                raise GeometryError(f"element {e} has predimension {v} > 1")
 
 
 def dim(
@@ -75,11 +67,9 @@ def gcl(
     """Every element of dimension zero over the base.  Minimizers of delta
     over the supersets of B are closed under union (submodularity), and e
     has dimension 0 exactly when one of them holds it, so gcl(B) is the
-    greatest one: the elements cut off from the sink of B's solved network."""
+    greatest one."""
     require_geometric(spec, struct)
-    b, w = _check_sets(struct, base, None)
-    net = _solved(spec, struct, b, sorted(w - b))
-    return tuple(sorted(b.union(_greatest_minimizer(net))))
+    return greatest_closure(spec, struct, base)
 
 
 def check_exchange(

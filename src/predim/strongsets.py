@@ -10,10 +10,12 @@ minimizer (`_Net`, built by `_network`), over the instances that
 `FinStructure.inside` gives, sorted per symbol in signature order (as for
 the brute oracle and `graph_strong`).  The routes:
 
-- `closure` adds the least minimizer to the base;
+- `closure` adds the least minimizer to the base, `greatest_closure` the
+  greatest one (the geometric closure);
 - `strong_verdict` asks whether it is empty, except on weight-1 graph specs
   (`alpha_one_profile`), where `graph_strong` decides from the structure's
   cached component table, on `struct.restrict(within)` given an ambient set;
+  `strong_subsets` lists the small strong subsets by the same routing;
 - `is_strong` reports the exact deficiency: from the kernel for a valid spec
   (`_flow_nonempty_min`), from the brute-force oracle for an invalid one,
   which refuses with a `SpecError` past BRUTE_LIMIT (20) free elements, or
@@ -40,7 +42,8 @@ All engines are exact; the brute oracle and the unrouted subset search
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import combinations
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
@@ -535,21 +538,14 @@ def _greatest_minimizer(net: _Net) -> tuple[int, ...]:
 class _Session(Record):
     """What a structure keeps per spec: for a modular spec, its network
     solved for the empty base over the whole universe (built at the second
-    whole-universe query, so a one-shot query costs one cold solve), and
-    the pregeometry verdict, "" when the spec and structure pass."""
+    whole-universe query, so a one-shot query costs one cold solve)."""
 
-    __slots__ = __match_args__ = ("root", "queried", "geometric")
+    __slots__ = __match_args__ = ("root", "queried")
     __hash__ = None
     __setattr__ = object.__setattr__
 
-    def __init__(self, root: Optional[_Net] = None, queried: bool = False, geometric: Optional[str] = None):
-        self._fill(root, queried, geometric)
-
-
-def _session(spec: PredimensionSpec, struct: FinStructure) -> _Session:
-    if struct._sessions is None:
-        struct._sessions = {}
-    return struct._sessions.get(spec) or struct._sessions.setdefault(spec, _Session())
+    def __init__(self, root: Optional[_Net] = None, queried: bool = False):
+        self._fill(root, queried)
 
 
 def _solved(
@@ -563,7 +559,9 @@ def _solved(
     and base plus free is the whole universe, else a cold network contracted
     by the base."""
     if len(base) + len(free) == struct.n and all(o.modular for o, _ in spec.components):
-        sess = _session(spec, struct)
+        if struct._sessions is None:
+            struct._sessions = {}
+        sess = struct._sessions.get(spec) or struct._sessions.setdefault(spec, _Session())
         if sess.root is None and sess.queried:
             sess.root = _network(spec, struct, frozenset(), list(struct.universe)).solve()
         sess.queried = True
@@ -675,6 +673,25 @@ def strong_verdict(
     return is_strong(spec, struct, b, w).verdict
 
 
+def strong_subsets(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    below: int,
+    near: Optional[set[int]] = None,
+) -> list[tuple[int, ...]]:
+    """Strong subsets with fewer than `below` elements in (size, ids) order,
+    decided by `graph_strong` on weight-1 graph specs; with `near`, only the
+    empty set and the subsets meeting `near`."""
+    if alpha_one_profile(spec, struct):
+        strong = partial(graph_strong, struct)
+    else:
+        strong = partial(strong_verdict, spec, struct)
+    return [
+        c for size in range(below) for c in combinations(struct.universe, size)
+        if (near is None or not c or not near.isdisjoint(c)) and strong(c)
+    ]
+
+
 def in_class(spec: PredimensionSpec, struct: FinStructure) -> bool:
     """Whether every subset has nonnegative predimension."""
     return strong_verdict(spec, struct, ())
@@ -710,3 +727,17 @@ def closure_delta(
     if net.base:  # contracted by the base, so the value is relative to it
         value += delta(spec, struct, b)
     return tuple(sorted(b.union(net.least))), value
+
+
+def greatest_closure(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    base: Iterable[int],
+) -> tuple[int, ...]:
+    """The base plus the inclusion-greatest minimizer of delta(X/base) in
+    the whole universe: the elements cut off from the sink of the base's
+    solved network."""
+    b, w = _check_sets(struct, base, None)
+    if not spec.valid:
+        raise SpecError("closure requires a submodular spec")
+    return tuple(sorted(b.union(_greatest_minimizer(_solved(spec, struct, b, sorted(w - b))))))

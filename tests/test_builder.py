@@ -64,6 +64,8 @@ def test_build_rejects_bad_inputs(alpha1, k4):
         build_generic(alpha1, _empty_graph(), k=0, budget=5)
     with pytest.raises(BuilderError):
         build_generic(alpha1, k4, k=2, budget=10)  # start outside the class
+    with pytest.raises(BuilderError, match="^level k must be at least 1$"):
+        audit_richness(alpha1, _empty_graph(), 0)
 
 
 def test_resume_zero_is_identity(alpha1):

@@ -264,6 +264,8 @@ def test_enumeration_is_the_oracle_filtered_to_strong_in_class():
     mixed = PredimensionSpec.make(
         relational=True, components=((LinearOracle(3), F(1, 2)), (oracle_by_name("uniform2"), F(1, 2)))
     )
+    # a component without a palette: codes alone name the classes
+    uniform2 = PredimensionSpec.make(relational=True, components=((oracle_by_name("uniform2"), F(1, 2)),))
     sigs = [
         graph_signature(),
         graph_signature(F(1, 2)),
@@ -273,9 +275,10 @@ def test_enumeration_is_the_oracle_filtered_to_strong_in_class():
     ]
     cases = [(spec_alpha(), sig, None) for sig in sigs]
     cases += [(linear5, graph_signature(), 5), (mixed, graph_signature(), 3), (spec_fusion(), Signature(()), 5)]
+    cases += [(uniform2, graph_signature(), None)]
     seen = {"kept": 0, "dropped": 0, "max_new": 0}
     done = set()
-    for i in range(80):
+    for i in range(90):
         spec, sig, p = cases[i % len(cases)]
         base = random_structure(rng, sig, rng.randint(0, 4), density=rng.choice((0.2, 0.5)))
         if p:

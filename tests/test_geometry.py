@@ -145,15 +145,26 @@ def test_dim_and_gcl_match_their_delta_definitions_at_n40(alpha1):
     assert gcl(alpha1, s) == tuple(x for x in elems if _delta_dim(alpha1, s, (x,)) == 0)
 
 
-def test_geometry_verdict_is_checked_once_per_spec_and_structure():
+def test_geometry_verdict_is_checked_on_every_query():
+    # no verdict is kept, so every query refuses again
     half = graph(3, [(0, 1), (1, 2)], weight=F(1, 2))
-    for _ in range(2):  # the cached verdict still refuses
-        with pytest.raises(GeometryError):
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="^weight of E is not an integer$"):
             dim(spec_alpha(), half, [0])
-    g = graph(3, [(0, 1)])
-    require_geometric(spec_alpha(), g)
-    assert g._sessions[spec_alpha()].geometric == ""
-    assert half._sessions[spec_alpha()].geometric == "weight of E is not an integer"
+    require_geometric(spec_alpha(), graph(3, [(0, 1)]))
+    # relational + linear5 1/1 lets a singleton reach 2, so each element is checked
+    spec = PredimensionSpec.make(relational=True, components=((oracle_by_name("linear5"), F(1)),))
+
+    def lifted(vector):
+        ann = {0: ("0", "0"), 1: vector, 2: ("0", "0")}
+        return FinStructure(Signature((("E", 2),)), range(3), {"E": [(0, 1)]}, ann)
+
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="^element 1 has predimension 2 > 1$"):
+            gcl(spec, lifted(("1", "0")))
+    zero = lifted(("0", "0"))
+    require_geometric(spec, zero)
+    assert dim(spec, zero, [0, 1, 2]) == 2
 
 
 def _gcl_by_elements(spec, struct, base=()):

@@ -171,12 +171,6 @@ def test_no_module_imports_dataclasses():
 # name); a new crossing needs an entry here.
 PRIVATE_CROSSINGS = {
     ("cli", "textio", "_ascii_int"),
-    ("collapse", "builder", "_run"),
-    ("collapse", "builder", "_strong_bases"),
-    ("geometry", "strongsets", "_check_sets"),
-    ("geometry", "strongsets", "_greatest_minimizer"),
-    ("geometry", "strongsets", "_session"),
-    ("geometry", "strongsets", "_solved"),
 }
 
 

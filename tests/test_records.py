@@ -40,8 +40,8 @@ RECORDS = [
      " violations=('x',))", True),
     (StrongReport, "verdict deficiency witness", (False, F(-1), (0, 1)), (None,), None,
      "StrongReport(verdict=False, deficiency=Fraction(-1, 1), witness=(0, 1))", True),
-    (_Session, "root queried geometric", ("net", True, ""), (None, False, None), None,
-     "_Session(root='net', queried=True, geometric='')", False),
+    (_Session, "root queried", ("net", True), (None, False), False,
+     "_Session(root='net', queried=True)", False),
     (ExtensionClass,
      "base ext new_elements delta_over_base minimal prealgebraic code",
      (S, T, (2,), F(1), False, False, b"\x01"), (), b"\x02",

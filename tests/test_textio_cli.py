@@ -349,6 +349,18 @@ def test_cli_count_copies(files, tmp_path, capsys):
     assert "count\t3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap, count", [(None, 5), (2, 3), (9, 5)])
+def test_cli_count_copies_stops_past_the_cap(files, tmp_path, capsys, cap, count):
+    # past N copies the count stops and reports N + 1
+    star = tmp_path / "star5.structure"
+    star.write_text(serialize_structure(graph(6, [(0, leaf) for leaf in range(1, 6)])))
+    ext = tmp_path / "pend.structure"
+    ext.write_text("universe 2\nrel E 2 1/1\ntup E 0 1\n")
+    argv = ["count-copies", "--spec", str(files / "alpha.spec"), "--base", "0", "--ext", str(ext), str(star)]
+    assert main(argv + ([] if cap is None else ["--cap", str(cap)])) == 0
+    assert capsys.readouterr().out == f"count\t{count}\n"
+
+
 def test_cli_exit_codes_for_bad_input(files, tmp_path, capsys):
     # missing file
     assert main(["delta", "--spec", str(files / "alpha.spec"), str(tmp_path / "nope")]) == 2
@@ -409,6 +421,23 @@ def test_cli_audit_all_zero_samples_warns(files, capsys):
     captured = capsys.readouterr()
     assert "vacuous\ttrue" in captured.out
     assert "vacuous" in captured.err
+
+
+def test_cli_exchange_audit_zero_samples_is_vacuous(files, capsys):
+    argv = ["exchange-audit", "--spec", str(files / "alpha.spec"), "--samples", "0", str(files / "k3.structure")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "dim-additivity.checked\t0\ndim-additivity.violations\t0\n"
+        "exchange.checked\t0\nexchange.violations\t0\nvacuous\ttrue\n"
+    )
+    assert captured.err == "warning: zero sample budgets, every audit is vacuous\n"
+
+
+def test_cli_audit_refuses_level_zero(files, capsys):
+    assert main(["audit", "--spec", str(files / "alpha.spec"), "--k", "0", str(files / "k3.structure")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: level k must be at least 1\n"
 
 
 def test_cli_audit_all_refuses_max_n_zero(files, capsys):

@@ -13,6 +13,13 @@ generic build runs it with a free extension as its step, the collapsed build
 decided by the one test `_obligation_test` picks per structure:
 `richness.met_fast` on a valid weight-1 pseudoforest, else `obligation_met`.
 
+No obligation is sorted.  The strong bases come grouped by `pinned_shape`,
+each group in ids order (`strongsets.strong_subsets_by_shape`), and the
+classes are looked up once per shape.  A code fixes its base's shape, so
+each code belongs to one group, and running the classes of one base size in
+(|B|, code) order, each over its whole group, is that order
+(`_obligations`).  A build keeps the groups and adds only the new bases.
+
 Satisfaction is monotone under free growth over strong bases (strong sets
 stay strong, embeddings survive), so previously satisfied obligations are
 cached and never rechecked.
@@ -20,6 +27,7 @@ cached and never rechecked.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -29,7 +37,7 @@ from .extensions import ExtensionClass, enumerate_extensions
 from .predimension import PredimensionSpec, rank_compat
 from .richness import Pseudoforest, met_fast
 from .structures import FinStructure, find_embeddings
-from .strongsets import alpha_one_profile, in_class, strong_subsets, strong_verdict
+from .strongsets import alpha_one_profile, in_class, strong_subsets_by_shape, strong_verdict
 
 
 def _obligation_test(
@@ -81,14 +89,16 @@ def classes_over(
     base_ids: tuple[int, ...],
     k: int,
     cache: dict[tuple, list[ExtensionClass]],
+    shape: Optional[tuple] = None,
 ) -> list[ExtensionClass]:
     """Obligation classes over a concrete base, via a cache keyed by the
-    base's `pinned_shape`; the base is restricted only on a miss.
+    base's `pinned_shape` (computed unless given as `shape`); the base is
+    restricted only on a miss.
 
     The classes are the cached templates, over the first base of this shape
     that was seen; `ExtensionClass.base_map` pins one onto `base_ids`.
     """
-    key = pinned_shape(struct, base_ids)
+    key = pinned_shape(struct, base_ids) if shape is None else shape
     if key not in cache:
         cache[key] = enumerate_extensions(spec, struct.restrict(base_ids), k - len(base_ids))
     return cache[key]
@@ -131,22 +141,22 @@ def strong_embedding(
 def _obligations(
     spec: PredimensionSpec,
     struct: FinStructure,
-    strong_sets: list[tuple[int, ...]],
+    groups: dict[tuple, list[tuple[int, ...]]],
     k: int,
     cache: dict[tuple, list[ExtensionClass]],
-) -> Iterator[tuple[tuple[int, ...], ExtensionClass]]:
-    """All obligations in (|A|, |B|, class code, A) order."""
+) -> Iterator[tuple[ExtensionClass, list[tuple[int, ...]]]]:
+    """All obligations in (|A|, |B|, class code, A) order, as runs of one
+    class over the strong bases of its shape, from those bases grouped by
+    shape, each group in ids order (`strong_subsets_by_shape`)."""
     for asize in range(0, k):
-        bases = [A for A in strong_sets if len(A) == asize]
-        per_bsize: dict[int, list[tuple[bytes, tuple[int, ...]]]] = {}
-        by_code: dict[bytes, ExtensionClass] = {}  # one template per code: a code fixes its base's shape
-        for A in bases:
-            for cls in classes_over(spec, struct, A, k, cache):
-                per_bsize.setdefault(cls.size, []).append((cls.code, A))
-                by_code[cls.code] = cls
-        for bsize in sorted(per_bsize):
-            for code, A in sorted(per_bsize[bsize]):
-                yield A, by_code[code]
+        found = [
+            (cls.size, cls.code, cls, bases)
+            for shape, bases in groups.items() if len(bases[0]) == asize
+            for cls in classes_over(spec, struct, bases[0], k, cache, shape)
+        ]
+        found.sort(key=lambda f: f[:2])
+        for _, _, cls, bases in found:
+            yield cls, bases
 
 
 def _annotation_shift(
@@ -213,7 +223,8 @@ def discharge(ga: GenericApprox, base_ids: tuple[int, ...], cls: ExtensionClass)
 
 
 class GenericApprox:
-    """Mutable build state: the structure so far plus scheduling caches.
+    """Mutable build state: the structure so far plus scheduling caches,
+    among them the strong bases grouped by shape.
 
     `step(ga, base_ids, cls)` realizes one unmet obligation, with the class
     already over `base_ids`, and returns the fresh element ids; the default
@@ -245,7 +256,7 @@ class GenericApprox:
         self._class_cache: dict[tuple, list[ExtensionClass]] = {}
         self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
         self._met = _obligation_test(spec, start, self._plans)
-        self._strong = strong_subsets(spec, start, k)
+        self._strong = strong_subsets_by_shape(spec, start, k)
 
     def grow(self, struct: FinStructure, new_ids: tuple[int, ...]) -> None:
         """Move to `struct`, a free extension of the current structure by
@@ -253,9 +264,11 @@ class GenericApprox:
         self.current = struct
         self._met = _obligation_test(self.spec, struct, self._plans)
         # Only subsets meeting the fresh elements can change strength status;
-        # everything else keeps its verdict under free growth.
-        added = [c for c in strong_subsets(self.spec, struct, self.k, set(new_ids)) if c]
-        self._strong = sorted(self._strong + added, key=lambda t: (len(t), t))
+        # everything else keeps its verdict, and its shape, under free growth.
+        for shape, bases in strong_subsets_by_shape(self.spec, struct, self.k, set(new_ids)).items():
+            for A in bases:
+                if A:
+                    insort(self._strong.setdefault(shape, []), A)
 
 
 def build_generic(
@@ -278,7 +291,8 @@ def resume(ga: GenericApprox, extra_budget: int) -> GenericApprox:
     ga.allowance += extra_budget
     ga.blocked = None
     while True:
-        for A, cls in _obligations(ga.spec, ga.current, ga._strong, ga.k, ga._class_cache):
+        runs = _obligations(ga.spec, ga.current, ga._strong, ga.k, ga._class_cache)
+        for A, cls in ((A, cls) for cls, bases in runs for A in bases):
             if (A, cls.code) not in ga._satisfied:
                 if not ga._met(A, cls):
                     break
@@ -307,15 +321,15 @@ def audit_richness(
     if not spec.valid:
         raise BuilderError("audit requires a valid spec")
     met = _obligation_test(spec, struct)
-    strong_sets = strong_subsets(spec, struct, k)
-    cache: dict[tuple, list[ExtensionClass]] = {}
+    groups = strong_subsets_by_shape(spec, struct, k)
     total = 0
     satisfied = 0
     unmet = []
-    for A, cls in _obligations(spec, struct, strong_sets, k, cache):
-        total += 1
-        if met(A, cls):
-            satisfied += 1
-        else:
-            unmet.append((A, cls.code))
+    for cls, bases in _obligations(spec, struct, groups, k, {}):
+        total += len(bases)
+        for A in bases:
+            if met(A, cls):
+                satisfied += 1
+            else:
+                unmet.append((A, cls.code))
     return RichnessReport(k=k, total=total, satisfied=satisfied, unmet=tuple(unmet))

@@ -44,22 +44,10 @@ def _refine(struct: FinStructure, colors: Colors) -> Colors:
         ncolors = len(order)
 
 
-def _shape(struct: FinStructure, order: list[int]) -> tuple:
-    """The annotations along `order`, then per symbol in signature order the
-    sorted instances inside `order`, each element renamed to its place."""
-    place = {v: p for p, v in enumerate(order)}.__getitem__
-    norm = tuple if struct.sig.ordered else sorted
-    inside = struct.inside(set(order))
-    return (
-        tuple([struct.annotation(v) for v in order]),
-        tuple(tuple(sorted([tuple(norm(map(place, t))) for t in inside[name]])) for name in struct.sig.names),
-    )
-
-
 def _serialize(struct: FinStructure, init_colors: Colors, colors: Colors) -> tuple[bytes, Colors]:
     """Certificate bytes for a discrete colouring, plus element->position map."""
     order = sorted(struct.universe, key=colors.__getitem__)
-    body = (len(order), tuple([init_colors[v] for v in order]), *_shape(struct, order))
+    body = (len(order), tuple([init_colors[v] for v in order]), *struct.shape(order))
     return repr(body).encode(), {v: p for p, v in enumerate(order)}
 
 
@@ -153,7 +141,7 @@ def pinned_shape(struct: FinStructure, base: Iterable[int]) -> tuple:
     renamed to their places in sorted order.  With every base element pinned,
     `code_over_base(struct.restrict(base), base)` is the `repr` of this body
     behind the places, so two bases get equal shapes exactly when equal codes."""
-    return _shape(struct, sorted(set(base)))
+    return struct.shape(sorted(set(base)))
 
 
 def pair_code(struct: FinStructure, base: Iterable[int]) -> bytes:

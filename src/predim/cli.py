@@ -237,8 +237,9 @@ def _cmd_audit(args) -> int:
 
 
 def _audit_facts(facts: dict, results: list[AuditResult], prefix: str = "") -> None:
-    """Each audit's counts and witness, flagged vacuous (with a warning)
-    when none of them checked anything."""
+    """Each audit's counts and witness, flagged vacuous (with a warning):
+    all at once when none of them checked anything, else each one that
+    checked nothing."""
     for res in results:
         facts[f"{prefix}{res.name}.checked"] = res.checked
         facts[f"{prefix}{res.name}.violations"] = res.violations
@@ -247,6 +248,11 @@ def _audit_facts(facts: dict, results: list[AuditResult], prefix: str = "") -> N
     if not any(res.checked for res in results):
         facts["vacuous"] = True
         print("warning: zero sample budgets, every audit is vacuous", file=sys.stderr)
+        return
+    for res in results:
+        if not res.checked:
+            facts[f"{prefix}{res.name}.vacuous"] = True
+            print(f"warning: the {res.name} audit checked nothing and is vacuous", file=sys.stderr)
 
 
 def _cmd_exchange_audit(args) -> int:

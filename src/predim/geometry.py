@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .predimension import PredimensionSpec, delta
+from .predimension import FreeOracle, PredimensionSpec, UniformOracle, delta
 from .strongsets import closure_delta, greatest_closure
 from .structures import FinStructure
 
@@ -26,9 +26,10 @@ class GeometryError(ValueError):
 def require_geometric(spec: PredimensionSpec, struct: FinStructure) -> None:
     """Integer-valued delta with singletons worth at most 1, on a valid spec.
 
-    A singleton's rank is 0 or 1 in every component, so its delta is at most
-    [relational] + sum of max(coef, 0); elements are checked one by one only
-    when that bound is above 1."""
+    A free, cardinality or uniform rank depends only on size, so it gives a
+    singleton exactly its coefficient; a linear rank is 0 or 1, so at most
+    max(coef, 0).  Elements are checked one by one only when [relational]
+    plus those terms is above 1."""
     if not spec.valid:
         raise GeometryError("pregeometry needs a valid (submodular) spec")
     for name in struct.sig.names:
@@ -37,7 +38,8 @@ def require_geometric(spec: PredimensionSpec, struct: FinStructure) -> None:
     for _, coef in spec.components:
         if coef.denominator != 1:
             raise GeometryError(f"component coefficient {coef} is not an integer")
-    if spec.relational + sum(max(coef, 0) for _, coef in spec.components) > 1:
+    sized = (FreeOracle, UniformOracle)
+    if spec.relational + sum(c if isinstance(o, sized) else max(c, 0) for o, c in spec.components) > 1:
         for e in struct.universe:
             v = delta(spec, struct, (e,))
             if v > 1:

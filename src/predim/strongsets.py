@@ -15,7 +15,11 @@ the brute oracle and `graph_strong`).  The routes:
 - `strong_verdict` asks whether it is empty, except on weight-1 graph specs
   (`alpha_one_profile`), where `graph_strong` decides from the structure's
   cached component table, on `struct.restrict(within)` given an ambient set;
-  `strong_subsets` lists the small strong subsets by the same routing;
+- `strong_subsets_by_shape` lists the small strong subsets grouped by
+  shape: on weight-1 graph specs as unions of connected pieces, at most one
+  per component, with no strength test and most shapes composed from the
+  pieces' shapes (`_graph_strong_subsets`), else by `strong_verdict` on
+  every subset;
 - `is_strong` reports the exact deficiency: from the kernel for a valid spec
   (`_flow_nonempty_min`), from the brute-force oracle for an invalid one,
   which refuses with a `SpecError` past BRUTE_LIMIT (20) free elements, or
@@ -41,8 +45,9 @@ All engines are exact; the brute oracle and the unrouted subset search
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
@@ -673,23 +678,131 @@ def strong_verdict(
     return is_strong(spec, struct, b, w).verdict
 
 
-def strong_subsets(
+def strong_subsets_by_shape(
     spec: PredimensionSpec,
     struct: FinStructure,
     below: int,
     near: Optional[set[int]] = None,
-) -> list[tuple[int, ...]]:
-    """Strong subsets with fewer than `below` elements in (size, ids) order,
-    decided by `graph_strong` on weight-1 graph specs; with `near`, only the
-    empty set and the subsets meeting `near`."""
+) -> dict[tuple, list[tuple[int, ...]]]:
+    """The strong subsets with fewer than `below` elements, grouped by
+    shape (`FinStructure.shape` of the sorted set, which is
+    `canonical.pinned_shape`), each group in ids order; with `near`, only the
+    empty set and the subsets meeting `near`.  Weight-1 graph specs list
+    them as unions of pieces (`_graph_strong_subsets`), other specs filter
+    every subset by `strong_verdict`."""
     if alpha_one_profile(spec, struct):
-        strong = partial(graph_strong, struct)
-    else:
-        strong = partial(strong_verdict, spec, struct)
-    return [
-        c for size in range(below) for c in combinations(struct.universe, size)
-        if (near is None or not c or not near.isdisjoint(c)) and strong(c)
-    ]
+        return _graph_strong_subsets(struct, below, near)
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    for size in range(below):
+        for c in combinations(struct.universe, size):
+            if (near is None or not c or not near.isdisjoint(c)) and strong_verdict(spec, struct, c):
+                groups.setdefault(struct.shape(c), []).append(c)
+    return groups
+
+
+def _pieces(struct: FinStructure, elems: list[int], size: int, excess: int) -> list[tuple[int, ...]]:
+    """The connected subsets of one component with at most `size` elements
+    and the component's excess (instances less elements), sorted.  Each is
+    grown once from its least element, through the neighbours of each added
+    element that no earlier one reaches (ESU: Wernicke, IEEE/ACM TCBB 3(4),
+    2006)."""
+    adj, inc = struct.adjacency(), struct.incidence()
+    out: list[tuple[int, ...]] = []
+    if size < 1:
+        return out
+
+    def grow(sub: tuple[int, ...], ext: list[int], reach: frozenset[int], edges: int) -> None:
+        if edges - len(sub) == excess:
+            out.append(tuple(sorted(sub)))
+        if len(sub) < size:
+            for i, w in enumerate(ext):
+                more = [u for u in adj[w] if u > sub[0] and u not in reach]
+                joins = sum([t[0] in sub or t[1] in sub for _, t in inc[w]])
+                grow(sub + (w,), ext[i + 1:] + more, reach | adj[w], edges + joins)
+
+    for v in elems:
+        grow((v,), [u for u in adj[v] if u > v], adj[v] | {v}, 0)
+    return out
+
+
+def _graph_strong_subsets(
+    struct: FinStructure, below: int, near: Optional[set[int]]
+) -> dict[tuple, list[tuple[int, ...]]]:
+    """`strong_subsets_by_shape` on a weight-1 graph, with no strength test.
+
+    By `graph_strong`, A is strong exactly when it meets every crowded
+    component and, in each component C it meets, A & C has C's excess.  For
+    a graph, e - |.| is its cyclomatic number less its number of
+    components, and a subgraph of C has at most C's cyclomatic number, so
+    that holds exactly when A & C is connected with C's cyclomatic number.
+    So the strong sets are the unions of such pieces (`_pieces`), one from
+    each of some components, every crowded one among them.  The components
+    are joined crowded first, then those with a piece meeting `near`, so a
+    union that can no longer meet either stops.
+
+    No instance joins two components, so a union's shape follows from its
+    pieces' shapes, in join order, and the join depth of each of its
+    elements in ids order.  A union is kept as its elements shifted past
+    their depths, so one sort gives both, and each shape is computed once
+    per such pattern."""
+    _, comp_elems, excess, crowded = struct.components()
+    composed = near is None  # else few unions are found: each gets its own shape, the pieces none
+    met = (lambda p: True) if composed else (lambda p: not near.isdisjoint(p))
+    comps = []
+    for r, elems in comp_elems.items():
+        # a component missing `near` joins only beside a piece that meets it: leave that piece room
+        room = below - 1 if composed or not near.isdisjoint(elems) else below - 2
+        pieces = _pieces(struct, elems, room, excess[r])
+        if r in crowded and not pieces:
+            return {}
+        comps.append((r not in crowded, not any(map(met, pieces)), r, pieces))
+    comps.sort()
+    bits = max(below, 1).bit_length()  # join depths are below `below`
+    kinds: dict[tuple, int] = {}  # piece shapes, numbered
+    # per piece size, (component position, piece kind, the piece coded at
+    # each depth, does it meet `near`), by position
+    by_size: list[list] = [[] for _ in range(below)]
+    for pos, (_, _, _, pieces) in enumerate(comps):
+        for p in pieces:
+            kind = kinds.setdefault(struct.shape(p), len(kinds)) if composed else 0
+            coded = [tuple([x << bits | d for x in p]) for d in range(below - 1)]
+            by_size[len(p)].append((pos, kind, coded, met(p)))
+    starts = [[row[0] for row in rows] for rows in by_size]
+    last = len(crowded) - 1  # positions up to `last` are crowded and must all be joined
+    last_near = max([pos for pos, c in enumerate(comps) if not c[1]], default=-1)
+    found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # by piece kinds, in join order
+
+    def join(start: int, acc: tuple[int, ...], joined: tuple[int, ...], left: int, hit: bool) -> None:
+        for size in range(1, left + 1):
+            rows = by_size[size]
+            for i in range(bisect_left(starts[size], start), len(rows)):
+                pos, kind, coded, meets = rows[i]
+                if (start <= last and pos > start) or not (hit or pos <= last_near):
+                    break
+                union, kinds_in = acc + coded[len(joined)], joined + (kind,)
+                reached = hit or meets
+                if reached and pos >= last:
+                    found.setdefault(kinds_in, []).append(union)
+                if size < left and (reached or pos < last_near):
+                    join(pos + 1, union, kinds_in, left - size, reached)
+
+    join(0, (), (), below - 1, composed)
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    if not crowded and below > 0:
+        groups[struct.shape(())] = [()]
+    depth, shapes = (1 << bits) - 1, list(kinds)
+    while found:
+        joined, unions = found.popitem()
+        patterns: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for u in map(sorted, unions):
+            base = tuple([c >> bits for c in u])
+            patterns.setdefault(tuple([c & depth for c in u]) if composed else base, []).append(base)
+        for bases in patterns.values():
+            one = composed and len(joined) == 1  # one piece: its own shape
+            groups.setdefault(shapes[joined[0]] if one else struct.shape(bases[0]), []).extend(bases)
+    for bases in groups.values():
+        bases.sort()
+    return groups
 
 
 def in_class(spec: PredimensionSpec, struct: FinStructure) -> bool:

@@ -277,6 +277,18 @@ class FinStructure:
             found[name] = frozenset(ts)
         return found
 
+    def shape(self, order: Sequence[int]) -> tuple:
+        """The annotations along `order`, then per symbol in signature order
+        the sorted instances inside `order`, each element renamed to its
+        place: the induced structure on `order` as a hashable key."""
+        place = {v: p for p, v in enumerate(order)}.__getitem__
+        norm = tuple if self.sig.ordered else sorted
+        inside = self.inside(set(order))
+        return (
+            tuple([self.annotation(v) for v in order]),
+            tuple(tuple(sorted([tuple(norm(map(place, t))) for t in inside[name]])) for name in self.sig.names),
+        )
+
     def restrict(self, subset: Iterable[int]) -> "FinStructure":
         """Induced substructure on `subset` (must consist of elements)."""
         sub = set(int(e) for e in subset)

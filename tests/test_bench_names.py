@@ -46,6 +46,6 @@ def test_every_traced_name_resolves():
 
 
 def test_the_check_sees_an_imported_function():
-    # builder only imports strong_subsets, so the tracer times it under strongsets
-    names = ["builder.strong_subsets.calls", "strongsets.strong_subsets.calls"]
-    assert _unresolved(names) == ["builder.strong_subsets.calls"]
+    # builder only imports strong_subsets_by_shape, so the tracer times it under strongsets
+    names = ["builder.strong_subsets_by_shape.calls", "strongsets.strong_subsets_by_shape.calls"]
+    assert _unresolved(names) == ["builder.strong_subsets_by_shape.calls"]

@@ -21,6 +21,7 @@ from predim import (
     require_geometric,
     serialize_structure,
 )
+from predim import geometry
 from predim.cli import main
 from predim.sampling import random_sparse_graph, random_subset, random_vectors
 from predim.strongsets import closure_delta
@@ -165,6 +166,24 @@ def test_geometry_verdict_is_checked_on_every_query():
     zero = lifted(("0", "0"))
     require_geometric(spec, zero)
     assert dim(spec, zero, [0, 1, 2]) == 2
+
+
+def test_sized_components_count_their_coefficients_exactly(monkeypatch):
+    # cardinality and uniform ranks give every singleton rank 1, so
+    # relational + cardinality -1 + uniform2 1/1 caps a singleton at exactly 1
+    # and no element's delta is evaluated; relational + uniform2 1/1 reaches 2
+    calls = []
+    monkeypatch.setattr(geometry, "delta", lambda *a: calls.append(a) or delta(*a))
+    g = random_sparse_graph(random.Random(45), 40, extra_edges=3)
+    capped = PredimensionSpec.make(
+        relational=True, components=((oracle_by_name("cardinality"), F(-1)), (UniformOracle(2), F(1)))
+    )
+    require_geometric(capped, g)
+    assert calls == []
+    lifted = PredimensionSpec.make(relational=True, components=((UniformOracle(2), F(1)),))
+    with pytest.raises(GeometryError, match="^element 0 has predimension 2 > 1$"):
+        dim(lifted, g, [0])
+    assert len(calls) == 1
 
 
 def _gcl_by_elements(spec, struct, base=()):

@@ -434,6 +434,19 @@ def test_cli_exchange_audit_zero_samples_is_vacuous(files, capsys):
     assert captured.err == "warning: zero sample budgets, every audit is vacuous\n"
 
 
+def test_cli_exchange_audit_flags_the_audit_that_checked_nothing(tmp_path, files, capsys):
+    # exchange needs two elements, so on one element only dim-additivity checks
+    (tmp_path / "point.structure").write_text("universe 1\nrel E 2 1/1\n")
+    argv = ["exchange-audit", "--spec", str(files / "alpha.spec"), "--samples", "5", str(tmp_path / "point.structure")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "dim-additivity.checked\t5\ndim-additivity.violations\t0\n"
+        "exchange.checked\t0\nexchange.vacuous\ttrue\nexchange.violations\t0\n"
+    )
+    assert captured.err == "warning: the exchange audit checked nothing and is vacuous\n"
+
+
 def test_cli_audit_refuses_level_zero(files, capsys):
     assert main(["audit", "--spec", str(files / "alpha.spec"), "--k", "0", str(files / "k3.structure")]) == 2
     captured = capsys.readouterr()

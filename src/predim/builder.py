@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .canonical import pinned_shape
 from .extensions import ExtensionClass, enumerate_extensions
 from .predimension import PredimensionSpec, rank_compat
 from .richness import Pseudoforest, met_fast
@@ -89,19 +88,18 @@ def classes_over(
     base_ids: tuple[int, ...],
     k: int,
     cache: dict[tuple, list[ExtensionClass]],
-    shape: Optional[tuple] = None,
+    shape: tuple,
 ) -> list[ExtensionClass]:
-    """Obligation classes over a concrete base, via a cache keyed by the
-    base's `pinned_shape` (computed unless given as `shape`); the base is
-    restricted only on a miss.
+    """Obligation classes over a concrete base, via a cache keyed by
+    `shape`, the base's `pinned_shape`; the base is restricted only on a
+    miss.
 
     The classes are the cached templates, over the first base of this shape
     that was seen; `ExtensionClass.base_map` pins one onto `base_ids`.
     """
-    key = pinned_shape(struct, base_ids) if shape is None else shape
-    if key not in cache:
-        cache[key] = enumerate_extensions(spec, struct.restrict(base_ids), k - len(base_ids))
-    return cache[key]
+    if shape not in cache:
+        cache[shape] = enumerate_extensions(spec, struct.restrict(base_ids), k - len(base_ids))
+    return cache[shape]
 
 
 def obligation_met(

@@ -21,7 +21,7 @@ from .canonical import pinned_shape
 from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
 from .predimension import PredimensionSpec, delta, rank_compat
 from .structures import FinStructure, Record, find_embeddings
-from .strongsets import closure, in_class, strong_subsets_by_shape, strong_verdict
+from .strongsets import closure, in_class, strong_subsets, strong_verdict
 
 
 class MuError(ValueError):
@@ -119,13 +119,12 @@ def biminimal_base(
     base = tuple(sorted(base_ids))
     new = tuple(sorted(set(ext.universe).difference(base)))
     qualifying = []
-    for group in strong_subsets_by_shape(spec, ext.restrict(base), len(base) + 1).values():
-        for sub in group:
-            # the new part must be prealgebraic and minimal over `sub` in the
-            # induced structure on their union
-            union = ext.restrict(sorted(set(sub) | set(new)))
-            if delta(spec, union) == delta(spec, union, sub) and is_minimal_extension(spec, union, sub):
-                qualifying.append(frozenset(sub))
+    for sub in strong_subsets(spec, ext.restrict(base), len(base) + 1):
+        # the new part must be prealgebraic and minimal over `sub` in the
+        # induced structure on their union
+        union = ext.restrict(sorted(set(sub) | set(new)))
+        if delta(spec, union) == delta(spec, union, sub) and is_minimal_extension(spec, union, sub):
+            qualifying.append(frozenset(sub))
     if not qualifying:
         raise BiminimalError(
             "no strong sub-base admits the new part as a minimal prealgebraic extension"
@@ -250,17 +249,16 @@ def mu_violations(
         allowed = _ball(struct, around, bound)
     cache = class_cache if class_cache is not None else {}
     violations = []
-    for shape, bases in strong_subsets_by_shape(spec, struct, bound, near=allowed).items():
-        key = (shape, bound - len(bases[0]))
+    for base in strong_subsets(spec, struct, bound, near=allowed):
+        key = (pinned_shape(struct, base), bound - len(base))
         if key not in cache:
-            cache[key] = enumerate_minimal_extensions(spec, struct.restrict(bases[0]), bound - len(bases[0]))
-        for base in bases:
-            for cls in cache[key]:
-                limit = mu.value(cls)
-                count = count_independent_copies(spec, struct, base, cls)
-                if count > limit:
-                    violations.append((base, cls.code, count, limit))
-    return tuple(sorted(violations, key=lambda v: (len(v[0]), v[0])))  # stable: class order per base
+            cache[key] = enumerate_minimal_extensions(spec, struct.restrict(base), bound - len(base))
+        for cls in cache[key]:
+            limit = mu.value(cls)
+            count = count_independent_copies(spec, struct, base, cls)
+            if count > limit:
+                violations.append((base, cls.code, count, limit))
+    return tuple(violations)
 
 
 def in_class_mu(

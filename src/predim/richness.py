@@ -13,8 +13,8 @@ elements tractable.
 Everything here is exact and is cross-checked against the generic engines in
 the test suite.  `Pseudoforest` and `met_fast` stay beside those engines
 because they still pay: on a 2-core machine with Python 3.11, the level-4
-audits of the k=3 builds took 0.07-0.09 s at n=40 and 0.28-0.29 s at n=80
-with them, and 0.84-0.86 s and 7.3-7.9 s with the generic engines alone
+audits of the k=3 builds took 0.10-0.11 s at n=40 and 0.48-0.59 s at n=80
+with them, and 0.91-0.98 s and 8.0-9.6 s with the generic engines alone
 (three runs each, over the same strong-base walk).
 """
 
@@ -58,7 +58,6 @@ class Pseudoforest:
     def __init__(self, struct: FinStructure, plans: Optional[dict[bytes, _Plan]] = None):
         self.struct = struct
         self.comp_of, self.comp_elems, _, crowded = struct.components()
-        self.adj = struct.adjacency()
         self.valid = not crowded
         self.plans: dict[bytes, _Plan] = {} if plans is None else plans
         self._targets: dict[int, FinStructure] = {}
@@ -102,7 +101,7 @@ class Pseudoforest:
         neighbours of u, each along an instance of its symbol and with its
         subtree fitting below that neighbour, away from u?  Exact when the
         part of the structure below `nbrs` is a tree."""
-        adj, inc = self.adj, self.struct.incidence()
+        adj, inc = self.struct.adjacency(), self.struct.incidence()
         options = [
             [v for name, t in inc[u] if name == sym for v in t
              if v in nbrs and (not sub or self.hangs(sub, v, adj[v] - {u}))]
@@ -241,7 +240,7 @@ def met_fast(pf: Pseudoforest, base_ids: tuple[int, ...], cls: ExtensionClass) -
             return False
     if plan.places:
         base = sorted(base_ids)
-        adj = pf.adj
+        adj = pf.struct.adjacency()
         for place, trees in plan.places:
             a = base[place]
             key = (a, adj[a].difference(base), trees)

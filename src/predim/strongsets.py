@@ -15,11 +15,10 @@ the brute oracle and `graph_strong`).  The routes:
 - `strong_verdict` asks whether it is empty, except on weight-1 graph specs
   (`alpha_one_profile`), where `graph_strong` decides from the structure's
   cached component table, on `struct.restrict(within)` given an ambient set;
-- `strong_subsets_by_shape` lists the small strong subsets grouped by
-  shape: on weight-1 graph specs as unions of connected pieces, at most one
-  per component, with no strength test and most shapes composed from the
-  pieces' shapes (`_graph_strong_subsets`), else by `strong_verdict` on
-  every subset;
+- `strong_subsets` lists the small strong subsets: on weight-1 graph specs
+  as unions of connected pieces, at most one per component, with no
+  strength test (`_graph_strong_subsets`), else by `strong_verdict` on
+  every subset; `strong_subsets_by_shape` groups them by shape;
 - `is_strong` reports the exact deficiency: from the kernel for a valid spec
   (`_flow_nonempty_min`), from the brute-force oracle for an invalid one,
   which refuses with a `SpecError` past BRUTE_LIMIT (20) free elements, or
@@ -678,25 +677,37 @@ def strong_verdict(
     return is_strong(spec, struct, b, w).verdict
 
 
+def strong_subsets(
+    spec: PredimensionSpec,
+    struct: FinStructure,
+    below: int,
+    near: Optional[set[int]] = None,
+) -> list[tuple[int, ...]]:
+    """Strong subsets with fewer than `below` elements in (size, ids) order;
+    with `near`, only the empty set and the subsets meeting `near`.
+    Weight-1 graph specs list them as unions of pieces
+    (`_graph_strong_subsets`), other specs filter every subset by
+    `strong_verdict`."""
+    if alpha_one_profile(spec, struct):
+        return _graph_strong_subsets(struct, below, near)
+    return [
+        c for size in range(below) for c in combinations(struct.universe, size)
+        if (near is None or not c or not near.isdisjoint(c)) and strong_verdict(spec, struct, c)
+    ]
+
+
 def strong_subsets_by_shape(
     spec: PredimensionSpec,
     struct: FinStructure,
     below: int,
     near: Optional[set[int]] = None,
 ) -> dict[tuple, list[tuple[int, ...]]]:
-    """The strong subsets with fewer than `below` elements, grouped by
-    shape (`FinStructure.shape` of the sorted set, which is
-    `canonical.pinned_shape`), each group in ids order; with `near`, only the
-    empty set and the subsets meeting `near`.  Weight-1 graph specs list
-    them as unions of pieces (`_graph_strong_subsets`), other specs filter
-    every subset by `strong_verdict`."""
-    if alpha_one_profile(spec, struct):
-        return _graph_strong_subsets(struct, below, near)
+    """`strong_subsets` grouped by shape (`FinStructure.shape` of the
+    sorted set, which is `canonical.pinned_shape`), each group in ids
+    order."""
     groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for size in range(below):
-        for c in combinations(struct.universe, size):
-            if (near is None or not c or not near.isdisjoint(c)) and strong_verdict(spec, struct, c):
-                groups.setdefault(struct.shape(c), []).append(c)
+    for c in strong_subsets(spec, struct, below, near):
+        groups.setdefault(struct.shape(c), []).append(c)
     return groups
 
 
@@ -727,8 +738,8 @@ def _pieces(struct: FinStructure, elems: list[int], size: int, excess: int) -> l
 
 def _graph_strong_subsets(
     struct: FinStructure, below: int, near: Optional[set[int]]
-) -> dict[tuple, list[tuple[int, ...]]]:
-    """`strong_subsets_by_shape` on a weight-1 graph, with no strength test.
+) -> list[tuple[int, ...]]:
+    """`strong_subsets` on a weight-1 graph, with no strength test.
 
     By `graph_strong`, A is strong exactly when it meets every crowded
     component and, in each component C it meets, A & C has C's excess.  For
@@ -738,71 +749,43 @@ def _graph_strong_subsets(
     So the strong sets are the unions of such pieces (`_pieces`), one from
     each of some components, every crowded one among them.  The components
     are joined crowded first, then those with a piece meeting `near`, so a
-    union that can no longer meet either stops.
-
-    No instance joins two components, so a union's shape follows from its
-    pieces' shapes, in join order, and the join depth of each of its
-    elements in ids order.  A union is kept as its elements shifted past
-    their depths, so one sort gives both, and each shape is computed once
-    per such pattern."""
+    union that can no longer meet either stops."""
     _, comp_elems, excess, crowded = struct.components()
-    composed = near is None  # else few unions are found: each gets its own shape, the pieces none
-    met = (lambda p: True) if composed else (lambda p: not near.isdisjoint(p))
+    met = (lambda p: True) if near is None else (lambda p: not near.isdisjoint(p))
     comps = []
     for r, elems in comp_elems.items():
         # a component missing `near` joins only beside a piece that meets it: leave that piece room
-        room = below - 1 if composed or not near.isdisjoint(elems) else below - 2
+        room = below - 1 if near is None or not near.isdisjoint(elems) else below - 2
         pieces = _pieces(struct, elems, room, excess[r])
         if r in crowded and not pieces:
-            return {}
+            return []
         comps.append((r not in crowded, not any(map(met, pieces)), r, pieces))
     comps.sort()
-    bits = max(below, 1).bit_length()  # join depths are below `below`
-    kinds: dict[tuple, int] = {}  # piece shapes, numbered
-    # per piece size, (component position, piece kind, the piece coded at
-    # each depth, does it meet `near`), by position
-    by_size: list[list] = [[] for _ in range(below)]
+    by_size: list[list] = [[] for _ in range(below)]  # (component position, piece, meets `near`), by position
     for pos, (_, _, _, pieces) in enumerate(comps):
         for p in pieces:
-            kind = kinds.setdefault(struct.shape(p), len(kinds)) if composed else 0
-            coded = [tuple([x << bits | d for x in p]) for d in range(below - 1)]
-            by_size[len(p)].append((pos, kind, coded, met(p)))
+            by_size[len(p)].append((pos, p, met(p)))
     starts = [[row[0] for row in rows] for rows in by_size]
     last = len(crowded) - 1  # positions up to `last` are crowded and must all be joined
     last_near = max([pos for pos, c in enumerate(comps) if not c[1]], default=-1)
-    found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # by piece kinds, in join order
+    found = [] if crowded or below < 1 else [()]
 
-    def join(start: int, acc: tuple[int, ...], joined: tuple[int, ...], left: int, hit: bool) -> None:
+    def join(start: int, acc: tuple[int, ...], left: int, hit: bool) -> None:
         for size in range(1, left + 1):
             rows = by_size[size]
             for i in range(bisect_left(starts[size], start), len(rows)):
-                pos, kind, coded, meets = rows[i]
+                pos, piece, meets = rows[i]
                 if (start <= last and pos > start) or not (hit or pos <= last_near):
                     break
-                union, kinds_in = acc + coded[len(joined)], joined + (kind,)
-                reached = hit or meets
+                union, reached = acc + piece, hit or meets
                 if reached and pos >= last:
-                    found.setdefault(kinds_in, []).append(union)
+                    found.append(tuple(sorted(union)))
                 if size < left and (reached or pos < last_near):
-                    join(pos + 1, union, kinds_in, left - size, reached)
+                    join(pos + 1, union, left - size, reached)
 
-    join(0, (), (), below - 1, composed)
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
-    if not crowded and below > 0:
-        groups[struct.shape(())] = [()]
-    depth, shapes = (1 << bits) - 1, list(kinds)
-    while found:
-        joined, unions = found.popitem()
-        patterns: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for u in map(sorted, unions):
-            base = tuple([c >> bits for c in u])
-            patterns.setdefault(tuple([c & depth for c in u]) if composed else base, []).append(base)
-        for bases in patterns.values():
-            one = composed and len(joined) == 1  # one piece: its own shape
-            groups.setdefault(shapes[joined[0]] if one else struct.shape(bases[0]), []).extend(bases)
-    for bases in groups.values():
-        bases.sort()
-    return groups
+    join(0, (), below - 1, near is None)
+    found.sort(key=lambda c: (len(c), c))
+    return found
 
 
 def in_class(spec: PredimensionSpec, struct: FinStructure) -> bool:

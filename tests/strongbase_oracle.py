@@ -2,10 +2,9 @@
 builder listed strong bases as unions of pieces and grouped them by shape,
 frozen as oracles: every subset below the size bound is tested with
 `graph_strong`, and the obligations are one (class code, base) pair per
-obligation, sorted.  On weight-1 graph specs
-`strongsets.strong_subsets_by_shape` must return exactly the filter's list,
-grouped by `pinned_shape`, and `builder._obligations` must run the classes
-over their bases in exactly the sorted order.
+obligation, sorted.  On weight-1 graph specs `strongsets.strong_subsets`
+must return exactly the filter's list, and `builder._obligations` must run
+the classes over their bases in exactly the sorted order.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from typing import Iterator, Optional
 
 from predim import ExtensionClass, FinStructure, PredimensionSpec
 from predim.builder import classes_over
+from predim.canonical import pinned_shape
 from predim.strongsets import graph_strong
 
 
@@ -42,7 +42,7 @@ def oracle_obligations(
         per_bsize: dict[int, list[tuple[bytes, tuple[int, ...]]]] = {}
         by_code: dict[bytes, ExtensionClass] = {}  # one template per code: a code fixes its base's shape
         for A in bases:
-            for cls in classes_over(spec, struct, A, k, cache):
+            for cls in classes_over(spec, struct, A, k, cache, pinned_shape(struct, A)):
                 per_bsize.setdefault(cls.size, []).append((cls.code, A))
                 by_code[cls.code] = cls
         for bsize in sorted(per_bsize):

@@ -29,6 +29,7 @@ from predim import (
 )
 from predim import richness
 from predim.builder import classes_over
+from predim.canonical import pinned_shape
 from predim.richness import Pseudoforest
 from predim.strongsets import graph_strong
 from predim.sampling import random_sparse_graph, random_subset
@@ -131,7 +132,7 @@ def test_obligation_met_fast_matches_generic(alpha1):
         base = random_subset(rng, g.universe, k=min(g.n, rng.randrange(1, 3)))
         if not strong_verdict(alpha1, g, base):
             continue
-        for cls in classes_over(alpha1, g, base, len(base) + 2, {}):
+        for cls in classes_over(alpha1, g, base, len(base) + 2, {}, pinned_shape(g, base)):
             fast = richness.met_fast(pf, base, cls)
             slow = obligation_met(alpha1, g, base, cls)
             assert fast == slow
@@ -180,7 +181,7 @@ def _assert_fast_matches_generic(spec, g, max_base, level, cache=None):
         for base in combinations(g.universe, size):
             if base and not graph_strong(g, base):
                 continue
-            for cls in classes_over(spec, g, base, max(level, size + 1), cache):
+            for cls in classes_over(spec, g, base, max(level, size + 1), cache, pinned_shape(g, base)):
                 fast = richness.met_fast(pf, base, cls)
                 assert fast == obligation_met(spec, g, base, cls), (base, cls.code)
                 checked += 1

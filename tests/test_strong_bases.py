@@ -10,7 +10,7 @@ from predim import FinStructure, Signature, audit_richness, build_generic, resum
 from predim import builder, strongsets
 from predim.builder import _obligations
 from predim.canonical import pinned_shape
-from predim.strongsets import strong_subsets_by_shape
+from predim.strongsets import strong_subsets, strong_subsets_by_shape
 
 from conftest import graph
 from strongbase_oracle import oracle_obligations, oracle_strong_subsets
@@ -57,7 +57,7 @@ def test_walk_is_the_filter_on_weight_one_multigraphs(alpha1):
             nears = [None, set()] + [set(rng.sample(range(g.n), m)) for m in (1, 2, 3) if m <= g.n]
             for near in nears:
                 want = oracle_strong_subsets(g, below, near)
-                assert strong_subsets_by_shape(alpha1, g, below, near) == _grouped(g, want), (g, below, near)
+                assert strong_subsets(alpha1, g, below, near) == want, (g, below, near)
                 seen["near"] += near is not None and len(want) > 1
                 seen["bases"] += len(want)
     assert min(seen.values()) >= 20, seen
@@ -110,8 +110,9 @@ def test_weight_one_walk_makes_no_strength_test(alpha1, monkeypatch):
     g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
     want, near = oracle_strong_subsets(g, 4), oracle_strong_subsets(g, 4, {0, 39})
     calls = _counted(monkeypatch, strongsets, "graph_strong")
+    assert strong_subsets(alpha1, g, 4) == want
+    assert strong_subsets(alpha1, g, 4, {0, 39}) == near
     assert strong_subsets_by_shape(alpha1, g, 4) == _grouped(g, want)
-    assert strong_subsets_by_shape(alpha1, g, 4, {0, 39}) == _grouped(g, near)
     assert calls == []
 
 

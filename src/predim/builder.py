@@ -36,7 +36,7 @@ from .extensions import ExtensionClass, enumerate_extensions
 from .predimension import PredimensionSpec, rank_compat
 from .richness import Pseudoforest, met_fast
 from .structures import FinStructure, find_embeddings
-from .strongsets import alpha_one_profile, in_class, strong_subsets_by_shape, strong_verdict
+from .strongsets import in_class, strong_subsets_by_shape, strong_verdict, valid_pseudoforest
 
 
 def _obligation_test(
@@ -45,10 +45,8 @@ def _obligation_test(
     """The one obligation test for `struct`, over strong bases: `met_fast`
     on a valid weight-1 pseudoforest (its plans kept in `plans`), else the
     generic `obligation_met`."""
-    if alpha_one_profile(spec, struct):
-        pf = Pseudoforest(struct, plans)
-        if pf.valid:
-            return partial(met_fast, pf)
+    if valid_pseudoforest(spec, struct):
+        return partial(met_fast, Pseudoforest(struct, plans))
     return partial(obligation_met, spec, struct)
 
 
@@ -313,11 +311,15 @@ def audit_richness(
     struct: FinStructure,
     k: int,
 ) -> RichnessReport:
-    """Count satisfied obligations at level k on a fixed structure."""
+    """Count satisfied obligations at level k on a fixed structure; outside
+    the class there are none: a strong A has delta(A & X) <= delta(X) < 0
+    by submodularity, and no class extends a base outside the class."""
     if k < 1:
         raise BuilderError("level k must be at least 1")
     if not spec.valid:
         raise BuilderError("audit requires a valid spec")
+    if not in_class(spec, struct):
+        return RichnessReport(k, 0, 0, ())
     met = _obligation_test(spec, struct)
     groups = strong_subsets_by_shape(spec, struct, k)
     total = 0

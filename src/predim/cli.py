@@ -37,7 +37,7 @@ from .predimension import PredimensionSpec, SpecError, delta
 from .structures import Embedding, FinStructure, Signature, StructureError, graph_signature
 from .textio import (
     ParseError,
-    _ascii_int,
+    ascii_int,
     format_ids,
     parse_map,
     parse_mu,
@@ -86,7 +86,7 @@ def _parse_ids(text: str) -> tuple[int, ...]:
     out = []
     for tok in text.replace(",", " ").split():
         try:
-            out.append(_ascii_int(tok))
+            out.append(ascii_int(tok))
         except ValueError:
             raise UsageError(f"expected an element id, got {tok!r}")
     return tuple(out)
@@ -443,7 +443,7 @@ def _cmd_audit_all(args) -> int:
 
 def _uint(text: str) -> int:
     try:
-        value = _ascii_int(text)
+        value = ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     if value < 0:

@@ -346,8 +346,6 @@ def _next_tower_step(
     any one of its new elements, so the closures over one unplaced element
     each hold every candidate."""
     steps = [closure(spec, ext, placed | {e}) for e in ext.universe if e not in placed]
-    if not steps:
-        raise ThriftyError("extension admits no strong tower step")
     return min(steps, key=lambda s: (len(s), s))
 
 

@@ -35,11 +35,9 @@ Tree = tuple[tuple[str, "Tree"], ...]
 
 class Pseudoforest:
     """Component data for a weight-1 graph structure, read from the
-    structure's cached component table (`FinStructure.components`).
-
-    `valid` is False when some component has more edges than vertices, i.e.
-    the structure is outside the nonnegative class; `builder._obligation_test`
-    takes the generic route then.
+    structure's cached component table (`FinStructure.components`), for a
+    valid pseudoforest (`strongsets.valid_pseudoforest`): `builder` takes
+    the generic route on any other structure.
 
     Obligation plans are kept by class code in `plans`, which a builder
     passes from one approximation's Pseudoforest to the next (plans depend on
@@ -57,8 +55,7 @@ class Pseudoforest:
 
     def __init__(self, struct: FinStructure, plans: Optional[dict[bytes, _Plan]] = None):
         self.struct = struct
-        self.comp_of, self.comp_elems, _, crowded = struct.components()
-        self.valid = not crowded
+        self.comp_of, self.comp_elems, _, _ = struct.components()
         self.plans: dict[bytes, _Plan] = {} if plans is None else plans
         self._targets: dict[int, FinStructure] = {}
         self._fits: dict[bytes, tuple[int, ...]] = {}
@@ -223,8 +220,8 @@ def met_fast(pf: Pseudoforest, base_ids: tuple[int, ...], cls: ExtensionClass) -
     more on a subtree and different branches are not joined, and its image
     X is strong: X & C is A & C with subtrees hung on it, connected and
     with C's cyclomatic number, X meets only A's components, and none is
-    crowded (`pf.valid`).  Over a base that is not strong the lemma fails:
-    a point on a cycle has a pendant image that misses the cycle.
+    crowded (`valid_pseudoforest`).  Over a base that is not strong the
+    lemma fails: a point on a cycle has a pendant image that misses the cycle.
     """
     plan = pf.plan(cls)
     if plan.places is None:

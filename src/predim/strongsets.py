@@ -15,10 +15,10 @@ the brute oracle and `graph_strong`).  The routes:
 - `strong_verdict` asks whether it is empty, except on weight-1 graph specs
   (`alpha_one_profile`), where `graph_strong` decides from the structure's
   cached component table, on `struct.restrict(within)` given an ambient set;
-- `strong_subsets` lists the small strong subsets: on weight-1 graph specs
-  as unions of connected pieces, at most one per component, with no
-  strength test (`_graph_strong_subsets`), else by `strong_verdict` on
-  every subset; `strong_subsets_by_shape` groups them by shape;
+- `strong_subsets` lists the small strong subsets: on a valid pseudoforest
+  (`valid_pseudoforest`) as unions of connected pieces, one per component
+  at most, with no strength test (`_graph_strong_subsets`), else by
+  `strong_verdict` on each subset; `strong_subsets_by_shape` groups them;
 - `is_strong` reports the exact deficiency: from the kernel for a valid spec
   (`_flow_nonempty_min`), from the brute-force oracle for an invalid one,
   which refuses with a `SpecError` past BRUTE_LIMIT (20) free elements, or
@@ -26,17 +26,19 @@ the brute oracle and `graph_strong`).  The routes:
   spec's `strong_verdict` is its verdict.
 
 Sessions.  For a modular spec (no non-modular matroid component) a
-structure keeps the network over its whole universe, solved for the empty
-base at its second whole-universe query and kept in its `_sessions`.  A
-query with base B copies the solved capacities, raises the source arc of
-each element of B to infinity and augments: raising capacities keeps
-the flow feasible (parametric flow, Gallo, Grigoriadis & Tarjan 1989), and
-the flow value is delta of the closure, which `geometry` reads.  Queries
-inside a smaller ambient set, and specs with non-modular matroid terms,
-solve a network contracted by the base cold: forced elements would load the
-matroid copies, and those specs are asked about small fresh structures,
-where a root solve costs more than the query.  `_flow_nonempty_min` forces each free element on a copy of
-the base's solved state when every nonempty set is strictly positive.
+structure's `_sessions` maps the spec to None after its first
+whole-universe query, which solves cold, and then to the root: the network
+over the whole universe solved for the empty base.  A query with base B
+copies the root's capacities, raises the source arc of each element of B
+to infinity and augments: raising capacities keeps the flow feasible
+(parametric flow, Gallo, Grigoriadis & Tarjan 1989), and the flow value is
+delta of the closure, which `geometry` reads.  Queries inside a smaller
+ambient set, and specs with non-modular matroid terms, leave the map alone
+and solve a network contracted by the base cold: forced elements would
+load the matroid copies, and those specs are asked about small fresh
+structures, where a root solve costs more than the query.
+`_flow_nonempty_min` forces each free element on a copy of the base's
+solved state when every nonempty set is strictly positive.
 
 All engines are exact; the brute oracle and the unrouted subset search
 `_dfs_min` exist so the kernel can be checked against them.
@@ -52,7 +54,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .predimension import LATTICE_LIMIT, PredimensionSpec, SpecError, delta
-from .structures import FinStructure, Record, StructureError
+from .structures import FinStructure, StructureError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -539,19 +541,6 @@ def _greatest_minimizer(net: _Net) -> tuple[int, ...]:
     return tuple([e for v, e in enumerate(net.elems, 2) if v not in reach])
 
 
-class _Session(Record):
-    """What a structure keeps per spec: for a modular spec, its network
-    solved for the empty base over the whole universe (built at the second
-    whole-universe query, so a one-shot query costs one cold solve)."""
-
-    __slots__ = __match_args__ = ("root", "queried")
-    __hash__ = None
-    __setattr__ = object.__setattr__
-
-    def __init__(self, root: Optional[_Net] = None, queried: bool = False):
-        self._fill(root, queried)
-
-
 def _solved(
     spec: PredimensionSpec,
     struct: FinStructure,
@@ -559,18 +548,18 @@ def _solved(
     free: list[int],
 ) -> _Net:
     """A solved network for delta(X/base), X inside `free`: a warm copy of
-    the structure's session with the base forced in when the spec is modular
-    and base plus free is the whole universe, else a cold network contracted
-    by the base."""
+    the structure's session root with the base forced in when the spec is
+    modular, base plus free is the whole universe and this is not the first
+    such query, else a cold network contracted by the base."""
     if len(base) + len(free) == struct.n and all(o.modular for o, _ in spec.components):
         if struct._sessions is None:
             struct._sessions = {}
-        sess = struct._sessions.get(spec) or struct._sessions.setdefault(spec, _Session())
-        if sess.root is None and sess.queried:
-            sess.root = _network(spec, struct, frozenset(), list(struct.universe)).solve()
-        sess.queried = True
-        if sess.root is not None:
-            return sess.root.forced(base)
+        root = struct._sessions.get(spec, False)  # False before the first query, None after it
+        if root is None:
+            root = struct._sessions[spec] = _network(spec, struct, frozenset(), list(struct.universe)).solve()
+        if root is not False:
+            return root.forced(base)
+        struct._sessions[spec] = None
     return _network(spec, struct, base, free).solve()
 
 
@@ -611,6 +600,12 @@ def alpha_one_profile(spec: PredimensionSpec, struct: FinStructure) -> bool:
     return all(
         arity == 2 and struct.sig.weight(name) == one for name, arity in struct.sig.symbols
     )
+
+
+def valid_pseudoforest(spec: PredimensionSpec, struct: FinStructure) -> bool:
+    """A weight-1 graph spec (`alpha_one_profile`) with no crowded component
+    (more edges than vertices): for that profile, membership in the class."""
+    return alpha_one_profile(spec, struct) and not struct.components()[3]
 
 
 def graph_strong(struct: FinStructure, elems: Iterable[int]) -> bool:
@@ -685,10 +680,10 @@ def strong_subsets(
 ) -> list[tuple[int, ...]]:
     """Strong subsets with fewer than `below` elements in (size, ids) order;
     with `near`, only the empty set and the subsets meeting `near`.
-    Weight-1 graph specs list them as unions of pieces
-    (`_graph_strong_subsets`), other specs filter every subset by
-    `strong_verdict`."""
-    if alpha_one_profile(spec, struct):
+    A valid weight-1 pseudoforest lists them as unions of pieces
+    (`_graph_strong_subsets`), every other structure filters every subset
+    by `strong_verdict`."""
+    if valid_pseudoforest(spec, struct):
         return _graph_strong_subsets(struct, below, near)
     return [
         c for size in range(below) for c in combinations(struct.universe, size)
@@ -739,46 +734,42 @@ def _pieces(struct: FinStructure, elems: list[int], size: int, excess: int) -> l
 def _graph_strong_subsets(
     struct: FinStructure, below: int, near: Optional[set[int]]
 ) -> list[tuple[int, ...]]:
-    """`strong_subsets` on a weight-1 graph, with no strength test.
+    """`strong_subsets` on a valid pseudoforest, with no strength test.
 
-    By `graph_strong`, A is strong exactly when it meets every crowded
-    component and, in each component C it meets, A & C has C's excess.  For
-    a graph, e - |.| is its cyclomatic number less its number of
-    components, and a subgraph of C has at most C's cyclomatic number, so
-    that holds exactly when A & C is connected with C's cyclomatic number.
-    So the strong sets are the unions of such pieces (`_pieces`), one from
-    each of some components, every crowded one among them.  The components
-    are joined crowded first, then those with a piece meeting `near`, so a
-    union that can no longer meet either stops."""
-    _, comp_elems, excess, crowded = struct.components()
+    By `graph_strong`, with no crowded component, A is strong exactly when,
+    in each component C it meets, A & C has C's excess.  For a graph,
+    e - |.| is its cyclomatic number less its number of components, and a
+    subgraph of C has at most C's cyclomatic number, so that holds exactly
+    when A & C is connected with C's cyclomatic number.  So the strong sets
+    are the unions of such pieces (`_pieces`), one from each of some
+    components.  The components with a piece meeting `near` are joined
+    first, so a union that can no longer meet it stops."""
+    _, comp_elems, excess, _ = struct.components()
     met = (lambda p: True) if near is None else (lambda p: not near.isdisjoint(p))
     comps = []
     for r, elems in comp_elems.items():
         # a component missing `near` joins only beside a piece that meets it: leave that piece room
         room = below - 1 if near is None or not near.isdisjoint(elems) else below - 2
         pieces = _pieces(struct, elems, room, excess[r])
-        if r in crowded and not pieces:
-            return []
-        comps.append((r not in crowded, not any(map(met, pieces)), r, pieces))
+        comps.append((not any(map(met, pieces)), r, pieces))
     comps.sort()
     by_size: list[list] = [[] for _ in range(below)]  # (component position, piece, meets `near`), by position
-    for pos, (_, _, _, pieces) in enumerate(comps):
+    for pos, (_, _, pieces) in enumerate(comps):
         for p in pieces:
             by_size[len(p)].append((pos, p, met(p)))
     starts = [[row[0] for row in rows] for rows in by_size]
-    last = len(crowded) - 1  # positions up to `last` are crowded and must all be joined
-    last_near = max([pos for pos, c in enumerate(comps) if not c[1]], default=-1)
-    found = [] if crowded or below < 1 else [()]
+    last_near = max([pos for pos, c in enumerate(comps) if not c[0]], default=-1)
+    found = [()] if below > 0 else []
 
     def join(start: int, acc: tuple[int, ...], left: int, hit: bool) -> None:
         for size in range(1, left + 1):
             rows = by_size[size]
             for i in range(bisect_left(starts[size], start), len(rows)):
                 pos, piece, meets = rows[i]
-                if (start <= last and pos > start) or not (hit or pos <= last_near):
+                if not (hit or pos <= last_near):
                     break
                 union, reached = acc + piece, hit or meets
-                if reached and pos >= last:
+                if reached:
                     found.append(tuple(sorted(union)))
                 if size < left and (reached or pos < last_near):
                     join(pos + 1, union, left - size, reached)
@@ -793,6 +784,14 @@ def in_class(spec: PredimensionSpec, struct: FinStructure) -> bool:
     return strong_verdict(spec, struct, ())
 
 
+def _closure_net(spec: PredimensionSpec, struct: FinStructure, base, within=None):
+    """The checked base and its network solved over the ambient set."""
+    b, w = _check_sets(struct, base, within)
+    if not spec.valid:
+        raise SpecError("closure requires a submodular spec")
+    return b, _solved(spec, struct, b, sorted(w - b))
+
+
 def closure(
     spec: PredimensionSpec,
     struct: FinStructure,
@@ -802,10 +801,8 @@ def closure(
     """Least strong superset of `base` within the ambient set: the base plus
     the inclusion-least minimizer of delta(X/base), which by submodularity
     lies inside every strong superset."""
-    b, w = _check_sets(struct, base, within)
-    if not spec.valid:
-        raise SpecError("closure requires a submodular spec")
-    return tuple(sorted(b.union(_solved(spec, struct, b, sorted(w - b)).least)))
+    b, net = _closure_net(spec, struct, base, within)
+    return tuple(sorted(b.union(net.least)))
 
 
 def closure_delta(
@@ -815,10 +812,7 @@ def closure_delta(
 ) -> tuple[tuple[int, ...], Fraction]:
     """The closure of `base` in the whole universe and its predimension,
     read from the kernel's flow value rather than recounted."""
-    b, w = _check_sets(struct, base, None)
-    if not spec.valid:
-        raise SpecError("closure requires a submodular spec")
-    net = _solved(spec, struct, b, sorted(w - b))
+    b, net = _closure_net(spec, struct, base)
     value = net.value
     if net.base:  # contracted by the base, so the value is relative to it
         value += delta(spec, struct, b)
@@ -833,7 +827,5 @@ def greatest_closure(
     """The base plus the inclusion-greatest minimizer of delta(X/base) in
     the whole universe: the elements cut off from the sink of the base's
     solved network."""
-    b, w = _check_sets(struct, base, None)
-    if not spec.valid:
-        raise SpecError("closure requires a submodular spec")
-    return tuple(sorted(b.union(_greatest_minimizer(_solved(spec, struct, b, sorted(w - b))))))
+    b, net = _closure_net(spec, struct, base)
+    return tuple(sorted(b.union(_greatest_minimizer(net))))

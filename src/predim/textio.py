@@ -51,7 +51,7 @@ def _content_lines(text: str):
             yield i, line.split()
 
 
-def _ascii_int(token: str) -> int:
+def ascii_int(token: str) -> int:
     """The integer spelled `-?[0-9]+` in ASCII digits, else ValueError."""
     digits = token[1:] if token.startswith("-") else token
     if not (digits.isascii() and digits.isdigit()):
@@ -64,7 +64,7 @@ def _parse_fraction(line: int, token: str) -> Fraction:
     if len(parts) != 2:
         raise ParseError(line, f"expected a fraction p/q, got {token!r}")
     try:
-        num, den = _ascii_int(parts[0]), _ascii_int(parts[1])
+        num, den = ascii_int(parts[0]), ascii_int(parts[1])
     except ValueError:
         raise ParseError(line, f"expected a fraction p/q, got {token!r}")
     if den <= 0:
@@ -74,7 +74,7 @@ def _parse_fraction(line: int, token: str) -> Fraction:
 
 def _parse_int(line: int, token: str, what: str) -> int:
     try:
-        return _ascii_int(token)
+        return ascii_int(token)
     except ValueError:
         raise ParseError(line, f"expected an integer {what}, got {token!r}")
 

@@ -31,7 +31,7 @@ from predim import richness
 from predim.builder import classes_over
 from predim.canonical import pinned_shape
 from predim.richness import Pseudoforest
-from predim.strongsets import graph_strong
+from predim.strongsets import graph_strong, valid_pseudoforest
 from predim.sampling import random_sparse_graph, random_subset
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
@@ -126,9 +126,9 @@ def test_obligation_met_fast_matches_generic(alpha1):
         g = random_sparse_graph(rng, rng.randrange(2, 9), extra_edges=1)
         if not in_class(alpha1, g):
             continue
-        pf = Pseudoforest(g)
-        if not pf.valid:
+        if not valid_pseudoforest(alpha1, g):
             continue
+        pf = Pseudoforest(g)
         base = random_subset(rng, g.universe, k=min(g.n, rng.randrange(1, 3)))
         if not strong_verdict(alpha1, g, base):
             continue
@@ -173,8 +173,8 @@ def _assert_fast_matches_generic(spec, g, max_base, level, cache=None):
     """Fast and generic verdicts on the untransported template classes over
     every strong base, with one Pseudoforest and one class cache shared by
     all bases (and by the caller's structures, given `cache`)."""
+    assert valid_pseudoforest(spec, g)
     pf = Pseudoforest(g)
-    assert pf.valid
     cache = {} if cache is None else cache
     checked = 0
     for size in range(0, max_base + 1):
@@ -233,7 +233,7 @@ def test_pseudoforest_matches_brute_with_parallel_edges(alpha1):
         g = FinStructure(sig, range(n), {"E": e_pairs, "F": f_pairs})
         pf = Pseudoforest(g)
         valid, comps = _brute_pseudoforest(g)
-        assert pf.valid == valid == in_class(alpha1, g)
+        assert valid_pseudoforest(alpha1, g) == valid == in_class(alpha1, g)
         assert pf.comp_elems == comps
         assert all(pf.comp_of[e] == r for r, c in comps.items() for e in c)
         if not valid:
@@ -332,7 +332,7 @@ def test_fast_matches_generic_at_level4_on_two_symbol_pseudoforests(alpha1):
         e_pairs = [t for t, r in zip(pairs, rolls) if r < 0.2 or r >= 0.45]
         f_pairs = [t for t, r in zip(pairs, rolls) if r < 0.45]
         g = FinStructure(sig, range(n), {"E": e_pairs, "F": f_pairs})
-        if not Pseudoforest(g).valid:
+        if not valid_pseudoforest(alpha1, g):
             continue
         parallel += not set(e_pairs).isdisjoint(f_pairs)
         cyclic += 0 in g.components()[2].values()
@@ -397,6 +397,16 @@ def test_free_extend_shifts_annotations():
     assert toks.count("0") == len(toks) - 1
     assert toks[-1] == "1"
     assert len(toks) > 2
+
+
+def test_free_extend_leaves_an_unannotated_new_element_unannotated():
+    host = vectors((1, 0), (0, 1))
+    ext = FinStructure(Signature(()), range(3), {}, {0: ("1",), 1: ("0", "1")})  # 2 has no vector
+    grown, mapping = free_extend(host, ext, (0,))
+    assert (mapping[1], mapping[2]) == (2, 3)
+    assert grown.annotation(2) == ("0", "0", "1")  # the fresh axis moved past both host axes
+    assert grown.annotation(3) == ()
+    assert 3 not in grown.annotations
 
 
 def test_fusion_build_saturates():

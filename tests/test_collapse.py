@@ -263,6 +263,14 @@ def test_thrifty_step_errors_with_no_room(alpha1):
         thrifty_step(alpha1, mu1, path, (0, 1), pend, bound=2)
 
 
+def test_thrifty_step_refuses_a_base_that_is_not_strong(alpha1):
+    # a point on a triangle is not strong: the triangle has delta 0 over it
+    triangle = graph(3, [(0, 1), (1, 2), (0, 2)])
+    pend = graph(2, [(0, 1)]).relabel({0: 0, 1: 9})
+    with pytest.raises(ThriftyError, match="not strong"):
+        thrifty_step(alpha1, DEFAULT_MU, triangle, (0,), pend, bound=2)
+
+
 def test_thrifty_step_rejects_nonminimal(alpha1):
     # two isolated new points split into independent stages
     point = graph(1, [])

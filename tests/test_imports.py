@@ -167,18 +167,11 @@ def test_no_module_imports_dataclasses():
     assert not found, found
 
 
-# Every private name one module imports from another, as (importer, source,
-# name); a new crossing needs an entry here.
-PRIVATE_CROSSINGS = {
-    ("cli", "textio", "_ascii_int"),
-}
-
-
-def test_private_names_cross_modules_only_where_listed():
+def test_no_private_name_crosses_modules():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module and node.module != "__future__":
                 source = node.module.split(".")[-1]
                 found |= {(path.stem, source, a.name) for a in node.names if a.name.startswith("_")}
-    assert found == PRIVATE_CROSSINGS
+    assert not found, found

@@ -16,7 +16,7 @@ from predim.collapse import MuFunction, MuReport, ThriftyOutcome
 from predim.extensions import ExtensionClass
 from predim.predimension import FreeOracle, PredimensionSpec
 from predim.richness import _Plan
-from predim.strongsets import StrongReport, _Session
+from predim.strongsets import StrongReport
 from predim.structures import Embedding, FinStructure, Signature
 
 SIG = Signature((("E", 2),))
@@ -40,8 +40,6 @@ RECORDS = [
      " violations=('x',))", True),
     (StrongReport, "verdict deficiency witness", (False, F(-1), (0, 1)), (None,), None,
      "StrongReport(verdict=False, deficiency=Fraction(-1, 1), witness=(0, 1))", True),
-    (_Session, "root queried", ("net", True), (None, False), False,
-     "_Session(root='net', queried=True)", False),
     (ExtensionClass,
      "base ext new_elements delta_over_base minimal prealgebraic code",
      (S, T, (2,), F(1), False, False, b"\x01"), (), b"\x02",

@@ -463,7 +463,7 @@ def test_session_answers_match_fresh_structures_and_brute():
                         got = in_class(spec, s)
                         assert got == in_class(spec, _fresh(s))
                         assert got == brute_force_is_strong(spec, s, ()).verdict
-                warm += spec in (s._sessions or {}) and s._sessions[spec].root is not None
+                warm += (s._sessions or {}).get(spec) is not None
     # some structures see fewer than two whole-universe kernel queries
     assert warm >= 120
 
@@ -479,16 +479,20 @@ def test_within_queries_leave_the_session_cache_alone():
         is_strong(spec, s, (0,), within=inner)
         strong_verdict(spec, s, (), within=inner)
     assert s._sessions is None
-    closure(spec, s, ())
-    closure(spec, s, (1,))  # the second whole-universe query solves the root
-    root = s._sessions[spec].root
+    closure(spec, s, ())  # the first whole-universe query solves cold
+    assert s._sessions == {spec: None}
+    closure(spec, s, (0,), within=inner)
+    assert s._sessions == {spec: None}
+    closure(spec, s, (1,))  # the second solves the root
+    root = s._sessions[spec]
+    assert root.base == frozenset() and root.elems == list(s.universe)
     state = (root.cap[:], root.flow, root.least)
     for base in ((0,), (2, 3), ()):
         closure(spec, s, base, within=inner)
         is_strong(spec, s, base)
         closure(spec, s, base)
     assert list(s._sessions) == [spec]
-    assert s._sessions[spec].root is root
+    assert s._sessions[spec] is root
     assert (root.cap, root.flow, root.least) == state  # forcing works on copies
 
 
@@ -503,7 +507,7 @@ def test_a_session_answers_only_its_own_spec():
             base = random_subset(rng, s.universe)
             assert closure(spec, s, base) == closure(spec, _fresh(s), base)
             assert is_strong(spec, s, base) == is_strong(spec, _fresh(s), base)
-        roots = [sess.root for sess in (s._sessions or {}).values() if sess.root is not None]
+        roots = [root for root in (s._sessions or {}).values() if root is not None]
         assert len({id(r) for r in roots}) == len(roots)
         assert set(s._sessions or ()) <= set(specs)
 

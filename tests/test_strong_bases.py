@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
 
-from predim import FinStructure, Signature, audit_richness, build_generic, resume
+from predim import FinStructure, RichnessReport, Signature, audit_richness, build_generic, resume
 from predim import builder, strongsets
 from predim.builder import _obligations
 from predim.canonical import pinned_shape
-from predim.strongsets import strong_subsets, strong_subsets_by_shape
+from predim.cli import main
+from predim.strongsets import in_class, strong_subsets, strong_subsets_by_shape
+from predim.textio import serialize_structure
 
 from conftest import graph
 from strongbase_oracle import oracle_obligations, oracle_strong_subsets
@@ -43,7 +46,9 @@ def _multigraph(rng: random.Random, n: int, kinds: str) -> FinStructure:
     return FinStructure(EF, range(n), {name: sorted(ts) for name, ts in pairs.items()})
 
 
-def test_walk_is_the_filter_on_weight_one_multigraphs(alpha1):
+def test_walk_is_the_filter_on_weight_one_multigraphs(alpha1, monkeypatch):
+    # the walk runs on valid pseudoforests only; a crowded structure goes to the filter
+    walks = _counted(monkeypatch, strongsets, "_graph_strong_subsets")
     rng = random.Random(61)
     seen = {"forest": 0, "cyclic": 0, "parallel": 0, "crowded": 0, "near": 0, "bases": 0}
     for i in range(160):
@@ -56,8 +61,10 @@ def test_walk_is_the_filter_on_weight_one_multigraphs(alpha1):
         for below in range(6):
             nears = [None, set()] + [set(rng.sample(range(g.n), m)) for m in (1, 2, 3) if m <= g.n]
             for near in nears:
+                walked = len(walks)
                 want = oracle_strong_subsets(g, below, near)
                 assert strong_subsets(alpha1, g, below, near) == want, (g, below, near)
+                assert len(walks) == walked + (not crowded)
                 seen["near"] += near is not None and len(want) > 1
                 seen["bases"] += len(want)
     assert min(seen.values()) >= 20, seen
@@ -114,6 +121,34 @@ def test_weight_one_walk_makes_no_strength_test(alpha1, monkeypatch):
     assert strong_subsets(alpha1, g, 4, {0, 39}) == near
     assert strong_subsets_by_shape(alpha1, g, 4) == _grouped(g, want)
     assert calls == []
+
+
+def _crowded_half_graph(n: int, seed: int) -> FinStructure:
+    """A random tree on n elements plus random chords up to 2n + 5 edges of
+    weight 1/2: delta of the whole set is -5/2, so it is outside the class."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 2 * n + 5:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    return graph(n, sorted(edges), Fraction(1, 2))
+
+
+def test_out_of_class_audit_walks_no_bases(alpha1, monkeypatch, tmp_path, capsys):
+    g = _crowded_half_graph(500, 71)
+    assert not in_class(alpha1, g)
+    walks = _counted(monkeypatch, strongsets, "strong_subsets")
+    rep = audit_richness(alpha1, g, 3)
+    assert rep == RichnessReport(3, 0, 0, ()) and rep.fraction == 1
+    assert walks == []
+    # the CLI report, as it read when every strong base was walked
+    (tmp_path / "alpha.spec").write_text("component relational on\n")
+    (tmp_path / "half.structure").write_text(serialize_structure(g))
+    argv = ["audit", "--spec", str(tmp_path / "alpha.spec"), "--k", "3", str(tmp_path / "half.structure")]
+    assert main(argv) == 0
+    head = "# k\t3\n# n\t500\n# satisfied\t0\n# total\t0\n"
+    assert capsys.readouterr().out == head + serialize_structure(g)
+    assert walks == []
 
 
 def test_level_four_audit_looks_classes_up_once_per_shape(alpha1, monkeypatch):

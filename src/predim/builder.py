@@ -9,9 +9,12 @@ approximation's discharge step, and stops the moment the first unmet
 obligation does not fit the element budget.  That stopping rule makes
 resume(n) twice identical to resume(2n).  `resume` is the one loop: the
 generic build runs it with a free extension as its step, the collapsed build
-(`collapse.build_collapsed`) with a free-or-embed step.  Each obligation is
-decided by the one test `_obligation_test` picks per structure:
-`richness.met_fast` on a valid weight-1 pseudoforest, else `obligation_met`.
+(`collapse.build_collapsed`) with a free-or-embed step.  Obligations are
+decided by the one run decider `_obligation_test` picks per structure:
+`richness.met_fast` on a valid weight-1 pseudoforest, else `obligation_met`
+per base.  `audit_richness` hands it each run whole and reads back the
+unmet bases; `resume` hands it runs of one base, since it stops at the
+first unmet one and a whole run would decide bases it never reaches.
 
 No obligation is sorted.  The strong bases come grouped by `pinned_shape`,
 each group in ids order (`strongsets.strong_subsets_by_shape`), and the
@@ -30,7 +33,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .extensions import ExtensionClass, enumerate_extensions
 from .predimension import PredimensionSpec, rank_compat
@@ -41,13 +44,14 @@ from .strongsets import in_class, strong_subsets_by_shape, strong_verdict, valid
 
 def _obligation_test(
     spec: PredimensionSpec, struct: FinStructure, plans: Optional[dict] = None
-) -> Callable[[tuple[int, ...], ExtensionClass], bool]:
-    """The one obligation test for `struct`, over strong bases: `met_fast`
-    on a valid weight-1 pseudoforest (its plans kept in `plans`), else the
-    generic `obligation_met`."""
+) -> Callable[[ExtensionClass, Sequence[tuple[int, ...]]], list[tuple[int, ...]]]:
+    """The one run decider for `struct`: given a class and strong bases of
+    its shape in ids order, the unmet bases in order.  `met_fast` decides
+    the run whole on a valid weight-1 pseudoforest (its plans kept in
+    `plans`), else the generic `obligation_met` decides each base."""
     if valid_pseudoforest(spec, struct):
         return partial(met_fast, Pseudoforest(struct, plans))
-    return partial(obligation_met, spec, struct)
+    return lambda cls, bases: [A for A in bases if not obligation_met(spec, struct, A, cls)]
 
 
 class BuilderError(ValueError):
@@ -290,7 +294,7 @@ def resume(ga: GenericApprox, extra_budget: int) -> GenericApprox:
         runs = _obligations(ga.spec, ga.current, ga._strong, ga.k, ga._class_cache)
         for A, cls in ((A, cls) for cls, bases in runs for A in bases):
             if (A, cls.code) not in ga._satisfied:
-                if not ga._met(A, cls):
+                if ga._met(cls, (A,)):  # A is unmet
                     break
                 ga._satisfied.add((A, cls.code))
         else:
@@ -323,13 +327,8 @@ def audit_richness(
     met = _obligation_test(spec, struct)
     groups = strong_subsets_by_shape(spec, struct, k)
     total = 0
-    satisfied = 0
     unmet = []
     for cls, bases in _obligations(spec, struct, groups, k, {}):
         total += len(bases)
-        for A in bases:
-            if met(A, cls):
-                satisfied += 1
-            else:
-                unmet.append((A, cls.code))
-    return RichnessReport(k=k, total=total, satisfied=satisfied, unmet=tuple(unmet))
+        unmet.extend([(A, cls.code) for A in met(cls, bases)])
+    return RichnessReport(k=k, total=total, satisfied=total - len(unmet), unmet=tuple(unmet))

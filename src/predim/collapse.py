@@ -21,7 +21,7 @@ from .canonical import pinned_shape
 from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
 from .predimension import PredimensionSpec, delta, rank_compat
 from .structures import FinStructure, Record, find_embeddings
-from .strongsets import closure, in_class, strong_subsets, strong_verdict
+from .strongsets import closure, in_class, strong_subsets, strong_subsets_by_shape, strong_verdict
 
 
 class MuError(ValueError):
@@ -115,11 +115,15 @@ def biminimal_base(
 ) -> tuple[int, ...]:
     """The least strong sub-base over which the new part (every element of
     `ext` outside the base) is minimal prealgebraic.  Unique for valid
-    specs; ambiguity raises."""
+    specs; ambiguity raises, and so does a base outside the class, before
+    any walk (no class that `enumerate_extensions` lists sits over one)."""
     base = tuple(sorted(base_ids))
     new = tuple(sorted(set(ext.universe).difference(base)))
+    within = ext.restrict(base)
+    if not in_class(spec, within):
+        raise BiminimalError("the base is outside the nonnegative class")
     qualifying = []
-    for sub in strong_subsets(spec, ext.restrict(base), len(base) + 1):
+    for sub in strong_subsets(spec, within, len(base) + 1):
         # the new part must be prealgebraic and minimal over `sub` in the
         # induced structure on their union
         union = ext.restrict(sorted(set(sub) | set(new)))
@@ -240,7 +244,8 @@ def mu_violations(
     the given elements' adjacency ball of radius `bound` (the empty base is
     always rechecked).  Exact for relational specs; matroid components force
     the full scan.  `class_cache` keys the classes by the base's
-    `pinned_shape` and the size left; a base is restricted only on a miss.
+    `pinned_shape` and the size left, read per group of
+    `strong_subsets_by_shape`; a base is restricted only on a miss.
     """
     if not in_class(spec, struct):
         raise MuError("structure outside the nonnegative class")
@@ -249,15 +254,17 @@ def mu_violations(
         allowed = _ball(struct, around, bound)
     cache = class_cache if class_cache is not None else {}
     violations = []
-    for base in strong_subsets(spec, struct, bound, near=allowed):
-        key = (pinned_shape(struct, base), bound - len(base))
+    for shape, bases in strong_subsets_by_shape(spec, struct, bound, near=allowed).items():
+        key = (shape, bound - len(bases[0]))
         if key not in cache:
-            cache[key] = enumerate_minimal_extensions(spec, struct.restrict(base), bound - len(base))
-        for cls in cache[key]:
-            limit = mu.value(cls)
-            count = count_independent_copies(spec, struct, base, cls)
-            if count > limit:
-                violations.append((base, cls.code, count, limit))
+            cache[key] = enumerate_minimal_extensions(spec, struct.restrict(bases[0]), key[1])
+        for base in bases:
+            for cls in cache[key]:
+                limit = mu.value(cls)
+                count = count_independent_copies(spec, struct, base, cls)
+                if count > limit:
+                    violations.append((base, cls.code, count, limit))
+    violations.sort(key=lambda v: (len(v[0]), v[0]))  # stable: each base's classes stay in order
     return tuple(violations)
 
 

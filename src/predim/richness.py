@@ -13,14 +13,15 @@ elements tractable.
 Everything here is exact and is cross-checked against the generic engines in
 the test suite.  `Pseudoforest` and `met_fast` stay beside those engines
 because they still pay: on a 2-core machine with Python 3.11, the level-4
-audits of the k=3 builds took 0.10-0.11 s at n=40 and 0.48-0.59 s at n=80
-with them, and 0.91-0.98 s and 8.0-9.6 s with the generic engines alone
-(three runs each, over the same strong-base walk).
+audits of the k=3 builds took 0.07-0.08 s at n=40 and 0.30-0.40 s at n=80
+with them, deciding each run of bases whole, and 0.83-0.89 s and 7.1-8.2 s
+with the generic engines alone (three runs each, over the same strong-base
+walk).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .canonical import canonical_code
 from .extensions import ExtensionClass
@@ -42,11 +43,7 @@ class Pseudoforest:
     Obligation plans are kept by class code in `plans`, which a builder
     passes from one approximation's Pseudoforest to the next (plans depend on
     the class only); targets and fits depend on the structure and stay here.
-    So does the free parts' verdict, kept in `_free` by the components the
-    base meets and then by class code.  That is sound because the code fixes
-    the plan and so its free parts, and whether they fit into distinct
-    components outside the base's reads nothing else of the base.  The
-    anchored part's verdict is kept per base element in `_branches`, keyed
+    The anchored part's verdict is kept per base element in `_branches`, keyed
     by (the element, its neighbours outside the base, the trees the plan
     hangs there): over a strong base those neighbours are the roots of the
     element's branches, and each branch is fixed by its root and the element
@@ -59,7 +56,6 @@ class Pseudoforest:
         self.plans: dict[bytes, _Plan] = {} if plans is None else plans
         self._targets: dict[int, FinStructure] = {}
         self._fits: dict[bytes, tuple[int, ...]] = {}
-        self._free: dict[tuple[int, ...], dict[bytes, bool]] = {}
         self._branches: dict[tuple[int, frozenset[int], Tree], bool] = {}
 
     def plan(self, cls: ExtensionClass) -> _Plan:
@@ -189,16 +185,17 @@ class _Plan(NamedTuple):
         return _Plan(_pendant_places(cls, anchored), parts)
 
 
-def met_fast(pf: Pseudoforest, base_ids: tuple[int, ...], cls: ExtensionClass) -> bool:
-    """Exact obligation satisfaction via the chunk decomposition, for a
-    strong base.
+def met_fast(pf: Pseudoforest, cls: ExtensionClass, bases: Sequence[tuple[int, ...]]) -> list:
+    """The bases of a run over which the class has no strong copy, in
+    order: exact obligation satisfaction via the chunk decomposition.
 
-    `base_ids` must be strong in `pf.struct`.  The class may sit over any
-    base of the same shape: its sorted base is pinned onto the sorted
-    `base_ids`.  The image of the anchored part lives in the base's
-    components; each free part needs its own base-free component (a
-    disconnected trace is never strong), so the two checks are independent,
-    and the free parts' verdict is kept per component set.
+    Each base must be a sorted tuple, strong in `pf.struct`.  The class may
+    sit over any base of the same shape: its sorted base is pinned onto each
+    base.  The image of the anchored part lives in the base's components;
+    each free part needs its own base-free component (a disconnected trace
+    is never strong), so the two checks are independent.  Whether the free
+    parts fit into distinct components outside the base's reads nothing
+    else of the base, so their verdict is taken once per component set.
 
     The anchored part is decided on the base's pendant branches, with no
     search.  Lemma: let A be strong and C a component that A meets.  A is
@@ -213,40 +210,41 @@ def met_fast(pf: Pseudoforest, base_ids: tuple[int, ...], cls: ExtensionClass) -
     An induced image over A puts each new component K of the anchored part,
     being connected, inside one branch, which meets A by one instance; so K
     is a tree joined to the base by one instance (else the plan has no
-    places), the trees hanging at one base element go into distinct
-    branches there, and each enters its branch by the branch's root, along
-    an instance of its own symbol, as a rooted subtree (`Pseudoforest.hangs`).
-    Conversely such a placement is induced, since a tree induces nothing
-    more on a subtree and different branches are not joined, and its image
-    X is strong: X & C is A & C with subtrees hung on it, connected and
-    with C's cyclomatic number, X meets only A's components, and none is
-    crowded (`valid_pseudoforest`).  Over a base that is not strong the
-    lemma fails: a point on a cycle has a pendant image that misses the cycle.
+    places, and every base is unmet), the trees hanging at one base element
+    go into distinct branches there, and each enters its branch by the
+    branch's root, along an instance of its own symbol, as a rooted subtree
+    (`Pseudoforest.hangs`).  Conversely such a placement is induced, since a
+    tree induces nothing more on a subtree and different branches are not
+    joined, and its image X is strong: X & C is A & C with subtrees hung on
+    it, connected and with C's cyclomatic number, X meets only A's
+    components, and none is crowded (`valid_pseudoforest`).  Over a base
+    that is not strong the lemma fails: a point on a cycle has a pendant
+    image that misses the cycle.
     """
     plan = pf.plan(cls)
     if plan.places is None:
-        return False
-    if plan.free_parts:
-        roots = tuple(sorted({pf.comp_of[a] for a in base_ids}))
-        verdicts = pf._free.get(roots)
-        if verdicts is None:
-            verdicts = pf._free[roots] = {}
-        if cls.code not in verdicts:
-            verdicts[cls.code] = _free_parts_fit(pf, plan, roots)
-        if not verdicts[cls.code]:
-            return False
-    if plan.places:
-        base = sorted(base_ids)
-        adj = pf.struct.adjacency()
+        return list(bases)
+    adj, comp_of, branches = pf.struct.adjacency(), pf.comp_of, pf._branches
+    free: dict[tuple[int, ...], bool] = {}  # by the components a base meets
+    unmet = []
+    for A in bases:
+        if plan.free_parts:
+            roots = tuple(sorted({comp_of[a] for a in A}))
+            if roots not in free:
+                free[roots] = _free_parts_fit(pf, plan, roots)
+            if not free[roots]:
+                unmet.append(A)
+                continue
         for place, trees in plan.places:
-            a = base[place]
-            key = (a, adj[a].difference(base), trees)
-            verdict = pf._branches.get(key)
+            a = A[place]
+            key = (a, adj[a].difference(A), trees)
+            verdict = branches.get(key)
             if verdict is None:
-                verdict = pf._branches[key] = pf.hangs(trees, a, key[1])
+                verdict = branches[key] = pf.hangs(trees, a, key[1])
             if not verdict:
-                return False
-    return True
+                unmet.append(A)
+                break
+    return unmet
 
 
 def _free_parts_fit(pf: Pseudoforest, plan: _Plan, roots: tuple[int, ...]) -> bool:

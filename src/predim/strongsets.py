@@ -18,7 +18,8 @@ the brute oracle and `graph_strong`).  The routes:
 - `strong_subsets` lists the small strong subsets: on a valid pseudoforest
   (`valid_pseudoforest`) as unions of connected pieces, one per component
   at most, with no strength test (`_graph_strong_subsets`), else by
-  `strong_verdict` on each subset; `strong_subsets_by_shape` groups them;
+  `strong_verdict` on each subset; `strong_subsets_by_shape` groups them,
+  taking each walked set's shape from the instances its pieces carry;
 - `is_strong` reports the exact deficiency: from the kernel for a valid spec
   (`_flow_nonempty_min`), from the brute-force oracle for an invalid one,
   which refuses with a `SpecError` past BRUTE_LIMIT (20) free elements, or
@@ -683,12 +684,7 @@ def strong_subsets(
     A valid weight-1 pseudoforest lists them as unions of pieces
     (`_graph_strong_subsets`), every other structure filters every subset
     by `strong_verdict`."""
-    if valid_pseudoforest(spec, struct):
-        return _graph_strong_subsets(struct, below, near)
-    return [
-        c for size in range(below) for c in combinations(struct.universe, size)
-        if (near is None or not c or not near.isdisjoint(c)) and strong_verdict(spec, struct, c)
-    ]
+    return [c for c, _ in _listed(spec, struct, below, near)]
 
 
 def strong_subsets_by_shape(
@@ -698,43 +694,57 @@ def strong_subsets_by_shape(
     near: Optional[set[int]] = None,
 ) -> dict[tuple, list[tuple[int, ...]]]:
     """`strong_subsets` grouped by shape (`FinStructure.shape` of the
-    sorted set, which is `canonical.pinned_shape`), each group in ids
-    order."""
+    sorted set, which is `canonical.pinned_shape`, fed the walk's
+    instances on a valid pseudoforest), each group in ids order."""
     groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for c in strong_subsets(spec, struct, below, near):
-        groups.setdefault(struct.shape(c), []).append(c)
+    for c, found in _listed(spec, struct, below, near):
+        groups.setdefault(struct.shape(c, found), []).append(c)
     return groups
 
 
-def _pieces(struct: FinStructure, elems: list[int], size: int, excess: int) -> list[tuple[int, ...]]:
+def _listed(spec: PredimensionSpec, struct: FinStructure, below: int, near: Optional[set[int]]):
+    """`strong_subsets`, each with the instances inside it from the
+    weight-1 walk, else with None."""
+    if valid_pseudoforest(spec, struct):
+        return _graph_strong_subsets(struct, below, near)
+    return [
+        (c, None) for size in range(below) for c in combinations(struct.universe, size)
+        if (near is None or not c or not near.isdisjoint(c)) and strong_verdict(spec, struct, c)
+    ]
+
+
+def _pieces(struct: FinStructure, elems: list[int], size: int, excess: int) -> list[tuple]:
     """The connected subsets of one component with at most `size` elements
-    and the component's excess (instances less elements), sorted.  Each is
-    grown once from its least element, through the neighbours of each added
-    element that no earlier one reaches (ESU: Wernicke, IEEE/ACM TCBB 3(4),
-    2006)."""
+    and the component's excess (instances less elements), sorted, each with
+    the (symbol, instance) pairs inside it.  Each is grown once from its
+    least element, through the neighbours of each added element that no
+    earlier one reaches (ESU: Wernicke, IEEE/ACM TCBB 3(4), 2006); an added
+    element brings the instances joining it to the piece."""
     adj, inc = struct.adjacency(), struct.incidence()
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[tuple[int, ...], tuple]] = []
     if size < 1:
         return out
 
-    def grow(sub: tuple[int, ...], ext: list[int], reach: frozenset[int], edges: int) -> None:
-        if edges - len(sub) == excess:
-            out.append(tuple(sorted(sub)))
+    def grow(sub: tuple[int, ...], ext: list[int], reach: frozenset[int], found: tuple) -> None:
+        if len(found) - len(sub) == excess:
+            out.append((tuple(sorted(sub)), found))
         if len(sub) < size:
             for i, w in enumerate(ext):
                 more = [u for u in adj[w] if u > sub[0] and u not in reach]
-                joins = sum([t[0] in sub or t[1] in sub for _, t in inc[w]])
-                grow(sub + (w,), ext[i + 1:] + more, reach | adj[w], edges + joins)
+                joins = tuple([e for e in inc[w] if e[1][0] in sub or e[1][1] in sub])
+                grow(sub + (w,), ext[i + 1:] + more, reach | adj[w], found + joins)
 
     for v in elems:
-        grow((v,), [u for u in adj[v] if u > v], adj[v] | {v}, 0)
+        grow((v,), [u for u in adj[v] if u > v], adj[v] | {v}, ())
     return out
 
 
 def _graph_strong_subsets(
     struct: FinStructure, below: int, near: Optional[set[int]]
-) -> list[tuple[int, ...]]:
-    """`strong_subsets` on a valid pseudoforest, with no strength test.
+) -> list[tuple[tuple[int, ...], tuple]]:
+    """`strong_subsets` on a valid pseudoforest, with no strength test, each
+    set with the (symbol, instance) pairs inside it, its pieces' pairs
+    joined.
 
     By `graph_strong`, with no crowded component, A is strong exactly when,
     in each component C it meets, A & C has C's excess.  For a graph,
@@ -751,32 +761,31 @@ def _graph_strong_subsets(
         # a component missing `near` joins only beside a piece that meets it: leave that piece room
         room = below - 1 if near is None or not near.isdisjoint(elems) else below - 2
         pieces = _pieces(struct, elems, room, excess[r])
-        comps.append((not any(map(met, pieces)), r, pieces))
+        comps.append((not any(met(p) for p, _ in pieces), r, pieces))
     comps.sort()
-    by_size: list[list] = [[] for _ in range(below)]  # (component position, piece, meets `near`), by position
+    by_size: list[list] = [[] for _ in range(below)]  # (component position, piece, pairs, meets `near`)
     for pos, (_, _, pieces) in enumerate(comps):
-        for p in pieces:
-            by_size[len(p)].append((pos, p, met(p)))
+        for p, found in pieces:
+            by_size[len(p)].append((pos, p, found, met(p)))
     starts = [[row[0] for row in rows] for rows in by_size]
     last_near = max([pos for pos, c in enumerate(comps) if not c[0]], default=-1)
-    found = [()] if below > 0 else []
+    listed: list[list] = [[] if size else [((), ())] for size in range(below)]  # by size
 
-    def join(start: int, acc: tuple[int, ...], left: int, hit: bool) -> None:
+    def join(start: int, acc: tuple[int, ...], inner: tuple, left: int, hit: bool) -> None:
         for size in range(1, left + 1):
             rows = by_size[size]
             for i in range(bisect_left(starts[size], start), len(rows)):
-                pos, piece, meets = rows[i]
+                pos, piece, found, meets = rows[i]
                 if not (hit or pos <= last_near):
                     break
-                union, reached = acc + piece, hit or meets
+                union, pairs, reached = acc + piece, inner + found, hit or meets
                 if reached:
-                    found.append(tuple(sorted(union)))
+                    listed[len(union)].append((tuple(sorted(union)), pairs))
                 if size < left and (reached or pos < last_near):
-                    join(pos + 1, union, left - size, reached)
+                    join(pos + 1, union, pairs, left - size, reached)
 
-    join(0, (), below - 1, near is None)
-    found.sort(key=lambda c: (len(c), c))
-    return found
+    join(0, (), (), below - 1, near is None)
+    return [entry for rows in listed for entry in sorted(rows)]  # sets differ: pairs never compare
 
 
 def in_class(spec: PredimensionSpec, struct: FinStructure) -> bool:

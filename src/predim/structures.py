@@ -277,15 +277,23 @@ class FinStructure:
             found[name] = frozenset(ts)
         return found
 
-    def shape(self, order: Sequence[int]) -> tuple:
+    def shape(self, order: Sequence[int], found: Optional[Iterable[tuple[str, tuple[int, ...]]]] = None) -> tuple:
         """The annotations along `order`, then per symbol in signature order
         the sorted instances inside `order`, each element renamed to its
-        place: the induced structure on `order` as a hashable key."""
+        place: the induced structure on `order` as a hashable key.  `found`,
+        when given, lists the (symbol, instance) pairs inside `order`, each
+        once, and spares the scan for them."""
         place = {v: p for p, v in enumerate(order)}.__getitem__
         norm = tuple if self.sig.ordered else sorted
-        inside = self.inside(set(order))
+        if found is None:
+            inside = self.inside(set(order))
+        else:
+            inside = {name: [] for name in self.sig.names}
+            for name, t in found:
+                inside[name].append(t)
+        ann = self.annotations.get
         return (
-            tuple([self.annotation(v) for v in order]),
+            tuple([ann(v, ()) for v in order]),
             tuple(tuple(sorted([tuple(norm(map(place, t))) for t in inside[name]])) for name in self.sig.names),
         )
 
@@ -518,10 +526,11 @@ def find_embeddings(
         # Every instance at a must land on a target instance, so an image of
         # a co-occurs with the image of each assigned co-member.
         anchors = {assignment[x] for _, t in source_inc[a] for x in t if x in assignment}
-        if anchors:
-            # anchors are used, so leaving them out of the pool changes nothing
-            return iter(sorted(frozenset.intersection(*(target_adj[b] for b in anchors))))
-        return iter(target.universe)
+        # anchors are used, so leaving them out of the pool changes nothing
+        pool = sorted(frozenset.intersection(*(target_adj[b] for b in anchors))) if anchors else target.universe
+        if source.n == target.n:  # an induced embedding is onto, an isomorphism: it keeps incidence counts
+            return (b for b in pool if len(target_inc[b]) == len(source_inc[a]))
+        return iter(pool)
 
     # Depth-first over the free elements with an explicit stack of candidate
     # iterators, one per assigned step, so long sources cannot exhaust the

@@ -28,13 +28,14 @@ from predim import (
     strong_verdict,
 )
 from predim import richness
-from predim.builder import classes_over
+from predim.builder import _obligations, classes_over
 from predim.canonical import pinned_shape
 from predim.richness import Pseudoforest
-from predim.strongsets import graph_strong, valid_pseudoforest
+from predim.strongsets import graph_strong, strong_subsets_by_shape, valid_pseudoforest
 from predim.sampling import random_sparse_graph, random_subset
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
+from richness_oracle import oracle_met
 
 F = Fraction
 
@@ -133,7 +134,7 @@ def test_obligation_met_fast_matches_generic(alpha1):
         if not strong_verdict(alpha1, g, base):
             continue
         for cls in classes_over(alpha1, g, base, len(base) + 2, {}, pinned_shape(g, base)):
-            fast = richness.met_fast(pf, base, cls)
+            fast = not richness.met_fast(pf, cls, [base])
             slow = obligation_met(alpha1, g, base, cls)
             assert fast == slow
 
@@ -145,9 +146,9 @@ def test_met_fast_shares_plans_with_transported_classes(alpha1):
     g = graph(4, [(0, 1), (2, 3)])
     pf = Pseudoforest(g)
     moved = pend.transport(g.restrict([2]))
-    assert richness.met_fast(pf, (0,), pend)
+    assert richness.met_fast(pf, pend, [(0,)]) == []
     assert obligation_met(alpha1, g, (2,), moved)
-    assert richness.met_fast(pf, (2,), moved)
+    assert richness.met_fast(pf, moved, [(2,)]) == []
 
 
 def _random_pseudoforest(rng: random.Random, n: int):
@@ -182,7 +183,7 @@ def _assert_fast_matches_generic(spec, g, max_base, level, cache=None):
             if base and not graph_strong(g, base):
                 continue
             for cls in classes_over(spec, g, base, max(level, size + 1), cache, pinned_shape(g, base)):
-                fast = richness.met_fast(pf, base, cls)
+                fast = not richness.met_fast(pf, cls, [base])
                 assert fast == obligation_met(spec, g, base, cls), (base, cls.code)
                 checked += 1
     return checked
@@ -340,6 +341,45 @@ def test_fast_matches_generic_at_level4_on_two_symbol_pseudoforests(alpha1):
     assert parallel >= 3 and cyclic >= 3 and checked >= 3000
 
 
+def _assert_runs_match_oracle(spec, g, level, cache, seen):
+    """`met_fast` on every run of the audit's obligations against the frozen
+    per-obligation check, each side with a Pseudoforest of its own; counts
+    the obligations, and the runs that mix met and unmet bases, in `seen`."""
+    pf, frozen = Pseudoforest(g), Pseudoforest(g)
+    for cls, bases in _obligations(spec, g, strong_subsets_by_shape(spec, g, level), level, cache):
+        want = [A for A in bases if not oracle_met(frozen, A, cls)]
+        assert richness.met_fast(pf, cls, bases) == want, cls.code
+        seen["obligations"] += len(bases)
+        seen["mixed"] += 0 < len(want) < len(bases)
+
+
+def test_runs_match_the_per_obligation_oracle_at_n40(alpha1):
+    g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
+    seen = Counter()
+    _assert_runs_match_oracle(alpha1, g, 4, {}, seen)
+    assert seen["obligations"] == 23451 and seen["mixed"] > 10
+
+
+def test_runs_match_the_per_obligation_oracle_on_random_pseudoforests(alpha1):
+    # the single-symbol pseudoforests, and two-symbol ones where F repeats
+    # some E pairs and replaces E on others, at levels 3 and 4
+    rng = random.Random(56)
+    cache = {}
+    seen = Counter()
+    for i in range(30):
+        g = _random_pseudoforest(rng, rng.randrange(3, 11))
+        if i % 2:
+            pairs = sorted(g.instances["E"])
+            rolls = [rng.random() for _ in pairs]
+            g = FinStructure(EF, g.universe, {
+                "E": [t for t, r in zip(pairs, rolls) if r < 0.2 or r >= 0.45],
+                "F": [t for t, r in zip(pairs, rolls) if r < 0.45],
+            })
+        if valid_pseudoforest(alpha1, g):
+            _assert_runs_match_oracle(alpha1, g, 3 + i % 2, cache, seen)
+    assert seen["obligations"] >= 5000 and seen["mixed"] >= 50, seen
+
+
 EF = Signature((("E", 2), ("F", 2)))
 
 
@@ -356,7 +396,7 @@ def test_anchored_part_that_is_not_a_pendant_forest_is_unmet(alpha1, host, ext, 
     pf = Pseudoforest(host)
     assert graph_strong(host, base)
     assert pf.plan(cls).places is None
-    assert not richness.met_fast(pf, base, cls)
+    assert richness.met_fast(pf, cls, [base]) == [base]
     assert not obligation_met(alpha1, host, base, cls)
 
 
@@ -372,7 +412,7 @@ def test_pendant_trees_that_do_not_fit_the_branches_are_unmet(alpha1, host, ext)
     pf = Pseudoforest(host)
     assert graph_strong(host, (0,))
     assert pf.plan(cls).places
-    assert not richness.met_fast(pf, (0,), cls)
+    assert richness.met_fast(pf, cls, [(0,)]) == [(0,)]
     assert not obligation_met(alpha1, host, (0,), cls)
 
 

@@ -29,7 +29,10 @@ from predim import (
     resume,
     thrifty_step,
 )
+from predim import collapse
+from predim.canonical import pinned_shape
 from predim.sampling import graph_signature, random_sparse_graph
+from predim.strongsets import strong_subsets
 
 from conftest import graph, spec_alpha
 
@@ -175,6 +178,19 @@ def test_biminimal_base_examples(alpha1):
         biminimal_base(alpha1, tri, [0, 1])
 
 
+def test_biminimal_base_refuses_a_base_outside_the_class(alpha1, monkeypatch):
+    # a path 0-...-15 with a K4 on 15..18 (crowded) and a pendant new element
+    # 19 at 0: refused after one membership test, with no subset walked
+    path = [(i, i + 1) for i in range(15)]
+    k4 = [(a, b) for a, b in combinations(range(15, 19), 2)]
+    ext = graph(20, path + k4 + [(0, 19)])
+    walks = []
+    monkeypatch.setattr(collapse, "strong_subsets", lambda *args: walks.append(args))
+    with pytest.raises(BiminimalError, match="^the base is outside the nonnegative class$"):
+        biminimal_base(alpha1, ext, range(19))
+    assert walks == []
+
+
 def test_enumerate_minimal_extensions_frozen(alpha1):
     point = graph(1, [])
     classes = enumerate_minimal_extensions(alpha1, point, 2)
@@ -195,6 +211,29 @@ def test_mu_violations_frozen(alpha1, path4):
     assert report.violations == (((0,), pend.code, 3, 2),)
     assert in_class_mu(alpha1, mu2, path4, 2).ok
     assert in_class_mu(alpha1, mu2, graph(0, []), 2).ok
+
+
+def test_mu_violations_come_in_strong_base_order(alpha1):
+    # weight-1/2 edges, every cap 1: the non-edges (0, 1), (2, 3), (8, 9)
+    # and (10, 11) each have two common neighbours, and so has the edge
+    # (4, 5), whose shape differs; the violations keep the bases' (size,
+    # ids) order, as when they were checked one base at a time
+    square = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    edges = square + [(4, 5), (4, 6), (5, 6), (4, 7), (5, 7)] + [(a + 8, b + 8) for a, b in square]
+    g = graph(12, edges, Fraction(1, 2))
+    mu = MuFunction(params=(1, 0))
+    got = mu_violations(alpha1, mu, g, 3)
+    assert [v[0] for v in got] == [(0, 1), (2, 3), (4, 5), (8, 9), (10, 11)]
+    cache, want = {}, []
+    for base in strong_subsets(alpha1, g, 3):
+        key = (pinned_shape(g, base), 3 - len(base))
+        if key not in cache:
+            cache[key] = enumerate_minimal_extensions(alpha1, g.restrict(base), 3 - len(base))
+        for cls in cache[key]:
+            count = count_independent_copies(alpha1, g, base, cls)
+            if count > mu.value(cls):
+                want.append((base, cls.code, count, mu.value(cls)))
+    assert got == tuple(want)
 
 
 def test_mu_violations_need_class_membership(alpha1, k4):

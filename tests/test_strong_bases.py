@@ -65,6 +65,8 @@ def test_walk_is_the_filter_on_weight_one_multigraphs(alpha1, monkeypatch):
                 want = oracle_strong_subsets(g, below, near)
                 assert strong_subsets(alpha1, g, below, near) == want, (g, below, near)
                 assert len(walks) == walked + (not crowded)
+                # each walk-fed shape is the base's `pinned_shape`
+                assert strong_subsets_by_shape(alpha1, g, below, near) == _grouped(g, want)
                 seen["near"] += near is not None and len(want) > 1
                 seen["bases"] += len(want)
     assert min(seen.values()) >= 20, seen
@@ -151,6 +153,20 @@ def test_out_of_class_audit_walks_no_bases(alpha1, monkeypatch, tmp_path, capsys
     assert walks == []
 
 
+def test_level_four_audit_decides_each_run_once(alpha1, monkeypatch):
+    # 87 runs (class, bases of its shape) for 23,451 obligations, and the
+    # grouping reads each base's instances off the walk, with no scan
+    g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
+    runs = _counted(monkeypatch, builder, "met_fast")
+    scans = _counted(monkeypatch, FinStructure, "inside")
+    groups = strong_subsets_by_shape(alpha1, g, 4)
+    assert sum(map(len, groups.values())) == 4635 and scans == []
+    rep = audit_richness(alpha1, g, 4)
+    assert (rep.satisfied, rep.total) == (22148, 23451)
+    assert len(runs) == 87
+    assert sum(len(bases) for _, _, bases in runs) == 23451
+
+
 def test_level_four_audit_looks_classes_up_once_per_shape(alpha1, monkeypatch):
     g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
     calls = _counted(monkeypatch, builder, "classes_over")
@@ -165,10 +181,10 @@ def test_builder_computes_at_most_one_shape_per_strong_base(alpha1, monkeypatch)
     shapes = []
     real = FinStructure.shape
 
-    def shape(struct, order):
+    def shape(struct, order, *args):
         if order and sys._getframe(1).f_code.co_name != "_serialize":
             shapes.append(tuple(order))
-        return real(struct, order)
+        return real(struct, order, *args)
 
     monkeypatch.setattr(FinStructure, "shape", shape)
     ga = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40)

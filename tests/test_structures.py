@@ -226,11 +226,13 @@ def test_find_embeddings_deterministic_order():
 
 def test_find_embeddings_long_path_into_itself():
     # a recursive search would need one stack frame per element; pinning an
-    # end keeps the search linear
+    # end keeps the search linear, and so does a target of the source's size,
+    # where only an end can take the first end
     n = 1500
     path = graph(n, [(i, i + 1) for i in range(n - 1)])
     assert find_embeddings(path, path, fixed={0: 0}) == [{i: i for i in range(n)}]
     assert find_embeddings(path, path, fixed={0: n - 1}) == [{i: n - 1 - i for i in range(n)}]
+    assert find_embeddings(path, path) == [{i: i for i in range(n)}, {i: n - 1 - i for i in range(n)}]
 
 
 def _signatures():
@@ -285,6 +287,16 @@ def test_find_embeddings_matches_brute_force_in_order():
         target = random_structure(rng, sig, rng.randrange(2, 6), 0.5)
         size = rng.randint(2, min(3, source.n, target.n))
         cases.append((source, target, dict(zip(rng.sample(source.universe, size), rng.sample(target.universe, size)))))
+    # targets of the source's size, where embeddings are isomorphisms: the
+    # source relabelled, with at most one pin
+    for _ in range(40):
+        source = random_structure(rng, rng.choice(sigs), rng.randrange(1, 7), 0.4)
+        ids = list(source.universe)
+        rng.shuffle(ids)
+        target = source.relabel(dict(zip(source.universe, ids)))
+        cases.append((source, target, {ids[0]: rng.choice(ids)} if rng.random() < 0.3 else {}))
+    same = [bool(_brute_embeddings(s, t, pin)) for s, t, pin in cases if s.n == t.n]
+    assert same.count(True) >= 30 and same.count(False) >= 10, same
     induced = {True: 0, False: 0}
     for source, target, pin in cases:
         expected = _brute_embeddings(source, target, pin)

@@ -18,9 +18,10 @@ first unmet one and a whole run would decide bases it never reaches.
 
 No obligation is sorted.  The strong bases come grouped by `pinned_shape`,
 each group in ids order (`strongsets.strong_subsets_by_shape`), and the
-classes are looked up once per shape.  A code fixes its base's shape, so
-each code belongs to one group, and running the classes of one base size in
-(|B|, code) order, each over its whole group, is that order
+classes are looked up once per shape in the one catalogue (`classes_over`),
+which the copy-cap checks of `collapse` share.  A code fixes its base's
+shape, so each code belongs to one group, and running the classes of one
+base size in (|B|, code) order, each over its whole group, is that order
 (`_obligations`).  A build keeps the groups and adds only the new bases.
 
 Satisfaction is monotone under free growth over strong bases (strong sets
@@ -32,13 +33,13 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .extensions import ExtensionClass, enumerate_extensions
 from .predimension import PredimensionSpec, rank_compat
 from .richness import Pseudoforest, met_fast
-from .structures import FinStructure, find_embeddings
+from .structures import FinStructure, Signature, find_embeddings
 from .strongsets import in_class, strong_subsets_by_shape, strong_verdict, valid_pseudoforest
 
 
@@ -84,24 +85,31 @@ class RichnessReport(NamedTuple):
         return Fraction(self.satisfied, self.total)
 
 
-def classes_over(
-    spec: PredimensionSpec,
-    struct: FinStructure,
-    base_ids: tuple[int, ...],
-    k: int,
-    cache: dict[tuple, list[ExtensionClass]],
-    shape: tuple,
-) -> list[ExtensionClass]:
-    """Obligation classes over a concrete base, via a cache keyed by
-    `shape`, the base's `pinned_shape`; the base is restricted only on a
-    miss.
+# Catalogue entries kept: a generic-k3 benchmark block enumerates 15 keys,
+# the collapsed k=3 build under relational + 1/2 linear3 + 1/2 uniform2 with
+# bound 3 and budget 28 enumerates 134 and filters each (268 entries).
+CATALOGUE_SIZE = 512
 
-    The classes are the cached templates, over the first base of this shape
-    that was seen; `ExtensionClass.base_map` pins one onto `base_ids`.
-    """
-    if shape not in cache:
-        cache[shape] = enumerate_extensions(spec, struct.restrict(base_ids), k - len(base_ids))
-    return cache[shape]
+
+def classes_over(
+    spec: PredimensionSpec, sig: Signature, shape: tuple, max_new: int, keep: Optional[Callable] = None
+) -> tuple[ExtensionClass, ...]:
+    """`enumerate_extensions` over the base with this `pinned_shape`, rebuilt
+    on 0..|A|-1 from the shape alone; with `keep`, a module-level predicate,
+    the classes it accepts, filtered from the same entry.  The catalogue, an
+    LRU memo of `CATALOGUE_SIZE` entries, lives as long as the process; an
+    entry depends on its key alone, so eviction changes only speed."""
+    return _catalogue(spec, sig, shape, max_new, keep)
+
+
+@lru_cache(maxsize=CATALOGUE_SIZE)
+def _catalogue(spec, sig, shape, max_new, keep) -> tuple[ExtensionClass, ...]:
+    if keep is not None:
+        return tuple([cls for cls in _catalogue(spec, sig, shape, max_new, None) if keep(spec, cls)])
+    annotations, instances = shape
+    tokens = {place: toks for place, toks in enumerate(annotations) if toks}
+    base = FinStructure(sig, range(len(annotations)), dict(zip(sig.names, instances)), tokens)
+    return tuple(enumerate_extensions(spec, base, max_new))
 
 
 def obligation_met(
@@ -143,7 +151,6 @@ def _obligations(
     struct: FinStructure,
     groups: dict[tuple, list[tuple[int, ...]]],
     k: int,
-    cache: dict[tuple, list[ExtensionClass]],
 ) -> Iterator[tuple[ExtensionClass, list[tuple[int, ...]]]]:
     """All obligations in (|A|, |B|, class code, A) order, as runs of one
     class over the strong bases of its shape, from those bases grouped by
@@ -152,7 +159,7 @@ def _obligations(
         found = [
             (cls.size, cls.code, cls, bases)
             for shape, bases in groups.items() if len(bases[0]) == asize
-            for cls in classes_over(spec, struct, bases[0], k, cache, shape)
+            for cls in classes_over(spec, struct.sig, shape, k - asize)
         ]
         found.sort(key=lambda f: f[:2])
         for _, _, cls, bases in found:
@@ -223,8 +230,8 @@ def discharge(ga: GenericApprox, base_ids: tuple[int, ...], cls: ExtensionClass)
 
 
 class GenericApprox:
-    """Mutable build state: the structure so far plus scheduling caches,
-    among them the strong bases grouped by shape.
+    """Mutable build state: the structure so far, its strong bases grouped
+    by shape, the satisfied obligations and the obligation plans.
 
     `step(ga, base_ids, cls)` realizes one unmet obligation, with the class
     already over `base_ids`, and returns the fresh element ids; the default
@@ -253,7 +260,6 @@ class GenericApprox:
         self.history: list[DischargeRecord] = []
         self.blocked: Optional[BlockedRecord] = None
         self._satisfied: set[tuple[tuple[int, ...], bytes]] = set()
-        self._class_cache: dict[tuple, list[ExtensionClass]] = {}
         self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
         self._met = _obligation_test(spec, start, self._plans)
         self._strong = strong_subsets_by_shape(spec, start, k)
@@ -291,7 +297,7 @@ def resume(ga: GenericApprox, extra_budget: int) -> GenericApprox:
     ga.allowance += extra_budget
     ga.blocked = None
     while True:
-        runs = _obligations(ga.spec, ga.current, ga._strong, ga.k, ga._class_cache)
+        runs = _obligations(ga.spec, ga.current, ga._strong, ga.k)
         for A, cls in ((A, cls) for cls, bases in runs for A in bases):
             if (A, cls.code) not in ga._satisfied:
                 if ga._met(cls, (A,)):  # A is unmet
@@ -303,8 +309,7 @@ def resume(ga: GenericApprox, extra_budget: int) -> GenericApprox:
         if ga.current.n + need > ga.allowance:
             ga.blocked = BlockedRecord(A, cls.code, need)
             return ga
-        if cls.base.universe != A:
-            cls = cls.transport(ga.current.restrict(A))
+        cls = cls.transport(ga.current.restrict(A))  # the catalogue's template onto A
         new_ids = ga.step(ga, A, cls)
         ga.history.append(DischargeRecord(len(ga.history), A, cls.code, new_ids))
         ga._satisfied.add((A, cls.code))
@@ -328,7 +333,7 @@ def audit_richness(
     groups = strong_subsets_by_shape(spec, struct, k)
     total = 0
     unmet = []
-    for cls, bases in _obligations(spec, struct, groups, k, {}):
+    for cls, bases in _obligations(spec, struct, groups, k):
         total += len(bases)
         unmet.extend([(A, cls.code) for A in met(cls, bases)])
     return RichnessReport(k=k, total=total, satisfied=total - len(unmet), unmet=tuple(unmet))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .builder import GenericApprox, free_extend, resume, strong_embedding
+from .builder import GenericApprox, classes_over, free_extend, resume, strong_embedding
 from .canonical import pinned_shape
 from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
 from .predimension import PredimensionSpec, delta, rank_compat
@@ -141,6 +141,12 @@ def biminimal_base(
     return tuple(sorted(least[0]))
 
 
+def _biminimal(spec: PredimensionSpec, cls: ExtensionClass) -> bool:
+    """Is the class minimal prealgebraic over its own base, its least sub-base?"""
+    base = cls.base.universe
+    return cls.prealgebraic and cls.minimal and biminimal_base(spec, cls.ext, base) == base
+
+
 def enumerate_minimal_extensions(
     spec: PredimensionSpec,
     base: FinStructure,
@@ -148,11 +154,7 @@ def enumerate_minimal_extensions(
 ) -> list[ExtensionClass]:
     """Minimal prealgebraic extension classes of the base whose least
     sub-base is the whole base."""
-    out = []
-    for cls in enumerate_extensions(spec, base, max_new):
-        if cls.prealgebraic and cls.minimal and biminimal_base(spec, cls.ext, base.universe) == base.universe:
-            out.append(cls)
-    return out
+    return [cls for cls in enumerate_extensions(spec, base, max_new) if _biminimal(spec, cls)]
 
 
 def count_independent_copies(
@@ -234,7 +236,6 @@ def mu_violations(
     bound: int,
     *,
     around: Optional[Iterable[int]] = None,
-    class_cache: Optional[dict] = None,
 ) -> tuple[tuple[tuple[int, ...], bytes, int, int], ...]:
     """Copy-cap violations over all strong bases and bi-minimal prealgebraic
     classes up to the size bound.
@@ -243,23 +244,19 @@ def mu_violations(
     a copy is instance-connected to its base, so any new copy's base meets
     the given elements' adjacency ball of radius `bound` (the empty base is
     always rechecked).  Exact for relational specs; matroid components force
-    the full scan.  `class_cache` keys the classes by the base's
-    `pinned_shape` and the size left, read per group of
-    `strong_subsets_by_shape`; a base is restricted only on a miss.
+    the full scan.  The bi-minimal classes come from the catalogue
+    (`builder.classes_over`), once per group of `strong_subsets_by_shape`.
     """
     if not in_class(spec, struct):
         raise MuError("structure outside the nonnegative class")
     allowed: Optional[set[int]] = None
     if around is not None and not spec.components:
         allowed = _ball(struct, around, bound)
-    cache = class_cache if class_cache is not None else {}
     violations = []
     for shape, bases in strong_subsets_by_shape(spec, struct, bound, near=allowed).items():
-        key = (shape, bound - len(bases[0]))
-        if key not in cache:
-            cache[key] = enumerate_minimal_extensions(spec, struct.restrict(bases[0]), key[1])
+        classes = classes_over(spec, struct.sig, shape, bound - len(bases[0]), _biminimal)
         for base in bases:
-            for cls in cache[key]:
+            for cls in classes:
                 limit = mu.value(cls)
                 count = count_independent_copies(spec, struct, base, cls)
                 if count > limit:
@@ -303,14 +300,14 @@ def thrifty_step(
     bound: int,
     targets: Optional[dict[int, int]] = None,
     cross_check: bool = False,
-    class_cache: Optional[dict] = None,
 ) -> ThriftyOutcome:
     """Free-or-embed dichotomy for one minimal extension step.
 
     The free amalgam is kept when no copy cap breaks near the fresh
     elements; otherwise the extension must embed onto existing elements with
     a strong image, and failing both is an error.  `cross_check` also runs
-    the full violation scan and insists it agree with the local one.
+    the full violation scan, where it differs from the local one (relational
+    specs), and insists they agree.
     """
     base = tuple(sorted(base_ids))
     if not is_minimal_extension(spec, ext, base) or ext.n == len(base):
@@ -319,11 +316,9 @@ def thrifty_step(
         raise ThriftyError("step base is not strong in the ambient structure")
     extended, mapping = free_extend(struct, ext, base, targets)
     new_ids = tuple(mapping[e] for e in ext.universe if e not in set(base))
-    viol = mu_violations(
-        spec, mu, extended, bound, around=new_ids, class_cache=class_cache
-    )
-    if cross_check:
-        full = mu_violations(spec, mu, extended, bound, class_cache=class_cache)
+    viol = mu_violations(spec, mu, extended, bound, around=new_ids)
+    if cross_check and not spec.components:
+        full = mu_violations(spec, mu, extended, bound)
         if set(viol) != set(full):
             raise MuError(
                 f"incremental mu-check disagrees with full recount: {viol} vs {full}"
@@ -374,7 +369,7 @@ def build_collapsed(
     report = in_class_mu(spec, mu, start, bound)
     if not report.ok:
         raise MuError(f"start structure violates copy caps: {report.violations}")
-    step = partial(_discharge_collapsed, mu=mu, bound=bound, cross_check=cross_check, mu_cache={})
+    step = partial(_discharge_collapsed, mu=mu, bound=bound, cross_check=cross_check)
     return resume(GenericApprox(spec, start, k, budget, step), 0)
 
 
@@ -386,7 +381,6 @@ def _discharge_collapsed(
     mu: MuFunction,
     bound: int,
     cross_check: bool,
-    mu_cache: dict,
 ) -> tuple[int, ...]:
     """Realize one obligation through minimal tower steps.
 
@@ -411,8 +405,7 @@ def _discharge_collapsed(
         keep_ids = {relabel[e]: relabel[e] for e in step_new}
         out = thrifty_step(
             spec, mu, ga.current, step_base, step_ext,
-            bound=bound, targets=keep_ids,
-            cross_check=cross_check, class_cache=mu_cache,
+            bound=bound, targets=keep_ids, cross_check=cross_check,
         )
         got = dict(out.mapping)
         for e in step_new:

@@ -34,7 +34,6 @@ def oracle_obligations(
     struct: FinStructure,
     strong_sets: list[tuple[int, ...]],
     k: int,
-    cache: dict[tuple, list[ExtensionClass]],
 ) -> Iterator[tuple[tuple[int, ...], ExtensionClass]]:
     """All obligations in (|A|, |B|, class code, A) order."""
     for asize in range(0, k):
@@ -42,7 +41,7 @@ def oracle_obligations(
         per_bsize: dict[int, list[tuple[bytes, tuple[int, ...]]]] = {}
         by_code: dict[bytes, ExtensionClass] = {}  # one template per code: a code fixes its base's shape
         for A in bases:
-            for cls in classes_over(spec, struct, A, k, cache, pinned_shape(struct, A)):
+            for cls in classes_over(spec, struct.sig, pinned_shape(struct, A), k - asize):
                 per_bsize.setdefault(cls.size, []).append((cls.code, A))
                 by_code[cls.code] = cls
         for bsize in sorted(per_bsize):

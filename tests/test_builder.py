@@ -9,9 +9,12 @@ from itertools import combinations
 import pytest
 
 from predim import (
+    DEFAULT_MU,
     BuilderError,
     FinStructure,
+    LinearOracle,
     MuFunction,
+    PredimensionSpec,
     Signature,
     audit_richness,
     brute_force_is_strong,
@@ -23,16 +26,18 @@ from predim import (
     free_extend,
     in_class,
     obligation_met,
+    oracle_by_name,
     resume,
     serialize_structure,
     strong_verdict,
 )
-from predim import richness
+from predim import builder, richness
 from predim.builder import _obligations, classes_over
 from predim.canonical import pinned_shape
 from predim.richness import Pseudoforest
 from predim.strongsets import graph_strong, strong_subsets_by_shape, valid_pseudoforest
 from predim.sampling import random_sparse_graph, random_subset
+from predim.structures import GRAPH_SIG
 
 from conftest import graph, spec_alpha, spec_fusion, vectors
 from richness_oracle import oracle_met
@@ -133,7 +138,7 @@ def test_obligation_met_fast_matches_generic(alpha1):
         base = random_subset(rng, g.universe, k=min(g.n, rng.randrange(1, 3)))
         if not strong_verdict(alpha1, g, base):
             continue
-        for cls in classes_over(alpha1, g, base, len(base) + 2, {}, pinned_shape(g, base)):
+        for cls in classes_over(alpha1, g.sig, pinned_shape(g, base), 2):
             fast = not richness.met_fast(pf, cls, [base])
             slow = obligation_met(alpha1, g, base, cls)
             assert fast == slow
@@ -170,19 +175,17 @@ def _random_pseudoforest(rng: random.Random, n: int):
     return graph(n, sorted(edges))
 
 
-def _assert_fast_matches_generic(spec, g, max_base, level, cache=None):
-    """Fast and generic verdicts on the untransported template classes over
-    every strong base, with one Pseudoforest and one class cache shared by
-    all bases (and by the caller's structures, given `cache`)."""
+def _assert_fast_matches_generic(spec, g, max_base, level):
+    """Fast and generic verdicts on the untransported catalogue classes over
+    every strong base, with one Pseudoforest shared by all bases."""
     assert valid_pseudoforest(spec, g)
     pf = Pseudoforest(g)
-    cache = {} if cache is None else cache
     checked = 0
     for size in range(0, max_base + 1):
         for base in combinations(g.universe, size):
             if base and not graph_strong(g, base):
                 continue
-            for cls in classes_over(spec, g, base, max(level, size + 1), cache, pinned_shape(g, base)):
+            for cls in classes_over(spec, g.sig, pinned_shape(g, base), max(level - size, 1)):
                 fast = not richness.met_fast(pf, cls, [base])
                 assert fast == obligation_met(spec, g, base, cls), (base, cls.code)
                 checked += 1
@@ -324,7 +327,6 @@ def test_fast_matches_generic_at_level4_on_two_symbol_pseudoforests(alpha1):
     # elements, classes of up to 4
     sig = Signature((("E", 2), ("F", 2)))
     rng = random.Random(55)
-    cache = {}
     checked = parallel = cyclic = 0
     for _ in range(16):
         n = rng.randrange(4, 9)
@@ -337,16 +339,16 @@ def test_fast_matches_generic_at_level4_on_two_symbol_pseudoforests(alpha1):
             continue
         parallel += not set(e_pairs).isdisjoint(f_pairs)
         cyclic += 0 in g.components()[2].values()
-        checked += _assert_fast_matches_generic(alpha1, g, 3, 4, cache)
+        checked += _assert_fast_matches_generic(alpha1, g, 3, 4)
     assert parallel >= 3 and cyclic >= 3 and checked >= 3000
 
 
-def _assert_runs_match_oracle(spec, g, level, cache, seen):
+def _assert_runs_match_oracle(spec, g, level, seen):
     """`met_fast` on every run of the audit's obligations against the frozen
     per-obligation check, each side with a Pseudoforest of its own; counts
     the obligations, and the runs that mix met and unmet bases, in `seen`."""
     pf, frozen = Pseudoforest(g), Pseudoforest(g)
-    for cls, bases in _obligations(spec, g, strong_subsets_by_shape(spec, g, level), level, cache):
+    for cls, bases in _obligations(spec, g, strong_subsets_by_shape(spec, g, level), level):
         want = [A for A in bases if not oracle_met(frozen, A, cls)]
         assert richness.met_fast(pf, cls, bases) == want, cls.code
         seen["obligations"] += len(bases)
@@ -356,7 +358,7 @@ def _assert_runs_match_oracle(spec, g, level, cache, seen):
 def test_runs_match_the_per_obligation_oracle_at_n40(alpha1):
     g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
     seen = Counter()
-    _assert_runs_match_oracle(alpha1, g, 4, {}, seen)
+    _assert_runs_match_oracle(alpha1, g, 4, seen)
     assert seen["obligations"] == 23451 and seen["mixed"] > 10
 
 
@@ -364,7 +366,6 @@ def test_runs_match_the_per_obligation_oracle_on_random_pseudoforests(alpha1):
     # the single-symbol pseudoforests, and two-symbol ones where F repeats
     # some E pairs and replaces E on others, at levels 3 and 4
     rng = random.Random(56)
-    cache = {}
     seen = Counter()
     for i in range(30):
         g = _random_pseudoforest(rng, rng.randrange(3, 11))
@@ -376,7 +377,7 @@ def test_runs_match_the_per_obligation_oracle_on_random_pseudoforests(alpha1):
                 "F": [t for t, r in zip(pairs, rolls) if r < 0.45],
             })
         if valid_pseudoforest(alpha1, g):
-            _assert_runs_match_oracle(alpha1, g, 3 + i % 2, cache, seen)
+            _assert_runs_match_oracle(alpha1, g, 3 + i % 2, seen)
     assert seen["obligations"] >= 5000 and seen["mixed"] >= 50, seen
 
 
@@ -476,6 +477,14 @@ def test_build_deterministic_across_calls(alpha1):
 # bytes, including the class codes in every history record.
 SCHEDULE_SHA256 = "10c6ec897cfc463180de5a52af8074d357b0149627c771097686276fe362b5a7"
 
+# SHA-256 of the history and final structure of the collapsed k=3 build
+# under relational + 1/2 linear3 + 1/2 uniform2 from the empty graph, with
+# the default mu, size bound 3 and budget 20.  Its class codes carry vector
+# tokens, and a shape carries them too, so this pins the matroid path
+# through the extension-class catalogue; computed before the catalogue
+# replaced the per-build and per-call class caches.
+FUSION_SCHEDULE_SHA256 = "b6d98ef8c8bb99f5558ce69bf9175ed7d75e1feae46f54c2d162e9a93a2eee5a"
+
 # SHA-256 of the level-3 audit's unmet list at n=60 (the k=3 build from the
 # edge to 40 elements resumed by 20), computed before `met_fast` dropped its
 # per-map strength test and kept the free parts' verdict per component set.
@@ -487,20 +496,74 @@ UNMET60_SHA256 = "1917ab18a1bad65497fa2e15a4630d0ee33b14a7a74a55e0b4fa5f779a5738
 UNMET5_SHA256 = "a10dfa598866271b657d895e676415c97ced46decba714a068fe9c52933090fc"
 
 
-def test_schedules_are_pinned(alpha1):
+def _pinned_schedules(spec) -> bytes:
+    """The bytes behind `SCHEDULE_SHA256`."""
     edge = graph(2, [(0, 1)])
-    digest = hashlib.sha256()
-    ga = build_generic(alpha1, edge, k=3, budget=40)
-    level4 = audit_richness(alpha1, ga.current, 4)
+    ga = build_generic(spec, edge, k=3, budget=40)
+    level4 = audit_richness(spec, ga.current, 4)
     resume(ga, 20)
-    digest.update(repr(ga.history).encode() + serialize_structure(ga.current).encode())
-    pendant = classify_extension(alpha1, edge, [0])
+    out = repr(ga.history).encode() + serialize_structure(ga.current).encode()
+    pendant = classify_extension(spec, edge, [0])
     mu = MuFunction.from_dict({pendant.code: 3})
-    capped = build_collapsed(alpha1, mu, edge, k=3, budget=30, cross_check=True)
-    digest.update(repr(capped.history).encode() + serialize_structure(capped.current).encode())
-    digest.update(repr(level4.unmet).encode())
+    capped = build_collapsed(spec, mu, edge, k=3, budget=30, cross_check=True)
+    out += repr(capped.history).encode() + serialize_structure(capped.current).encode()
     assert (ga.current.n, capped.current.n, len(level4.unmet)) == (60, 30, 23451 - 22148)
-    assert digest.hexdigest() == SCHEDULE_SHA256
+    return out + repr(level4.unmet).encode()
+
+
+def test_schedules_are_pinned(alpha1):
+    assert hashlib.sha256(_pinned_schedules(alpha1)).hexdigest() == SCHEDULE_SHA256
+
+
+@pytest.fixture
+def cold_catalogue():
+    builder._catalogue.cache_clear()
+    yield
+    builder._catalogue.cache_clear()
+
+
+def test_catalogue_enumerates_each_key_once(alpha1, cold_catalogue, monkeypatch):
+    # the pinned sequence reads 15 keys; run again, it enumerates nothing
+    calls = []
+    enumerate_extensions = builder.enumerate_extensions
+    monkeypatch.setattr(builder, "enumerate_extensions", lambda *a: calls.append(a) or enumerate_extensions(*a))
+    assert hashlib.sha256(_pinned_schedules(alpha1)).hexdigest() == SCHEDULE_SHA256
+    assert len(calls) == len({(spec, base.sig, base.shape(base.universe), m) for spec, base, m in calls}) == 15
+    assert hashlib.sha256(_pinned_schedules(alpha1)).hexdigest() == SCHEDULE_SHA256
+    assert len(calls) == 15
+
+
+def _schedules_and_audits(spec):
+    ga = build_generic(spec, graph(2, [(0, 1)]), k=3, budget=40)
+    level3 = audit_richness(spec, ga.current, 3)
+    resume(ga, 20)
+    return repr((ga.history, level3.unmet, audit_richness(spec, ga.current, 3).unmet)).encode()
+
+
+def test_catalogue_entries_do_not_depend_on_who_asked_first(alpha1, cold_catalogue):
+    cold = _schedules_and_audits(alpha1)
+    enumerated = builder._catalogue.cache_info().misses
+    builder._catalogue.cache_clear()
+    # the same shapes under another spec, and bases of those shapes on other ids
+    shifted = FinStructure(GRAPH_SIG, range(7, 12), {"E": [(7, 9), (9, 11), (8, 11)]})
+    linear = PredimensionSpec.make(
+        relational=True, components=((LinearOracle(3), F(1, 2)), (oracle_by_name("uniform2"), F(1, 2)))
+    )
+    audit_richness(linear, shifted, 3)
+    audit_richness(alpha1, shifted, 3)
+    warmed = builder._catalogue.cache_info().misses
+    assert _schedules_and_audits(alpha1) == cold
+    assert builder._catalogue.cache_info().misses - warmed < enumerated
+
+
+def test_fusion_collapsed_schedule_is_pinned():
+    spec = PredimensionSpec.make(
+        relational=True, components=((LinearOracle(3), F(1, 2)), (oracle_by_name("uniform2"), F(1, 2)))
+    )
+    ga = build_collapsed(spec, DEFAULT_MU, graph(0, []), k=3, budget=20, bound=3)
+    assert (ga.current.n, len(ga.history), ga.blocked.needed) == (20, 9, 3)
+    digest = hashlib.sha256(repr(ga.history).encode() + serialize_structure(ga.current).encode())
+    assert digest.hexdigest() == FUSION_SCHEDULE_SHA256
 
 
 def test_level5_audit_at_n40_is_pinned(alpha1):

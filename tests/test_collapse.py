@@ -30,6 +30,7 @@ from predim import (
     thrifty_step,
 )
 from predim import collapse
+from predim.builder import classes_over
 from predim.canonical import pinned_shape
 from predim.sampling import graph_signature, random_sparse_graph
 from predim.strongsets import strong_subsets
@@ -236,6 +237,23 @@ def test_mu_violations_come_in_strong_base_order(alpha1):
     assert got == tuple(want)
 
 
+def test_minimal_classes_of_one_shape_agree_on_other_base_ids(alpha1):
+    # the non-edges (2, 3) and (10, 11) of the graph above share a shape;
+    # the catalogue's template sits over (0, 1), ids of neither, and its
+    # bi-minimal filter checks each class on the template's own ids
+    square = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    g = graph(12, square + [(a + 8, b + 8) for a, b in square], Fraction(1, 2))
+    first, second = (2, 3), (10, 11)
+    shape = pinned_shape(g, first)
+    assert shape == pinned_shape(g, second)
+    through = classes_over(alpha1, g.sig, shape, 1, collapse._biminimal)
+    assert through and all(cls.base.universe == (0, 1) for cls in through)
+    codes = [cls.code for cls in through]
+    for base in (first, second):
+        assert [cls.code for cls in enumerate_minimal_extensions(alpha1, g.restrict(base), 1)] == codes
+        assert [cls.code for cls in classes_over(alpha1, g.sig, pinned_shape(g, base), 1, collapse._biminimal)] == codes
+
+
 def test_mu_violations_need_class_membership(alpha1, k4):
     with pytest.raises(MuError):
         mu_violations(alpha1, DEFAULT_MU, k4, 2)
@@ -264,6 +282,29 @@ def test_thrifty_step_free_when_caps_allow(alpha1):
     assert out.free
     assert out.struct.n == star.n + 1
     assert not out.violations
+
+
+def _counted_scans(monkeypatch):
+    scans = []
+    scan = collapse.mu_violations
+    monkeypatch.setattr(collapse, "mu_violations", lambda *a, **kw: scans.append(kw) or scan(*a, **kw))
+    return scans
+
+
+def test_cross_check_rescans_only_when_the_scans_differ(alpha1, monkeypatch):
+    # relational: the local scan and the full recount, compared; with a
+    # matroid component the local scan is already the full one
+    scans = _counted_scans(monkeypatch)
+    pend = graph(2, [(0, 1)]).relabel({0: 0, 1: 9})
+    assert thrifty_step(alpha1, DEFAULT_MU, _star(3), (0,), pend, bound=2, cross_check=True).free
+    assert [sorted(kw) for kw in scans] == [["around"], []]
+    scans.clear()
+    linear = PredimensionSpec.make(relational=True, components=((LinearOracle(5), F(1)),))
+    sig = graph_signature()
+    edge = FinStructure(sig, (0, 1), {"E": [(0, 1)]}, {0: ("1",), 1: ("1",)})
+    pend = FinStructure(sig, (0, 5), {"E": [(0, 5)]}, {0: ("1",), 5: ("1",)})
+    assert thrifty_step(linear, DEFAULT_MU, edge, (0,), pend, bound=2, cross_check=True).free
+    assert [sorted(kw) for kw in scans] == [["around"]]
 
 
 def test_thrifty_step_embeds_when_cap_hit(alpha1):

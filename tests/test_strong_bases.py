@@ -80,25 +80,24 @@ def _grouped(g, bases):
     return groups
 
 
-def _runs(spec, g, k, cache):
+def _runs(spec, g, k):
     groups = strong_subsets_by_shape(spec, g, k)
-    return [(A, cls) for cls, bases in _obligations(spec, g, groups, k, cache) for A in bases]
+    return [(A, cls) for cls, bases in _obligations(spec, g, groups, k) for A in bases]
 
 
 def test_obligation_runs_are_the_sorted_order(alpha1):
     rng = random.Random(62)
-    cache: dict = {}  # one cache, so both sides read the same templates
     checked = 0
     for i in range(24):
         g = _multigraph(rng, rng.randrange(1, 10), ("t", "tu", "tuc")[i % 3])
-        want = list(oracle_obligations(alpha1, g, oracle_strong_subsets(g, 3), 3, cache))
-        got = _runs(alpha1, g, 3, cache)
+        want = list(oracle_obligations(alpha1, g, oracle_strong_subsets(g, 3), 3))
+        got = _runs(alpha1, g, 3)
         assert [(A, cls.code) for A, cls in got] == [(A, cls.code) for A, cls in want]
         assert all(a is b for (_, a), (_, b) in zip(got, want))
         checked += len(want)
     g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
-    want = list(oracle_obligations(alpha1, g, oracle_strong_subsets(g, 4), 4, cache))
-    got = _runs(alpha1, g, 4, cache)
+    want = list(oracle_obligations(alpha1, g, oracle_strong_subsets(g, 4), 4))
+    got = _runs(alpha1, g, 4)
     assert [(A, cls.code) for A, cls in got] == [(A, cls.code) for A, cls in want]
     assert len(want) == 23451 and checked > 1000
 

@@ -695,6 +695,39 @@ def test_cli_audit_all_skips_amalgamation_for_non_modular_components(tmp_path, c
     assert "audit.amalgamation.checked\t5\n" in capsys.readouterr().out
 
 
+# `audit-all --samples 4 --seed 1` under relational + 1/2 linear3 + 1/2
+# uniform2, as it read when the mu audit's cross-check scanned twice
+MIXED_AUDIT_ALL = """\
+audit.amalgamation.note\tskipped: needs modular matroid components
+audit.dim-additivity.note\tskipped: component coefficient 1/2 is not an integer
+audit.exchange.note\tskipped: component coefficient 1/2 is not an integer
+audit.mu.checked\t1
+audit.mu.violations\t0
+audit.oracle-equivalence.checked\t4
+audit.oracle-equivalence.violations\t0
+audit.strong-laws.checked\t4
+audit.strong-laws.violations\t0
+audit.submodularity.checked\t4
+audit.submodularity.violations\t0
+ok\ttrue
+"""
+
+
+def test_cli_mu_audit_scans_once_per_step_under_a_matroid_spec(tmp_path, capsys, monkeypatch):
+    # the cap check of the start and of the result, and one scan per step
+    # of the 14-step collapsed build: its local scan is already the full one
+    from predim import collapse
+
+    scans = []
+    scan = collapse.mu_violations
+    monkeypatch.setattr(collapse, "mu_violations", lambda *a, **kw: scans.append(a) or scan(*a, **kw))
+    mixed = tmp_path / "mixed.spec"
+    mixed.write_text(ALPHA_SPEC + "component matroid linear3 1/2\ncomponent matroid uniform2 1/2\n")
+    assert main(["audit-all", "--spec", str(mixed), "--samples", "4", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == MIXED_AUDIT_ALL
+    assert len(scans) == 16
+
+
 def test_cli_audit_all_skips_amalgamation_when_no_draw_is_in_the_class(tmp_path, capsys):
     # every nonempty set has delta < 0, so no drawn structure is in the class;
     # the amalgamation audit gives up after a fixed number of draws

@@ -32,6 +32,7 @@ cached and never rechecked.
 from __future__ import annotations
 
 from bisect import insort
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -85,9 +86,11 @@ class RichnessReport(NamedTuple):
         return Fraction(self.satisfied, self.total)
 
 
-# Catalogue entries kept: a generic-k3 benchmark block enumerates 15 keys,
-# the collapsed k=3 build under relational + 1/2 linear3 + 1/2 uniform2 with
-# bound 3 and budget 28 enumerates 134 and filters each (268 entries).
+# Catalogue entries kept between walks; a walk itself keeps every entry it
+# reads, since it rereads them all on each pass.  A generic-k3 benchmark block
+# reads 15 keys; the k=3 collapsed fusion build to 28 elements 268 (bound 3:
+# 134 enumerated, each also filtered); the k=3 build under relational +
+# linear5 to 60 elements 1268, to 120 elements 6052.
 CATALOGUE_SIZE = 512
 
 
@@ -96,13 +99,32 @@ def classes_over(
 ) -> tuple[ExtensionClass, ...]:
     """`enumerate_extensions` over the base with this `pinned_shape`, rebuilt
     on 0..|A|-1 from the shape alone; with `keep`, a module-level predicate,
-    the classes it accepts, filtered from the same entry.  The catalogue, an
-    LRU memo of `CATALOGUE_SIZE` entries, lives as long as the process; an
-    entry depends on its key alone, so eviction changes only speed."""
+    the classes it accepts, filtered from the same entry.  The catalogue
+    lives as long as the process, up to the end of a `catalogue_walk` that
+    leaves it too large; an entry depends on its key alone, so clearing
+    changes only speed."""
     return _catalogue(spec, sig, shape, max_new, keep)
 
 
-@lru_cache(maxsize=CATALOGUE_SIZE)
+_open_walks = 0
+
+
+@contextmanager
+def catalogue_walk() -> Iterator[None]:
+    """A `resume` call, an audit or a copy-cap scan: the outermost one clears
+    the catalogue as it ends if it holds more than `CATALOGUE_SIZE` entries,
+    so a walk enumerates each key once."""
+    global _open_walks
+    _open_walks += 1
+    try:
+        yield
+    finally:
+        _open_walks -= 1
+        if not _open_walks and _catalogue.cache_info().currsize > CATALOGUE_SIZE:
+            _catalogue.cache_clear()
+
+
+@lru_cache(maxsize=None)
 def _catalogue(spec, sig, shape, max_new, keep) -> tuple[ExtensionClass, ...]:
     if keep is not None:
         return tuple([cls for cls in _catalogue(spec, sig, shape, max_new, None) if keep(spec, cls)])
@@ -148,7 +170,7 @@ def strong_embedding(
 
 def _obligations(
     spec: PredimensionSpec,
-    struct: FinStructure,
+    sig: Signature,
     groups: dict[tuple, list[tuple[int, ...]]],
     k: int,
 ) -> Iterator[tuple[ExtensionClass, list[tuple[int, ...]]]]:
@@ -159,7 +181,7 @@ def _obligations(
         found = [
             (cls.size, cls.code, cls, bases)
             for shape, bases in groups.items() if len(bases[0]) == asize
-            for cls in classes_over(spec, struct.sig, shape, k - asize)
+            for cls in classes_over(spec, sig, shape, k - asize)
         ]
         found.sort(key=lambda f: f[:2])
         for _, _, cls, bases in found:
@@ -296,23 +318,24 @@ def resume(ga: GenericApprox, extra_budget: int) -> GenericApprox:
         raise BuilderError("extra budget must be nonnegative")
     ga.allowance += extra_budget
     ga.blocked = None
-    while True:
-        runs = _obligations(ga.spec, ga.current, ga._strong, ga.k)
-        for A, cls in ((A, cls) for cls, bases in runs for A in bases):
-            if (A, cls.code) not in ga._satisfied:
-                if ga._met(cls, (A,)):  # A is unmet
-                    break
-                ga._satisfied.add((A, cls.code))
-        else:
-            return ga
-        need = len(cls.new_elements)
-        if ga.current.n + need > ga.allowance:
-            ga.blocked = BlockedRecord(A, cls.code, need)
-            return ga
-        cls = cls.transport(ga.current.restrict(A))  # the catalogue's template onto A
-        new_ids = ga.step(ga, A, cls)
-        ga.history.append(DischargeRecord(len(ga.history), A, cls.code, new_ids))
-        ga._satisfied.add((A, cls.code))
+    with catalogue_walk():
+        while True:
+            runs = _obligations(ga.spec, ga.current.sig, ga._strong, ga.k)
+            for A, cls in ((A, cls) for cls, bases in runs for A in bases):
+                if (A, cls.code) not in ga._satisfied:
+                    if ga._met(cls, (A,)):  # A is unmet
+                        break
+                    ga._satisfied.add((A, cls.code))
+            else:
+                return ga
+            need = len(cls.new_elements)
+            if ga.current.n + need > ga.allowance:
+                ga.blocked = BlockedRecord(A, cls.code, need)
+                return ga
+            cls = cls.transport(ga.current.restrict(A))  # the catalogue's template onto A
+            new_ids = ga.step(ga, A, cls)
+            ga.history.append(DischargeRecord(len(ga.history), A, cls.code, new_ids))
+            ga._satisfied.add((A, cls.code))
 
 
 def audit_richness(
@@ -333,7 +356,8 @@ def audit_richness(
     groups = strong_subsets_by_shape(spec, struct, k)
     total = 0
     unmet = []
-    for cls, bases in _obligations(spec, struct, groups, k):
-        total += len(bases)
-        unmet.extend([(A, cls.code) for A in met(cls, bases)])
+    with catalogue_walk():
+        for cls, bases in _obligations(spec, struct.sig, groups, k):
+            total += len(bases)
+            unmet.extend([(A, cls.code) for A in met(cls, bases)])
     return RichnessReport(k=k, total=total, satisfied=total - len(unmet), unmet=tuple(unmet))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .builder import GenericApprox, classes_over, free_extend, resume, strong_embedding
+from .builder import GenericApprox, catalogue_walk, classes_over, free_extend, resume, strong_embedding
 from .canonical import pinned_shape
 from .extensions import ExtensionClass, enumerate_extensions, is_minimal_extension
 from .predimension import PredimensionSpec, delta, rank_compat
@@ -229,6 +229,11 @@ def _ball(struct: FinStructure, seeds: Iterable[int], radius: int) -> set[int]:
     return out
 
 
+def _scans_locally(spec: PredimensionSpec) -> bool:
+    """Can `mu_violations` keep to a ball?  Matroid components force a full scan."""
+    return not spec.components
+
+
 def mu_violations(
     spec: PredimensionSpec,
     mu: MuFunction,
@@ -245,22 +250,24 @@ def mu_violations(
     the given elements' adjacency ball of radius `bound` (the empty base is
     always rechecked).  Exact for relational specs; matroid components force
     the full scan.  The bi-minimal classes come from the catalogue
-    (`builder.classes_over`), once per group of `strong_subsets_by_shape`.
+    (`builder.classes_over`), once per group of `strong_subsets_by_shape`,
+    in one catalogue walk (`builder.catalogue_walk`).
     """
     if not in_class(spec, struct):
         raise MuError("structure outside the nonnegative class")
     allowed: Optional[set[int]] = None
-    if around is not None and not spec.components:
+    if around is not None and _scans_locally(spec):
         allowed = _ball(struct, around, bound)
     violations = []
-    for shape, bases in strong_subsets_by_shape(spec, struct, bound, near=allowed).items():
-        classes = classes_over(spec, struct.sig, shape, bound - len(bases[0]), _biminimal)
-        for base in bases:
-            for cls in classes:
-                limit = mu.value(cls)
-                count = count_independent_copies(spec, struct, base, cls)
-                if count > limit:
-                    violations.append((base, cls.code, count, limit))
+    with catalogue_walk():
+        for shape, bases in strong_subsets_by_shape(spec, struct, bound, near=allowed).items():
+            classes = classes_over(spec, struct.sig, shape, bound - len(bases[0]), _biminimal)
+            for base in bases:
+                for cls in classes:
+                    limit = mu.value(cls)
+                    count = count_independent_copies(spec, struct, base, cls)
+                    if count > limit:
+                        violations.append((base, cls.code, count, limit))
     violations.sort(key=lambda v: (len(v[0]), v[0]))  # stable: each base's classes stay in order
     return tuple(violations)
 
@@ -317,7 +324,7 @@ def thrifty_step(
     extended, mapping = free_extend(struct, ext, base, targets)
     new_ids = tuple(mapping[e] for e in ext.universe if e not in set(base))
     viol = mu_violations(spec, mu, extended, bound, around=new_ids)
-    if cross_check and not spec.components:
+    if cross_check and _scans_locally(spec):
         full = mu_violations(spec, mu, extended, bound)
         if set(viol) != set(full):
             raise MuError(

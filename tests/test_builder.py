@@ -348,7 +348,7 @@ def _assert_runs_match_oracle(spec, g, level, seen):
     per-obligation check, each side with a Pseudoforest of its own; counts
     the obligations, and the runs that mix met and unmet bases, in `seen`."""
     pf, frozen = Pseudoforest(g), Pseudoforest(g)
-    for cls, bases in _obligations(spec, g, strong_subsets_by_shape(spec, g, level), level):
+    for cls, bases in _obligations(spec, g.sig, strong_subsets_by_shape(spec, g, level), level):
         want = [A for A in bases if not oracle_met(frozen, A, cls)]
         assert richness.met_fast(pf, cls, bases) == want, cls.code
         seen["obligations"] += len(bases)
@@ -556,14 +556,39 @@ def test_catalogue_entries_do_not_depend_on_who_asked_first(alpha1, cold_catalog
     assert builder._catalogue.cache_info().misses - warmed < enumerated
 
 
-def test_fusion_collapsed_schedule_is_pinned():
+def _fusion_collapsed_digest(**kw) -> str:
     spec = PredimensionSpec.make(
         relational=True, components=((LinearOracle(3), F(1, 2)), (oracle_by_name("uniform2"), F(1, 2)))
     )
-    ga = build_collapsed(spec, DEFAULT_MU, graph(0, []), k=3, budget=20, bound=3)
+    ga = build_collapsed(spec, DEFAULT_MU, graph(0, []), k=3, budget=20, bound=3, **kw)
     assert (ga.current.n, len(ga.history), ga.blocked.needed) == (20, 9, 3)
-    digest = hashlib.sha256(repr(ga.history).encode() + serialize_structure(ga.current).encode())
-    assert digest.hexdigest() == FUSION_SCHEDULE_SHA256
+    return hashlib.sha256(repr(ga.history).encode() + serialize_structure(ga.current).encode()).hexdigest()
+
+
+def test_fusion_collapsed_schedule_is_pinned():
+    assert _fusion_collapsed_digest() == FUSION_SCHEDULE_SHA256
+
+
+def test_a_walk_past_the_catalogue_bound_enumerates_each_key_once(cold_catalogue, monkeypatch):
+    # every collapsed step rescans each shape's bi-minimal classes, and each
+    # discharge rereads every shape's classes: with 8 entries kept between
+    # walks, the build still enumerates each of its keys once, and clears
+    # the catalogue as it ends
+    monkeypatch.setattr(builder, "CATALOGUE_SIZE", 8)
+    calls = Counter()
+    enumerate_extensions = builder.enumerate_extensions
+
+    def counted(spec, base, m):
+        calls[spec, base.sig, base.shape(base.universe), m] += 1
+        return enumerate_extensions(spec, base, m)
+
+    monkeypatch.setattr(builder, "enumerate_extensions", counted)
+    assert _fusion_collapsed_digest(cross_check=True) == FUSION_SCHEDULE_SHA256
+    assert len(calls) > 8 and max(calls.values()) == 1
+    assert builder._catalogue.cache_info().currsize == 0
+    # a walk under the bound keeps its entries for the next one
+    audit_richness(PredimensionSpec.make(relational=True), graph(2, [(0, 1)]), 2)
+    assert 0 < builder._catalogue.cache_info().currsize <= 8
 
 
 def test_level5_audit_at_n40_is_pinned(alpha1):

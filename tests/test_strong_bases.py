@@ -82,7 +82,7 @@ def _grouped(g, bases):
 
 def _runs(spec, g, k):
     groups = strong_subsets_by_shape(spec, g, k)
-    return [(A, cls) for cls, bases in _obligations(spec, g, groups, k) for A in bases]
+    return [(A, cls) for cls, bases in _obligations(spec, g.sig, groups, k) for A in bases]
 
 
 def test_obligation_runs_are_the_sorted_order(alpha1):

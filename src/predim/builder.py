@@ -15,6 +15,9 @@ decided by the one run decider `_obligation_test` picks per structure:
 per base.  `audit_richness` hands it each run whole and reads back the
 unmet bases; `resume` hands it runs of one base, since it stops at the
 first unmet one and a whole run would decide bases it never reaches.
+`met_fast` keeps its verdicts on the structure, shared by a build's last
+scan and the audits of its structure, and its plans by class code for as
+long as the catalogue keeps its entries (`catalogue_walk`).
 
 No obligation is sorted.  The strong bases come grouped by `pinned_shape`,
 each group in ids order (`strongsets.strong_subsets_by_shape`), and the
@@ -35,24 +38,22 @@ from bisect import insort
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .extensions import ExtensionClass, enumerate_extensions
 from .predimension import PredimensionSpec, rank_compat
-from .richness import Pseudoforest, met_fast
+from .richness import Pseudoforest, forget_plans, met_fast
 from .structures import FinStructure, Signature, find_embeddings
 from .strongsets import in_class, strong_subsets_by_shape, strong_verdict, valid_pseudoforest
 
 
-def _obligation_test(
-    spec: PredimensionSpec, struct: FinStructure, plans: Optional[dict] = None
-) -> Callable[[ExtensionClass, Sequence[tuple[int, ...]]], list[tuple[int, ...]]]:
+def _obligation_test(spec: PredimensionSpec, struct: FinStructure) -> Callable[..., list[tuple[int, ...]]]:
     """The one run decider for `struct`: given a class and strong bases of
     its shape in ids order, the unmet bases in order.  `met_fast` decides
-    the run whole on a valid weight-1 pseudoforest (its plans kept in
-    `plans`), else the generic `obligation_met` decides each base."""
+    the run whole on a valid weight-1 pseudoforest, else the generic
+    `obligation_met` decides each base."""
     if valid_pseudoforest(spec, struct):
-        return partial(met_fast, Pseudoforest(struct, plans))
+        return partial(met_fast, Pseudoforest(struct))
     return lambda cls, bases: [A for A in bases if not obligation_met(spec, struct, A, cls)]
 
 
@@ -112,8 +113,9 @@ _open_walks = 0
 @contextmanager
 def catalogue_walk() -> Iterator[None]:
     """A `resume` call, an audit or a copy-cap scan: the outermost one clears
-    the catalogue as it ends if it holds more than `CATALOGUE_SIZE` entries,
-    so a walk enumerates each key once."""
+    the catalogue, and the obligation plans with it (`richness.plan_of`), as
+    it ends if it holds more than `CATALOGUE_SIZE` entries, so a walk
+    enumerates each key once."""
     global _open_walks
     _open_walks += 1
     try:
@@ -122,6 +124,7 @@ def catalogue_walk() -> Iterator[None]:
         _open_walks -= 1
         if not _open_walks and _catalogue.cache_info().currsize > CATALOGUE_SIZE:
             _catalogue.cache_clear()
+            forget_plans()
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +180,7 @@ def _obligations(
     """All obligations in (|A|, |B|, class code, A) order, as runs of one
     class over the strong bases of its shape, from those bases grouped by
     shape, each group in ids order (`strong_subsets_by_shape`)."""
-    for asize in range(0, k):
+    for asize in sorted({len(bases[0]) for bases in groups.values()}):
         found = [
             (cls.size, cls.code, cls, bases)
             for shape, bases in groups.items() if len(bases[0]) == asize
@@ -253,7 +256,8 @@ def discharge(ga: GenericApprox, base_ids: tuple[int, ...], cls: ExtensionClass)
 
 class GenericApprox:
     """Mutable build state: the structure so far, its strong bases grouped
-    by shape, the satisfied obligations and the obligation plans.
+    by shape, the satisfied obligations and the run decider for the
+    structure (`_obligation_test`).
 
     `step(ga, base_ids, cls)` realizes one unmet obligation, with the class
     already over `base_ids`, and returns the fresh element ids; the default
@@ -282,15 +286,14 @@ class GenericApprox:
         self.history: list[DischargeRecord] = []
         self.blocked: Optional[BlockedRecord] = None
         self._satisfied: set[tuple[tuple[int, ...], bytes]] = set()
-        self._plans: dict = {}  # obligation plans by class code, for every Pseudoforest
-        self._met = _obligation_test(spec, start, self._plans)
+        self._met = _obligation_test(spec, start)
         self._strong = strong_subsets_by_shape(spec, start, k)
 
     def grow(self, struct: FinStructure, new_ids: tuple[int, ...]) -> None:
         """Move to `struct`, a free extension of the current structure by
         the elements `new_ids`."""
         self.current = struct
-        self._met = _obligation_test(self.spec, struct, self._plans)
+        self._met = _obligation_test(self.spec, struct)
         # Only subsets meeting the fresh elements can change strength status;
         # everything else keeps its verdict, and its shape, under free growth.
         for shape, bases in strong_subsets_by_shape(self.spec, struct, self.k, set(new_ids)).items():

@@ -12,11 +12,10 @@ elements tractable.
 
 Everything here is exact and is cross-checked against the generic engines in
 the test suite.  `Pseudoforest` and `met_fast` stay beside those engines
-because they still pay: on a 2-core machine with Python 3.11, the level-4
-audits of the k=3 builds took 0.07-0.08 s at n=40 and 0.30-0.40 s at n=80
-with them, deciding each run of bases whole, and 0.83-0.89 s and 7.1-8.2 s
-with the generic engines alone (three runs each, over the same strong-base
-walk).
+because they still pay: on a 2-vCPU machine with Python 3.11, the level-4
+audits of the k=3 builds took 0.04-0.06 s at n=40 and 0.26-0.31 s at n=80
+with them, deciding each run once per key, against 0.83-0.89 s and 7.1-8.2 s
+with the generic engines alone (over the same strong-base walk).
 """
 
 from __future__ import annotations
@@ -40,54 +39,64 @@ class Pseudoforest:
     valid pseudoforest (`strongsets.valid_pseudoforest`): `builder` takes
     the generic route on any other structure.
 
-    Obligation plans are kept by class code in `plans`, which a builder
-    passes from one approximation's Pseudoforest to the next (plans depend on
-    the class only); targets and fits depend on the structure and stay here.
-    The anchored part's verdict is kept per base element in `_branches`, keyed
-    by (the element, its neighbours outside the base, the trees the plan
-    hangs there): over a strong base those neighbours are the roots of the
-    element's branches, and each branch is fixed by its root and the element
-    (see `met_fast`).  No state is kept per base.
+    What depends on the structure alone is filled into its `_decided` slot,
+    so a build's last scan and every audit of it share it: the components'
+    induced structures, each free part's fitting components by part code,
+    and the anchored part's verdicts per trees and (base element, its
+    neighbours outside the base), which fix the element's branches over a
+    strong base (see `met_fast`).  The slot holds nothing that refers back
+    to the structure, so it makes no cycle.  The keys of each run of bases
+    live here, with this object; plans depend on the class only (`plan_of`).
     """
 
-    def __init__(self, struct: FinStructure, plans: Optional[dict[bytes, _Plan]] = None):
+    def __init__(self, struct: FinStructure):
         self.struct = struct
         self.comp_of, self.comp_elems, _, _ = struct.components()
-        self.plans: dict[bytes, _Plan] = {} if plans is None else plans
-        self._targets: dict[int, FinStructure] = {}
-        self._fits: dict[bytes, tuple[int, ...]] = {}
-        self._branches: dict[tuple[int, frozenset[int], Tree], bool] = {}
-
-    def plan(self, cls: ExtensionClass) -> _Plan:
-        """The class's obligation plan, computed once per class code."""
-        plan = self.plans.get(cls.code)
-        if plan is None:
-            plan = self.plans[cls.code] = _Plan.of(cls)
-        return plan
+        if struct._decided is None:
+            struct._decided = ({}, {}, {})
+        self._targets, self._fits, self._branches = struct._decided
+        self._runs: dict[int, tuple] = {}
 
     def target(self, root: int) -> FinStructure:
-        """The induced structure on the component of `root`."""
-        if root not in self._targets:
-            elems = self.comp_elems[root]
-            self._targets[root] = self.struct.restrict(elems) if len(elems) < self.struct.n else self.struct
-        return self._targets[root]
+        """The induced structure on the component of `root`, kept unless it
+        is the whole structure."""
+        elems = self.comp_elems[root]
+        if len(elems) < self.struct.n and root not in self._targets:
+            self._targets[root] = self.struct.restrict(elems)
+        return self._targets.get(root, self.struct)
 
     def fitting_roots(self, part: FinStructure, part_code: bytes) -> tuple[int, ...]:
         """Components, in order, holding an induced copy of the (connected)
         part that is itself a valid chunk."""
         if part_code not in self._fits:
-            fits = []
-            for root in sorted(self.comp_elems):
-                # a connected image is strong in a tree component always,
-                # in a unicyclic one when it holds the cycle
-                hits = find_embeddings(
-                    part, self.target(root), limit=1,
-                    compat=lambda m: graph_strong(self.struct, m.values()),
-                )
-                if hits:
-                    fits.append(root)
-            self._fits[part_code] = tuple(fits)
+            # a connected image is strong in a tree component always, in a
+            # unicyclic one when it holds the cycle
+            strong = lambda m: graph_strong(self.struct, m.values())
+            self._fits[part_code] = tuple([
+                root for root in sorted(self.comp_elems)
+                if find_embeddings(part, self.target(root), limit=1, compat=strong)
+            ])
         return self._fits[part_code]
+
+    def keys(self, bases: Sequence[tuple[int, ...]]) -> tuple[list[dict], dict]:
+        """The keys of a run of bases of one shape, each with the positions
+        of the bases that have it: per place, (the element there, its
+        neighbours outside the base); and the components a base meets.  Kept
+        for a run of more than one base, which every class of its shape
+        reads; the run must not change meanwhile."""
+        held = self._runs.get(id(bases), (None, None))
+        if held[0] is bases:
+            return held[1]
+        adj, comp_of = self.struct.adjacency(), self.comp_of
+        places: list[dict] = [{} for _ in bases[0]]
+        comps: dict[frozenset[int], list[int]] = {}
+        for i, A in enumerate(bases):
+            for keys, a in zip(places, A):
+                keys.setdefault((a, adj[a].difference(A)), []).append(i)
+            comps.setdefault(frozenset(map(comp_of.__getitem__, A)), []).append(i)
+        if len(bases) > 1:
+            self._runs[id(bases)] = (bases, (places, comps))
+        return places, comps
 
     def hangs(self, trees: Tree, u: int, nbrs: frozenset[int]) -> bool:
         """Do the rooted trees go below u into distinct elements of `nbrs`,
@@ -120,18 +129,6 @@ def _distinct(options: list[list[int]]) -> bool:
         return False
 
     return assign(0)
-
-
-def _split_parts(cls: ExtensionClass, base: set[int]):
-    """Connected components of the new part, anchored (joined to the base)
-    and free."""
-    adj = cls.ext.adjacency()
-    anchored: list[list[int]] = []
-    free: list[list[int]] = []
-    for comp in cls.ext.restrict(cls.new_elements).components()[1].values():
-        joined = any(not base.isdisjoint(adj[x]) for x in comp)
-        (anchored if joined else free).append(comp)
-    return anchored, free
 
 
 def _pendant_places(cls: ExtensionClass, anchored: list[list[int]]):
@@ -180,9 +177,28 @@ class _Plan(NamedTuple):
 
     @staticmethod
     def of(cls: ExtensionClass) -> _Plan:
-        anchored, free = _split_parts(cls, set(cls.base.universe))
+        # the new part's components, anchored (joined to the base) and free
+        base, adj, anchored, free = set(cls.base.universe), cls.ext.adjacency(), [], []
+        for comp in cls.ext.restrict(cls.new_elements).components()[1].values():
+            (anchored if any(not base.isdisjoint(adj[x]) for x in comp) else free).append(comp)
         parts = tuple((part, canonical_code(part)) for part in map(cls.ext.restrict, free))
         return _Plan(_pendant_places(cls, anchored), parts)
+
+
+_plans: dict[bytes, _Plan] = {}  # by class code, see `plan_of`
+
+
+def plan_of(cls: ExtensionClass) -> _Plan:
+    """The class's obligation plan, made once per class code and kept until
+    `forget_plans`, which `builder.catalogue_walk` calls as it clears the
+    catalogue: a plan lives as long as its class's entry there."""
+    plan = _plans.get(cls.code)
+    if plan is None:
+        plan = _plans[cls.code] = _Plan.of(cls)
+    return plan
+
+
+forget_plans = _plans.clear
 
 
 def met_fast(pf: Pseudoforest, cls: ExtensionClass, bases: Sequence[tuple[int, ...]]) -> list:
@@ -193,9 +209,13 @@ def met_fast(pf: Pseudoforest, cls: ExtensionClass, bases: Sequence[tuple[int, .
     sit over any base of the same shape: its sorted base is pinned onto each
     base.  The image of the anchored part lives in the base's components;
     each free part needs its own base-free component (a disconnected trace
-    is never strong), so the two checks are independent.  Whether the free
-    parts fit into distinct components outside the base's reads nothing
-    else of the base, so their verdict is taken once per component set.
+    is never strong), so the two checks are independent.  Both read the
+    base only through its keys (`Pseudoforest.keys`): whether the free parts
+    fit into distinct components outside the base's reads the set of
+    components it meets, and the anchored part reads, at each place, the
+    element there and its neighbours outside the base.  So the run is
+    decided once per distinct key, and a base is unmet when one of its keys
+    fails.
 
     The anchored part is decided on the base's pendant branches, with no
     search.  Lemma: let A be strong and C a component that A meets.  A is
@@ -221,33 +241,27 @@ def met_fast(pf: Pseudoforest, cls: ExtensionClass, bases: Sequence[tuple[int, .
     that is not strong the lemma fails: a point on a cycle has a pendant
     image that misses the cycle.
     """
-    plan = pf.plan(cls)
-    if plan.places is None:
+    plan = plan_of(cls)
+    if plan.places is None or not bases:
         return list(bases)
-    adj, comp_of, branches = pf.struct.adjacency(), pf.comp_of, pf._branches
-    free: dict[tuple[int, ...], bool] = {}  # by the components a base meets
-    unmet = []
-    for A in bases:
-        if plan.free_parts:
-            roots = tuple(sorted({comp_of[a] for a in A}))
-            if roots not in free:
-                free[roots] = _free_parts_fit(pf, plan, roots)
-            if not free[roots]:
-                unmet.append(A)
-                continue
-        for place, trees in plan.places:
-            a = A[place]
-            key = (a, adj[a].difference(A), trees)
-            verdict = branches.get(key)
+    places, comps = pf.keys(bases)
+    unmet: set[int] = set()
+    if plan.free_parts:
+        for roots, at in comps.items():
+            if not _free_parts_fit(pf, plan, roots):
+                unmet.update(at)
+    for place, trees in plan.places:
+        verdicts = pf._branches.setdefault(trees, {})
+        for key, at in places[place].items():
+            verdict = verdicts.get(key)
             if verdict is None:
-                verdict = branches[key] = pf.hangs(trees, a, key[1])
+                verdict = verdicts[key] = pf.hangs(trees, *key)
             if not verdict:
-                unmet.append(A)
-                break
-    return unmet
+                unmet.update(at)
+    return [bases[i] for i in sorted(unmet)]
 
 
-def _free_parts_fit(pf: Pseudoforest, plan: _Plan, roots: tuple[int, ...]) -> bool:
+def _free_parts_fit(pf: Pseudoforest, plan: _Plan, roots: frozenset[int]) -> bool:
     """Do the plan's free parts go into distinct components outside `roots`,
     the components the base meets?"""
     return _distinct([

@@ -705,6 +705,7 @@ def strong_subsets_by_shape(
 def _listed(spec: PredimensionSpec, struct: FinStructure, below: int, near: Optional[set[int]]):
     """`strong_subsets`, each with the instances inside it from the
     weight-1 walk, else with None."""
+    below = min(below, struct.n + 1)  # no subset is larger
     if valid_pseudoforest(spec, struct):
         return _graph_strong_subsets(struct, below, near)
     return [

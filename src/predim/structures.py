@@ -140,7 +140,7 @@ class FinStructure:
 
     __slots__ = (
         "sig", "universe", "instances", "annotations", "_uset", "_index", "_comps", "_width",
-        "_rows", "_sessions",
+        "_rows", "_sessions", "_decided",
     )
 
     def __init__(
@@ -215,6 +215,7 @@ class FinStructure:
         self._width: Optional[int] = None
         self._rows: dict = {}  # p -> {element: its vector mod p}, filled by LinearOracle.vector
         self._sessions: Optional[dict] = None  # strength sessions per spec, see strongsets
+        self._decided: Optional[tuple] = None  # weight-1 obligation tables, see richness.Pseudoforest
 
     # -- basic views ------------------------------------------------------
 

@@ -8,12 +8,12 @@ order.
 from __future__ import annotations
 
 from predim import ExtensionClass
-from predim.richness import Pseudoforest, _distinct
+from predim.richness import Pseudoforest, _distinct, plan_of
 
 
 def oracle_met(pf: Pseudoforest, base_ids: tuple[int, ...], cls: ExtensionClass) -> bool:
     """Does the class have a strong copy over `base_ids`, a strong base?"""
-    plan = pf.plan(cls)
+    plan = plan_of(cls)
     if plan.places is None:
         return False
     if plan.free_parts:

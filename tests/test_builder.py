@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -144,9 +145,10 @@ def test_obligation_met_fast_matches_generic(alpha1):
             assert fast == slow
 
 
-def test_met_fast_shares_plans_with_transported_classes(alpha1):
+def test_met_fast_shares_plans_with_transported_classes(alpha1, monkeypatch):
     # a transported class has the plan's code but other base ids; the plan
-    # pins the base in its own coordinates
+    # pins the base in its own coordinates, so both read one plan
+    made = _counted_plans(monkeypatch)
     pend = classify_extension(alpha1, graph(2, [(0, 1)]), [0])
     g = graph(4, [(0, 1), (2, 3)])
     pf = Pseudoforest(g)
@@ -154,6 +156,16 @@ def test_met_fast_shares_plans_with_transported_classes(alpha1):
     assert richness.met_fast(pf, pend, [(0,)]) == []
     assert obligation_met(alpha1, g, (2,), moved)
     assert richness.met_fast(pf, moved, [(2,)]) == []
+    assert made == Counter([pend.code]) and richness.plan_of(moved) is richness.plan_of(pend)
+
+
+def _counted_plans(monkeypatch) -> Counter:
+    """From an empty plan store, the plans made, by class code."""
+    richness.forget_plans()
+    made = Counter()
+    of = richness._Plan.of
+    monkeypatch.setattr(richness._Plan, "of", staticmethod(lambda cls: made.update([cls.code]) or of(cls)))
+    return made
 
 
 def _random_pseudoforest(rng: random.Random, n: int):
@@ -396,7 +408,7 @@ def test_anchored_part_that_is_not_a_pendant_forest_is_unmet(alpha1, host, ext, 
     cls = classify_extension(alpha1, ext, base)
     pf = Pseudoforest(host)
     assert graph_strong(host, base)
-    assert pf.plan(cls).places is None
+    assert richness.plan_of(cls).places is None
     assert richness.met_fast(pf, cls, [base]) == [base]
     assert not obligation_met(alpha1, host, base, cls)
 
@@ -412,7 +424,7 @@ def test_pendant_trees_that_do_not_fit_the_branches_are_unmet(alpha1, host, ext)
     cls = classify_extension(alpha1, ext, [0])
     pf = Pseudoforest(host)
     assert graph_strong(host, (0,))
-    assert pf.plan(cls).places
+    assert richness.plan_of(cls).places
     assert richness.met_fast(pf, cls, [(0,)]) == [(0,)]
     assert not obligation_met(alpha1, host, (0,), cls)
 
@@ -518,8 +530,10 @@ def test_schedules_are_pinned(alpha1):
 @pytest.fixture
 def cold_catalogue():
     builder._catalogue.cache_clear()
+    richness.forget_plans()
     yield
     builder._catalogue.cache_clear()
+    richness.forget_plans()
 
 
 def test_catalogue_enumerates_each_key_once(alpha1, cold_catalogue, monkeypatch):
@@ -620,3 +634,72 @@ def test_level4_audit_decides_free_parts_once_per_component_set(alpha1, monkeypa
     rep = audit_richness(alpha1, g, 4)
     assert (rep.satisfied, rep.total) == (22148, 23451)
     assert searches and max(searches.values()) == 1
+
+
+def test_generic_k3_sequence_decides_each_plan_fit_and_branch_once(alpha1, cold_catalogue, monkeypatch):
+    # the build's last scan and the level-3 and level-4 audits of its
+    # structure share that structure's fits and branch verdicts, and every
+    # walk shares the plans while the catalogue holds their classes
+    made = _counted_plans(monkeypatch)
+    embedded, searched, hung, kept = [], Counter(), Counter(), []  # `kept` keeps each id unique
+    find, fitting_roots, hangs = richness.find_embeddings, Pseudoforest.fitting_roots, Pseudoforest.hangs
+    monkeypatch.setattr(richness, "find_embeddings", lambda *a, **kw: embedded.append(1) or find(*a, **kw))
+
+    def fits(pf, part, code):
+        before = len(embedded)
+        out = fitting_roots(pf, part, code)
+        if len(embedded) > before:
+            searched[id(pf.struct), code] += 1
+            kept.append(pf.struct)
+        return out
+
+    depth = [0]
+
+    def top_hangs(pf, trees, u, nbrs):
+        if not depth[0]:
+            hung[id(pf.struct), u, nbrs, trees] += 1
+            kept.append(pf.struct)
+        depth[0] += 1
+        try:
+            return hangs(pf, trees, u, nbrs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Pseudoforest, "fitting_roots", fits)
+    monkeypatch.setattr(Pseudoforest, "hangs", top_hangs)
+
+    def sequence():
+        ga = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40)
+        reports = [audit_richness(alpha1, ga.current, k) for k in (3, 4)]
+        assert [(r.satisfied, r.total) for r in reports] == [(1857, 1895), (22148, 23451)]
+
+    sequence()
+    assert made and max(made.values()) == 1
+    assert searched and max(searched.values()) == 1
+    assert hung and max(hung.values()) == 1
+    made.clear()
+    sequence()
+    assert not made
+
+
+def test_a_walk_that_clears_the_catalogue_leaves_no_plan(alpha1, cold_catalogue, monkeypatch):
+    monkeypatch.setattr(builder, "CATALOGUE_SIZE", 4)
+    made = _counted_plans(monkeypatch)
+    g = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
+    assert audit_richness(alpha1, g, 4).satisfied == 22148
+    assert len(made) > 4 and builder._catalogue.cache_info().currsize == 0
+    assert richness._plans == {}
+    # a walk under the bound keeps its plans with its entries
+    audit_richness(alpha1, graph(2, [(0, 1)]), 2)
+    assert 0 < builder._catalogue.cache_info().currsize <= 4 and richness._plans
+
+
+def test_an_audit_leaves_no_reference_to_its_structure(alpha1):
+    # the tables an audit keeps on a fresh structure point back at nothing,
+    # so no cycle keeps the structure alive
+    built = build_generic(alpha1, graph(2, [(0, 1)]), k=3, budget=40).current
+    g = FinStructure(built.sig, built.universe, built.instances)
+    before = sys.getrefcount(g)
+    rep = audit_richness(alpha1, g, 4)
+    assert (rep.satisfied, rep.total) == (22148, 23451) and g._decided is not None
+    assert sys.getrefcount(g) == before

@@ -29,7 +29,7 @@ from predim import (
     resume,
     thrifty_step,
 )
-from predim import collapse
+from predim import collapse, richness
 from predim.builder import classes_over
 from predim.canonical import pinned_shape
 from predim.sampling import graph_signature, random_sparse_graph
@@ -377,19 +377,29 @@ def test_build_collapsed_unconstrained_matches_generic(alpha1):
     assert canonical_code(loose.current) == canonical_code(free.current)
 
 
-def test_resume_after_collapsed_build_matches_single_run(alpha1):
+def test_resume_after_collapsed_build_matches_single_run(alpha1, monkeypatch):
     # resume continues with the collapsed step, so the caps still hold and
-    # the staged build is the single build
+    # the staged build is the single build; both read one plan per code
+    read: dict[bytes, set[int]] = {}
+    plan_of = richness.plan_of
+
+    def recorded(cls):
+        plan = plan_of(cls)
+        read.setdefault(cls.code, set()).add(id(plan))
+        return plan
+
+    monkeypatch.setattr(richness, "plan_of", recorded)
     edge = graph(2, [(0, 1)])
     mu2 = MuFunction.from_dict({_pendant_class(alpha1).code: 2})
     staged = build_collapsed(alpha1, mu2, edge, k=3, budget=12)
-    assert staged._met.args[0].plans is staged._plans
     resume(staged, 18)
+    staged_read, read = read, {}
     one_shot = build_collapsed(alpha1, mu2, edge, k=3, budget=30)
     assert staged.current == one_shot.current
     assert [r.code for r in staged.history] == [r.code for r in one_shot.history]
     assert in_class_mu(alpha1, mu2, staged.current, 3).ok
-    assert staged._met.args[0].plans is staged._plans
+    assert staged_read and read == staged_read
+    assert all(len(ids) == 1 for ids in read.values())
 
 
 def test_build_collapsed_rejects_bad_start(alpha1):

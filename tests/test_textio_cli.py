@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -634,14 +635,14 @@ def test_cli_refusals_in_a_fresh_interpreter(tmp_path, argv, rc, message):
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), done.stderr
 
 
-def _fresh_cli(cwd, argv, timeout):
+def _fresh_cli(cwd, argv, timeout, **kw):
     """`python -m predim.cli argv` in a fresh interpreter, killed after
-    `timeout` seconds."""
+    `timeout` seconds; `kw` goes to `subprocess.run`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
         [sys.executable, "-m", "predim.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout, **kw,
     )
 
 
@@ -678,6 +679,29 @@ def test_cli_enumerate_min_refuses_before_walking(tmp_path):
     done = _fresh_cli(tmp_path, ["enumerate-min", "tree.structure", "--max-new", "6"], 10)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: extension enumeration refused: 27 candidate instances > 22\n"
+
+
+HUGE = "99999999999999999999"
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "tree.structure", "--k", HUGE],
+    ["check-mu", "tree.structure", "--bound", HUGE],
+    ["build", "--k", HUGE, "--budget", "10"],
+], ids=["audit", "check-mu", "build"])
+def test_cli_huge_level_refuses_like_a_large_one(tmp_path, argv):
+    # the strong-base walk and the obligation order loop over the sizes a
+    # subset can have, not up to the level, so the empty base's enumeration
+    # refuses first, as at --k 50; in the child, a loop per size up to the
+    # level would run out of its 1 GiB of address space
+    (tmp_path / "tree.structure").write_text(TREE_TEXT)
+    done = _fresh_cli(tmp_path, argv, 30, preexec_fn=_one_gib_address_space)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: extension enumeration refused: 28 candidate instances > 22\n"
 
 
 def test_cli_audit_all_skips_amalgamation_for_non_modular_components(tmp_path, capsys):
